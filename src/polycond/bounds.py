@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from .condition import _coupling
+from .condition import _coupling, _log_abs_det_leading, cond_eigvector_free
 from .core import MatrixPolynomial, WeightSet, singular_values, spectral_norm
 from .errors import (
     DegenerateProblemError,
@@ -122,12 +122,31 @@ def dist_mult_bound(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
     weights (1, 0) it reduces to Wilkinson's bound ||A - lam I|| /
     sqrt(kappa^2 - 1), kappa = 1 / |y* x| (Wilkinson, Numer. Math. 1972).
     """
-    c, norm_p, delta, row_norm, nu = _derivative_frame(poly, weights, lam, x, y)
+    frame = _derivative_frame(poly, weights, lam, x, y)
     w = weights.eval(abs(complex(lam)))
-    k = w / abs(delta)
-    value = c * norm_p / (k * nu)
+    return _dist_report(frame, w / abs(frame[2]), w)    # k = w / |y* P'(lam) x|
+
+
+def dist_mult_bound_adj(poly: MatrixPolynomial, weights: WeightSet, i: int,
+                        spec, x: np.ndarray, y: np.ndarray) -> BoundReport:
+    """dist_mult_bound with the condition number taken from the
+    eigenvector-free adjugate route instead of the coupling y* P'(lam) x.
+
+    spec is a Spectrum containing the eigenvalue at index i; x, y are still
+    needed for the direction term nu.
+    """
+    lam = complex(spec.eigenvalues[i])
+    frame = _derivative_frame(poly, weights, lam, x, y)
+    k = cond_eigvector_free(poly, weights, i, spec)
+    return _dist_report(frame, k, weights.eval(abs(lam)))
+
+
+def _dist_report(frame, k: float, w: float) -> BoundReport:
+    """The distance-to-multiplicity BoundReport from a _derivative_frame,
+    the condition number k and the weight w(|lam|)."""
+    c, norm_p, delta, row_norm, nu = frame
     return BoundReport(
-        value=value,
+        value=c * norm_p / (k * nu),
         ingredients={
             "derivative_cond": c,
             "poly_norm_at_lam": norm_p,
@@ -143,44 +162,6 @@ def dist_mult_bound(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
             "nonparallel": True,
         },
     )
-
-
-def dist_mult_bound_adj(poly: MatrixPolynomial, weights: WeightSet, i: int,
-                        spec, x: np.ndarray, y: np.ndarray) -> BoundReport:
-    """dist_mult_bound with the condition number taken from the
-    eigenvector-free adjugate route instead of the coupling y* P'(lam) x.
-
-    spec is a Spectrum containing the eigenvalue at index i; x, y are still
-    needed for the direction term nu.
-    """
-    from .condition import cond_eigvector_free
-
-    lam = complex(spec.eigenvalues[i])
-    c, norm_p, delta, row_norm, nu = _derivative_frame(poly, weights, lam, x, y)
-    k = cond_eigvector_free(poly, weights, i, spec)
-    value = c * norm_p / (k * nu)
-    return BoundReport(
-        value=value,
-        ingredients={
-            "derivative_cond": c,
-            "poly_norm_at_lam": norm_p,
-            "eig_cond": k,
-            "coupling": delta,
-            "left_derivative_norm": row_norm,
-            "orthogonal_component": nu,
-            "weight_at_lam": weights.eval(abs(lam)),
-        },
-        applicable={
-            "simple_eigenvalue": True,
-            "derivative_nonsingular": True,
-            "nonparallel": True,
-        },
-    )
-
-
-def _abs_logdet_leading(poly: MatrixPolynomial) -> float:
-    sign, logdet = np.linalg.slogdet(poly.coeffs[-1])
-    return float(logdet)
 
 
 def elsner_bound(poly: MatrixPolynomial, weights: WeightSet, eps: float,
@@ -202,7 +183,7 @@ def elsner_bound(poly: MatrixPolynomial, weights: WeightSet, eps: float,
         raise DegenerateProblemError("a degree-0 polynomial has no eigenvalues to bound")
     w = weights.eval(abs(mu))
     norm_p = spectral_norm(poly.eval(mu))
-    logdet = _abs_logdet_leading(poly)
+    logdet = _log_abs_det_leading(poly)
     if eps * w == 0.0 or (norm_p == 0.0 and mn > 1):
         value = 0.0
     else:
@@ -295,7 +276,7 @@ def bound_comparator(poly: MatrixPolynomial, weights: WeightSet, eps: float,
     k = bf.ingredients["triple_cond"]
     w = bf.ingredients["weight_at_mu"]
     theta = bf.ingredients["theta"]
-    logdet = _abs_logdet_leading(poly)
+    logdet = _log_abs_det_leading(poly)
     ew = eps * w
     if ew == 0.0:
         omega = 0.0

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 
 import numpy as np
@@ -98,14 +99,14 @@ class _Context:
 def _snap(ctx: _Context, args):
     """Resolve the --eig argument to a computed eigenvalue and its index."""
     target = _target_eig(args.eig)
-    sp = spectrum(ctx.poly)
+    sp = spectrum(ctx.poly, vectors=False)
     idx = nearest_eigenvalue(sp.eigenvalues, target, tol=getattr(args, "tol", None))
     return complex(sp.eigenvalues[idx]), idx, sp
 
 
 def cmd_eig(ctx: _Context, args) -> dict:
     tol = args.cluster_tol
-    sp = spectrum(ctx.poly, cluster_tol=tol)
+    sp = spectrum(ctx.poly, cluster_tol=tol, vectors=False)
     return {
         "eigenvalues": _json_safe(sp.eigenvalues),
         "cluster_tol": tol if tol is not None else default_cluster_tol(sp.eigenvalues),
@@ -311,6 +312,15 @@ def cmd_verify(ctx: _Context, args) -> dict:
             "pass": residual <= RESIDUAL_TOL}
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that also reads -7.56e-17 as a negative number, not as
+    an option; subparsers are built from the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _add_common(p: argparse.ArgumentParser, eig: bool = False) -> None:
     p.add_argument("file", help="problem file (JSON)")
     p.add_argument("--weights", default=None,
@@ -324,7 +334,7 @@ def _add_common(p: argparse.ArgumentParser, eig: bool = False) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="polycond",
         description="Eigenvalue condition numbers, pseudospectra, and "
                     "perturbation bounds for matrix polynomials.")

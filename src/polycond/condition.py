@@ -141,6 +141,11 @@ def adjugate_norm(M, gap: float = 1e6) -> float:
     return float(np.prod(s[:-1]))
 
 
+def _log_abs_det_leading(poly: MatrixPolynomial) -> float:
+    """log |det A_m|."""
+    return float(np.linalg.slogdet(poly.coeffs[-1])[1])
+
+
 def _log_gap_product(values: np.ndarray, i: int) -> float:
     """Sum of log |lam_j - lam_i| over j != i; log-space to survive the
     dynamic range of ill-scaled problems."""
@@ -155,14 +160,6 @@ def _log_gap_product(values: np.ndarray, i: int) -> float:
     return float(np.sum(np.log(gaps)))
 
 
-def _require_simple(spec: Spectrum, i: int) -> None:
-    if not spec.is_simple(i):
-        c = spec.cluster_of(i)
-        raise NotAnEigenvalueError(
-            f"eigenvalue index {i} sits in a cluster of size {c.size} "
-            f"around {c.center}; the eigenvector-free route needs a simple eigenvalue")
-
-
 def cond_eigvector_free(poly: MatrixPolynomial, weights: WeightSet, i: int,
                         spec: Spectrum) -> float:
     """Condition number of the i-th eigenvalue without eigenvectors:
@@ -172,29 +169,31 @@ def cond_eigvector_free(poly: MatrixPolynomial, weights: WeightSet, i: int,
     is accumulated in log space.
     """
     weights.require_match(poly)
-    _require_simple(spec, i)
+    if not spec.is_simple(i):
+        c = spec.cluster_of(i)
+        raise NotAnEigenvalueError(
+            f"eigenvalue index {i} sits in a cluster of size {c.size} "
+            f"around {c.center}; the eigenvector-free route needs a simple eigenvalue")
     lam = complex(spec.eigenvalues[i])
     log_num = (np.log(weights.eval(abs(lam)))
                + np.log(adjugate_norm(poly.eval(lam))))
-    sign, logdet = np.linalg.slogdet(poly.coeffs[-1])
-    log_den = logdet + _log_gap_product(spec.eigenvalues, i)
+    log_den = _log_abs_det_leading(poly) + _log_gap_product(spec.eigenvalues, i)
     return float(np.exp(log_num - log_den))
 
 
 def min_gap_bound(poly: MatrixPolynomial, weights: WeightSet, i: int,
                   spec: Spectrum) -> float:
     """Upper bound on the distance from lam_i to the rest of the spectrum:
-    (w(|lam_i|) ||adj(P(lam_i))|| / (k(P,lam_i) |det A_m|))^{1/(nm-1)}."""
+    (w(|lam_i|) ||adj(P(lam_i))|| / (k(P,lam_i) |det A_m|))^{1/(nm-1)}.
+
+    With k(P,lam_i) from cond_eigvector_free the bracket is identically
+    prod_{j != i} |lam_j - lam_i|, so the bound is that product's geometric
+    mean; the cond_eigvector_free call keeps its hypothesis gates.
+    """
     weights.require_match(poly)
     if poly.n * poly.m <= 1:
         raise DegenerateProblemError(
             "the gap bound needs nm >= 2: a 1x1 degree-1 polynomial has no "
             "other eigenvalue")
-    _require_simple(spec, i)
-    lam = complex(spec.eigenvalues[i])
-    k = cond_eigvector_free(poly, weights, i, spec)
-    sign, logdet = np.linalg.slogdet(poly.coeffs[-1])
-    log_val = (np.log(weights.eval(abs(lam)))
-               + np.log(adjugate_norm(poly.eval(lam)))
-               - np.log(k) - logdet)
-    return float(np.exp(log_val / (poly.n * poly.m - 1)))
+    cond_eigvector_free(poly, weights, i, spec)
+    return float(np.exp(_log_gap_product(spec.eigenvalues, i) / (poly.n * poly.m - 1)))

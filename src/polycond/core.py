@@ -7,7 +7,8 @@ polynomial w(r) used to scale admissible perturbations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import perm
 
 import numpy as np
 
@@ -97,35 +98,32 @@ class MatrixPolynomial:
         """Polynomial degree."""
         return len(self.coeffs) - 1
 
-    def eval(self, z: complex) -> np.ndarray:
-        """P(z) by the Horner recurrence; exact A_0 at z = 0."""
-        z = complex(z)
-        if z == 0:
-            return self.coeffs[0].copy()
-        acc = np.array(self.coeffs[-1])
-        for A in reversed(self.coeffs[:-1]):
-            acc = acc * z + A
+    def eval(self, z) -> np.ndarray:
+        """P(z) by the Horner recurrence; exact A_0 at z = 0.
+
+        z may be an array of points; the result then has shape z.shape + (n, n).
+        """
+        z = np.asarray(z, dtype=complex)
+        acc = _horner(self.coeffs, z)
+        if not z.all():
+            acc[z == 0] = self.coeffs[0]
         return acc
 
-    def eval_derivative(self, z: complex, order: int = 1) -> np.ndarray:
+    def eval_derivative(self, z, order: int = 1) -> np.ndarray:
         """P^(order)(z); the zero matrix for order > m, P(z) for order 0."""
         if order < 0:
             raise ValueError("derivative order must be nonnegative")
         if order == 0:
             return self.eval(z)
         if order > self.m:
-            return np.zeros((self.n, self.n), dtype=complex)
-        z = complex(z)
-        scaled = []
-        for j in range(order, self.m + 1):
-            f = 1.0
-            for t in range(j, j - order, -1):
-                f *= t
-            scaled.append(f * self.coeffs[j])
-        acc = np.array(scaled[-1])
-        for A in reversed(scaled[:-1]):
-            acc = acc * z + A
-        return acc
+            return np.zeros(np.shape(z) + (self.n, self.n), dtype=complex)
+        scaled = [perm(j, order) * A for j, A in enumerate(self.coeffs) if j >= order]
+        return _horner(scaled, z)
+
+    def e_blocks(self, z) -> list[np.ndarray]:
+        """E_1(z)..E_m(z), E_r(z) = sum_{j >= r} A_j z^(j-r): the Horner
+        partial sums E_m = A_m, E_r = A_r + z E_{r+1} on the way to P(z)."""
+        return [_horner(self.coeffs[r:], z) for r in range(1, self.m + 1)]
 
     def norm_inf(self) -> float:
         """max_j of the spectral norm of A_j."""
@@ -176,20 +174,56 @@ class WeightSet:
                 f"weight set has {len(self.weights)} entries, "
                 f"polynomial of degree {poly.m} needs {poly.m + 1}")
 
-    def eval(self, r: float, order: int = 0) -> float:
-        """w(r) (order 0, strictly positive) or w'(r) (order 1) for r >= 0."""
-        if r < 0:
+    def eval(self, r, order: int = 0):
+        """w(r) (order 0, strictly positive) or w'(r) (order 1) for r >= 0;
+        a NumPy array of r gives the array of values."""
+        batch = isinstance(r, np.ndarray)
+        x = np.asarray(r, dtype=float) if batch else float(r)
+        if (x < 0).any() if batch else x < 0:
             raise ValueError("the weight polynomial takes nonnegative arguments")
         if order == 0:
-            acc = self.weights[-1]
-            for wj in reversed(self.weights[:-1]):
-                acc = acc * r + wj
-            return float(acc)
-        if order == 1:
-            if len(self.weights) == 1:
-                return 0.0
-            acc = self.m * self.weights[-1]
-            for j in range(self.m - 1, 0, -1):
-                acc = acc * r + j * self.weights[j]
-            return float(acc)
-        raise ValueError("only orders 0 and 1 are supported")
+            coeffs = self.weights
+        elif order == 1:
+            coeffs = tuple(j * wj for j, wj in enumerate(self.weights))[1:] or (0.0,)
+        else:
+            raise ValueError("only orders 0 and 1 are supported")
+        acc = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            acc = acc * x + c
+        return np.full(x.shape, acc) if batch else acc
+
+
+def _horner(coeffs, z) -> np.ndarray:
+    """sum_j C_j z^j by the recurrence S = S z + C_j, for a scalar z or
+    elementwise over an array of points (shape z.shape + C.shape)."""
+    z = np.asarray(z, dtype=complex)
+    # a Python complex keeps NumPy's broadcasting overhead off single points
+    zz = z[..., np.newaxis, np.newaxis] if z.ndim else complex(z)
+    acc = np.empty(z.shape + coeffs[-1].shape, dtype=complex)
+    acc[...] = coeffs[-1]
+    for C in reversed(coeffs[:-1]):
+        acc = acc * zz + C
+    return acc
+
+
+class _UnionFind:
+    """Disjoint sets over hashable keys, each created on first use."""
+
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, k):
+        p = self.parent.setdefault(k, k)
+        while p != self.parent[p]:
+            self.parent[p] = self.parent[self.parent[p]]
+            p = self.parent[p]
+        self.parent[k] = p
+        return p
+
+    def union(self, a, b) -> bool:
+        """Merge the sets of a and b; False if they were already one."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[rb] = ra
+        return True

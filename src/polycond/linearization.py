@@ -72,14 +72,8 @@ def ef_factors(poly: MatrixPolynomial, z: complex) -> tuple[np.ndarray, np.ndarr
     n, m = poly.n, poly.m
     z = complex(z)
 
-    blocks = [None] * (m + 1)
-    blocks[m] = np.array(poly.coeffs[m])
-    for r in range(m - 1, 0, -1):
-        blocks[r] = poly.coeffs[r] + z * blocks[r + 1]
-
     E = np.zeros((n * m, n * m), dtype=complex)
-    for r in range(1, m + 1):
-        E[:n, (r - 1) * n:r * n] = blocks[r]
+    E[:n] = np.hstack(poly.e_blocks(z))
     for i in range(1, m):
         E[i * n:(i + 1) * n, (i - 1) * n:i * n] = -np.eye(n)
 

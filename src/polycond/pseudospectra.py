@@ -13,9 +13,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
-from .core import MatrixPolynomial, WeightSet, singular_values
+from .core import MatrixPolynomial, WeightSet, _UnionFind, singular_values
 from .errors import ContainmentError, HypothesisViolationError
 
 __all__ = [
@@ -86,14 +85,8 @@ def boundedness_check(poly: MatrixPolynomial, weights: WeightSet, eps: float) ->
 
 def _g_batch(poly: MatrixPolynomial, weights: WeightSet, z: np.ndarray) -> np.ndarray:
     """g at every entry of a complex array, SVDs batched."""
-    z = np.asarray(z, dtype=complex)
-    zz = z.reshape(-1, 1, 1)
-    acc = np.broadcast_to(poly.coeffs[-1], (zz.shape[0], poly.n, poly.n)).copy()
-    for A in reversed(poly.coeffs[:-1]):
-        acc = acc * zz + A
-    smin = np.linalg.svd(acc, compute_uv=False)[:, -1]
-    w = np.array([weights.eval(r) for r in np.abs(z).ravel()])
-    return (smin / w).reshape(z.shape)
+    smin = np.linalg.svd(poly.eval(z), compute_uv=False)[..., -1]
+    return smin / weights.eval(np.abs(z))
 
 
 def grid_eval(poly: MatrixPolynomial, weights: WeightSet, box, resolution,
@@ -134,7 +127,7 @@ def grid_eval(poly: MatrixPolynomial, weights: WeightSet, box, resolution,
         re_min=re_min, re_max=re_max, im_min=im_min, im_max=im_max,
         nx=nx, ny=ny, values=values, weights=weights,
         poly_hash=problem_hash(poly, weights),
-        gfun=lambda z: float(_g_batch(poly, weights, np.array([z]))[0]))
+        gfun=lambda z: float(_g_batch(poly, weights, z)))
 
 
 @dataclass(frozen=True)
@@ -155,26 +148,6 @@ class ContourSet:
     @property
     def n_components(self) -> int:
         return len(set(self.labels))
-
-
-class _EdgeUnion:
-    """Union-find over cell-edge keys."""
-
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, k):
-        p = self.parent.setdefault(k, k)
-        while p != self.parent[p]:
-            self.parent[p] = self.parent[self.parent[p]]
-            p = self.parent[p]
-        self.parent[k] = p
-        return p
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
 
 
 # segment endpoints per marching-squares code, named by cell edge;
@@ -257,7 +230,7 @@ def contours(grid: PseudoGrid, eps: float) -> ContourSet:
         point_cache[key] = pt
         return pt
 
-    uf = _EdgeUnion()
+    uf = _UnionFind()
     seg_edges = []
     for iy, ix in zip(iys, ixs):
         c = int(code[iy, ix])
@@ -334,7 +307,19 @@ def fitted_radius(contour: ContourSet, center: complex) -> float:
 
 
 def sublevel_component_count(grid: PseudoGrid, eps: float) -> int:
-    """Number of connected components of {g <= eps} on the grid."""
+    """Number of 4-connected components of {g <= eps} on the grid.
+
+    Each row run of the mask starts as its own component; runs that share a
+    column in adjacent rows are merged.
+    """
     mask = grid.values <= eps
-    _, count = ndimage.label(mask)
-    return int(count)
+    starts = mask.copy()
+    starts[:, 1:] &= ~mask[:, :-1]
+    run = np.cumsum(starts).reshape(mask.shape)     # 1-based run id where mask
+    both = mask[:-1] & mask[1:]
+    upper, lower = run[:-1][both], run[1:][both]
+    new = np.ones(len(upper), dtype=bool)
+    new[1:] = (upper[1:] != upper[:-1]) | (lower[1:] != lower[:-1])
+    uf = _UnionFind()
+    merges = sum(uf.union(a, b) for a, b in zip(upper[new].tolist(), lower[new].tolist()))
+    return int(starts.sum()) - merges

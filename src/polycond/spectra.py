@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import MatrixPolynomial, as_complex_matrix, singular_values, spectral_norm
+from .core import MatrixPolynomial, _UnionFind, as_complex_matrix, singular_values, spectral_norm
 from .errors import (
     EigensolverError,
     HypothesisViolationError,
@@ -120,23 +120,22 @@ def cluster(values, tol: float) -> tuple[EigenvalueCluster, ...]:
         raise ValueError("clustering tolerance must be positive")
     v = np.asarray(values, dtype=complex)
     k = len(v)
-    parent = list(range(k))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(v[i] - v[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
+    # |v_i - v_j| <= tol implies the real parts are within 2 tol: sort on the
+    # real part and test each position against the window that follows it
+    by_re = np.argsort(v.real, kind="stable")
+    re = v.real[by_re]
+    width = np.searchsorted(re, re + 2 * tol, side="right") - np.arange(1, k + 1)
+    first = np.repeat(np.arange(k), width)
+    offset = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+    i, j = by_re[first], by_re[first + 1 + offset]
+    d = v[i] - v[j]
+    close = np.hypot(d.real, d.imag) <= tol     # bitwise the scalar abs()
+    uf = _UnionFind()
+    for a, b in zip(i[close].tolist(), j[close].tolist()):
+        uf.union(a, b)
     groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
+    for a in range(k):
+        groups.setdefault(uf.find(a), []).append(a)
     clusters = [
         EigenvalueCluster(indices=tuple(sorted(g)), center=complex(np.mean(v[g])))
         for g in groups.values()
@@ -206,16 +205,6 @@ def eig_vectors(poly: MatrixPolynomial, lam: complex, tol: float | None = None,
     return _svd_vectors(poly, complex(vals[i]))
 
 
-def _e_blocks(poly: MatrixPolynomial, z: complex) -> list[np.ndarray]:
-    """E_1(z)..E_m(z) from the backward recurrence E_m = A_m, E_r = A_r + z E_{r+1}."""
-    m = poly.m
-    blocks = [None] * (m + 1)
-    blocks[m] = np.array(poly.coeffs[m])
-    for r in range(m - 1, 0, -1):
-        blocks[r] = poly.coeffs[r] + z * blocks[r + 1]
-    return blocks[1:]
-
-
 def companion_vectors(poly: MatrixPolynomial, lam: complex, x: np.ndarray,
                       y: np.ndarray) -> CompanionEigenPair:
     """Companion right vector [x; lam x; ...; lam^{m-1} x] and left vector
@@ -224,8 +213,7 @@ def companion_vectors(poly: MatrixPolynomial, lam: complex, x: np.ndarray,
     x = np.asarray(x, dtype=complex).reshape(-1)
     y = np.asarray(y, dtype=complex).reshape(-1)
     right = np.concatenate([lam ** r * x for r in range(poly.m)])
-    blocks = _e_blocks(poly, lam)
-    left = np.concatenate([E.conj().T @ y for E in blocks])
+    left = np.concatenate([E.conj().T @ y for E in poly.e_blocks(lam)])
     return CompanionEigenPair(eigenvalue=lam, right=right, left=left)
 
 

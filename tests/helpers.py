@@ -16,6 +16,7 @@ from scipy.optimize import linear_sum_assignment
 from polycond import MatrixPolynomial, WeightSet, companion, load_problem
 
 FIXTURES = Path(__file__).parent / "fixtures"
+FIXTURE_NAMES = ("p3", "p4", "p5", "p6", "p6_perturbed", "pz_zero_eig")
 
 
 def load_fixture(name: str):

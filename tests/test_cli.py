@@ -7,6 +7,10 @@ covered without spawning subprocesses.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,7 @@ from polycond.core import spectral_norm
 from polycond.io import load_problem
 from polycond.spectra import eig_vectors, eigenvalues, nearest_eigenvalue, spectrum
 
-from helpers import FIXTURES
+from helpers import FIXTURE_NAMES, FIXTURES
 
 P3 = str(FIXTURES / "p3.json")
 P4 = str(FIXTURES / "p4.json")
@@ -265,3 +269,49 @@ class TestUsageErrors:
     def test_unparseable_weights(self, capsys):
         err = run_err(capsys, "eig", P5, "--weights", "1,a,3")
         assert err["type"] == "ValueError"
+
+
+class TestNegativeNumbers:
+    """Negative numbers in scientific notation are values, not options."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_printed_eigenvalues_accepted(self, capsys, name):
+        path = str(FIXTURES / f"{name}.json")
+        res = run_ok(capsys, "eig", path)["result"]
+        for c in res["clusters"]:
+            if c["size"] != 1:
+                continue
+            re_, im = res["eigenvalues"][c["indices"][0]]
+            for command in ("cond", "dist"):
+                rc, out, err = run(capsys, command, path, "--eig", repr(re_), repr(im))
+                if rc == 0:
+                    assert json.loads(out)["result"]["eigenvalue"] == [re_, im]
+                else:   # an analysis error for this eigenvalue, not a usage error
+                    assert json.loads(err)["error"]["type"] == "HypothesisViolationError"
+
+    def test_p4_eigenvalue_with_tiny_negative_real_part(self, capsys):
+        res = run_ok(capsys, "cond", P4, "--eig", "-7.56261261793348e-17", "5.000000000000003")
+        assert res["result"]["eigenvalue"] == pytest.approx([0.0, 5.0], abs=1e-12)
+
+    def test_mu_and_box(self, capsys):
+        res = run_ok(capsys, "bounds", "elsner", P6, "--eps", "0.3", "--mu", "0.5", "-1e-3")
+        assert res["result"]["mu"] == [0.5, -0.001]
+        res = run_ok(capsys, "pseudo", P5, "--eps", "1e-4", "--resolution", "11",
+                     "--box", "-5E-1", "4.5", "-.5e0", "5e-1")
+        assert res["parameters"]["box"] == [-0.5, 4.5, -0.5, 0.5]
+
+    def test_unknown_option_still_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cond", P4, "--eig", "1", "-x"])
+        assert exc.value.code == 2
+
+
+def test_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, polycond.cli; print(polycond.cli.__file__); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert Path(out[0]).resolve().parent == src / "polycond"
+    assert out[1] == "[]"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import naive_derivative, naive_eval, naive_weight, svd2_closed_form
+from helpers import FIXTURE_NAMES, load_fixture, naive_derivative, naive_eval, naive_weight, svd2_closed_form
 from polycond import (
     InvalidPolynomialError,
     InvalidWeightsError,
@@ -77,6 +77,59 @@ class TestDerivative:
             for order in range(m + 2):
                 want = naive_derivative(coeffs, z, order)
                 assert np.allclose(p.eval_derivative(z, order), want, atol=1e-12)
+
+
+class TestArrayArguments:
+    """An array of points gives, point by point, the bits of the scalar call."""
+
+    @staticmethod
+    def points(rng):
+        z = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        z[0, :4] = [0.0, 2.5, -1j, -0.75]
+        return z
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_polynomial_bitwise_scalar(self, name, rng):
+        poly = load_fixture(name).poly
+        z = self.points(rng)
+        for order in range(poly.m + 2):
+            got = poly.eval(z) if order == 0 else poly.eval_derivative(z, order)
+            assert got.shape == z.shape + (poly.n, poly.n)
+            for idx in np.ndindex(z.shape):
+                want = poly.eval_derivative(complex(z[idx]), order)
+                assert got[idx].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_weights_bitwise_scalar(self, name, rng):
+        w = load_fixture(name).weights
+        r = np.abs(self.points(rng))
+        for order in (0, 1):
+            got = w.eval(r, order)
+            assert got.shape == r.shape
+            for idx in np.ndindex(r.shape):
+                want = w.eval(float(r[idx]), order)
+                assert isinstance(want, float)
+                assert got[idx].tobytes() == np.float64(want).tobytes()
+
+    def test_degree_zero_and_constant_weights(self):
+        p = MatrixPolynomial([np.eye(2)])
+        assert np.array_equal(p.eval(np.arange(3.0)), np.broadcast_to(np.eye(2), (3, 2, 2)))
+        assert np.array_equal(WeightSet([0.5]).eval(np.arange(3.0)), [0.5, 0.5, 0.5])
+        assert np.array_equal(WeightSet([0.5]).eval(np.arange(3.0), order=1), [0.0, 0.0, 0.0])
+
+    def test_negative_radius_anywhere_rejected(self):
+        with pytest.raises(ValueError):
+            WeightSet([1.0, 1.0]).eval(np.array([0.5, -1e-300]))
+
+    def test_e_blocks_are_horner_partial_sums(self, p4, rng):
+        A = p4.poly.coeffs
+        for z in (0.0, *(rng.standard_normal(3) + 1j * rng.standard_normal(3))):
+            E = p4.poly.e_blocks(z)
+            assert len(E) == p4.poly.m
+            assert np.array_equal(E[-1], A[-1])
+            for r in range(1, p4.poly.m):
+                assert np.allclose(E[r - 1], A[r] + z * E[r], rtol=1e-14, atol=1e-14)
+            assert np.allclose(A[0] + z * E[0], p4.poly.eval(z), rtol=1e-14, atol=1e-13)
 
 
 class TestConstruction:

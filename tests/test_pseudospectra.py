@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from polycond import (
     ContainmentError,
@@ -44,6 +45,14 @@ def synthetic_circle_grid(n=101):
         re_min=-1.0, re_max=1.0, im_min=-1.0, im_max=1.0, nx=n, ny=n,
         values=np.abs(Z), weights=WeightSet([1.0]), poly_hash="synthetic",
         gfun=lambda z: abs(z))
+
+
+def mask_grid(mask):
+    """A grid whose sublevel set at eps = 0.5 is exactly mask."""
+    ny, nx = mask.shape
+    return PseudoGrid(
+        re_min=0.0, re_max=1.0, im_min=0.0, im_max=1.0, nx=nx, ny=ny,
+        values=np.where(mask, 0.0, 1.0), weights=WeightSet([1.0]), poly_hash="mask")
 
 
 class TestBoundedness:
@@ -231,3 +240,28 @@ class TestSaddleResolution:
         b = contours(self.build(0.0), 0.5)
         assert a.segments == b.segments
         assert a.labels == b.labels
+
+
+class TestSublevelComponentCount:
+    """4-connected labelling, checked against scipy.ndimage.label."""
+
+    def test_matches_ndimage_on_random_masks(self):
+        rng = np.random.default_rng(20240903)
+        shapes = [(1, 1), (1, 7), (7, 1), (2, 2)]
+        shapes += [tuple(int(v) for v in rng.integers(1, 48, size=2)) for _ in range(296)]
+        for k, shape in enumerate(shapes):
+            density = (0.0, 1.0)[k] if k < 2 else float(rng.uniform(0.0, 1.0))
+            mask = rng.random(shape) < density
+            want = ndimage.label(mask)[1]
+            assert sublevel_component_count(mask_grid(mask), 0.5) == want, (shape, density)
+
+    def test_diagonal_neighbours_are_separate(self):
+        mask = np.eye(5, dtype=bool) | np.eye(5, dtype=bool)[::-1]
+        assert sublevel_component_count(mask_grid(mask), 0.5) == 9
+
+    def test_matches_ndimage_on_fixture_grids(self, g3, g6, p5):
+        g5 = grid_eval(p5.poly, p5.weights, (0.5, 4.5, -0.5, 0.5), (101, 21))
+        for g in (g3, g6, g5):
+            for eps in np.quantile(g.values, [0.0, 0.01, 0.05, 0.2, 0.5, 0.8, 1.0]):
+                want = ndimage.label(g.values <= eps)[1]
+                assert sublevel_component_count(g, eps) == want

@@ -88,6 +88,23 @@ class TestCluster:
             sp = spectrum(pf.poly, vectors=False)
             assert sum(c.size for c in sp.clusters) == pf.poly.n * pf.poly.m
 
+    def test_matches_pairwise_closure(self, rng):
+        # points on a half-integer lattice: many pairs sit exactly at the
+        # tolerance, and many share a real part
+        for tol in (1e-9, 0.5, 0.6, 1.0):
+            v = (rng.integers(-6, 7, 80) + 1j * rng.integers(-6, 7, 80)) / 2
+            reach = np.array([[abs(a - b) <= tol for b in v] for a in v]).astype(int)
+            while True:
+                grown = (reach @ reach > 0).astype(int)
+                if np.array_equal(grown, reach):
+                    break
+                reach = grown
+            want = {tuple(np.nonzero(row)[0]) for row in reach}
+            assert {c.indices for c in cluster(v, tol)} == want
+
+    def test_empty_input(self):
+        assert cluster([], tol=1e-6) == ()
+
     def test_default_tol_scales_with_radius(self):
         assert default_cluster_tol([0.5]) == pytest.approx(1e-6)
         assert default_cluster_tol([100.0]) == pytest.approx(1e-4)
