@@ -97,16 +97,19 @@ class _Context:
 
 
 def _snap(ctx: _Context, args):
-    """Resolve the --eig argument to a computed eigenvalue and its index."""
+    """Resolve the --eig argument to a computed eigenvalue, its index, the
+    spectrum and the eigenvalue's unit right/left eigenvectors."""
     target = _target_eig(args.eig)
-    sp = spectrum(ctx.poly, vectors=False)
+    sp = spectrum(ctx.poly)
     idx = nearest_eigenvalue(sp.eigenvalues, target, tol=getattr(args, "tol", None))
-    return complex(sp.eigenvalues[idx]), idx, sp
+    lam = complex(sp.eigenvalues[idx])
+    x, y = eig_vectors(ctx.poly, lam, values=sp.eigenvalues)
+    return lam, idx, sp, x, y
 
 
 def cmd_eig(ctx: _Context, args) -> dict:
     tol = args.cluster_tol
-    sp = spectrum(ctx.poly, cluster_tol=tol, vectors=False)
+    sp = spectrum(ctx.poly, cluster_tol=tol)
     return {
         "eigenvalues": _json_safe(sp.eigenvalues),
         "cluster_tol": tol if tol is not None else default_cluster_tol(sp.eigenvalues),
@@ -118,8 +121,7 @@ def cmd_eig(ctx: _Context, args) -> dict:
 
 
 def cmd_cond(ctx: _Context, args) -> dict:
-    lam, idx, sp = _snap(ctx, args)
-    x, y = eig_vectors(ctx.poly, lam, tol=args.tol, values=sp.eigenvalues)
+    lam, idx, sp, x, y = _snap(ctx, args)
     k5 = cond_simple(ctx.poly, ctx.weights, lam, x, y)
     k8 = cond_via_companion(ctx.poly, ctx.weights, lam, x, y)
     kfree = cond_eigvector_free(ctx.poly, ctx.weights, idx, sp)
@@ -150,8 +152,7 @@ def cmd_multi_cond(ctx: _Context, args) -> dict:
 
 
 def cmd_dist(ctx: _Context, args) -> dict:
-    lam, idx, sp = _snap(ctx, args)
-    x, y = eig_vectors(ctx.poly, lam, tol=args.tol, values=sp.eigenvalues)
+    lam, idx, sp, x, y = _snap(ctx, args)
     direct = dist_mult_bound(ctx.poly, ctx.weights, lam, x, y)
     adj = dist_mult_bound_adj(ctx.poly, ctx.weights, idx, sp, x, y)
     return {
@@ -249,8 +250,7 @@ def _write_problem(path: str, poly: MatrixPolynomial, source: ProblemFile) -> No
 
 def cmd_perturb(ctx: _Context, args) -> dict:
     if args.kind == "defect":
-        lam, idx, sp = _snap(ctx, args)
-        x, y = eig_vectors(ctx.poly, lam, tol=args.tol, values=sp.eigenvalues)
+        lam, _, _, x, y = _snap(ctx, args)
         q = defect_perturbation(ctx.poly, ctx.weights, lam, x, y)
         bound = dist_mult_bound(ctx.poly, ctx.weights, lam, x, y)
         out = {
@@ -417,7 +417,11 @@ def _param_echo(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for flag in ("eig", "resolution"):
+        if len(getattr(args, flag, None) or ()) > 2:
+            parser.error(f"--{flag} takes one or two values")
     try:
         ctx = _Context(args)
         result = _DISPATCH[args.command](ctx, args)

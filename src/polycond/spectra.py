@@ -2,15 +2,15 @@
 Jordan triples, and the triple-based global condition number.
 
 Eigenvalues come from a dense eigensolve of the companion matrix. Unit
-right/left eigenvectors are extracted from the SVD of P(lam) at the computed
-eigenvalue (never from companion eigenvectors); companion-level eigenvectors
-are then synthesized structurally from (x, y).
+right/left eigenvectors are computed on demand, one eigenvalue at a time, by
+eig_vectors from the SVD of P(lam) at the computed eigenvalue (never from
+companion eigenvectors); companion-level eigenvectors are then synthesized
+structurally from (x, y).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,12 +67,11 @@ class EigenvalueCluster:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """All nm eigenvalues with multiplicity clusters and, for eigenvalues in
-    simple clusters, unit right/left eigenvectors keyed by index."""
+    """All nm eigenvalues with their multiplicity clusters; eigenvectors are
+    not stored, eig_vectors computes them on demand."""
 
     eigenvalues: np.ndarray
     clusters: tuple[EigenvalueCluster, ...]
-    vectors: Mapping[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     @property
     def count(self) -> int:
@@ -152,19 +151,11 @@ def default_cluster_tol(values) -> float:
     return 1e-6 * max(1.0, radius)
 
 
-def spectrum(poly: MatrixPolynomial, cluster_tol: float | None = None,
-             vectors: bool = True) -> Spectrum:
-    """Eigenvalues, multiplicity clusters, and per-simple-eigenvalue vectors."""
+def spectrum(poly: MatrixPolynomial, cluster_tol: float | None = None) -> Spectrum:
+    """Eigenvalues and multiplicity clusters."""
     vals = eigenvalues(poly)
     tol = default_cluster_tol(vals) if cluster_tol is None else cluster_tol
-    clusters = cluster(vals, tol)
-    vecs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    if vectors:
-        for c in clusters:
-            if c.is_simple:
-                i = c.indices[0]
-                vecs[i] = _svd_vectors(poly, complex(vals[i]))
-    return Spectrum(eigenvalues=vals, clusters=clusters, vectors=vecs)
+    return Spectrum(eigenvalues=vals, clusters=cluster(vals, tol))
 
 
 def nearest_eigenvalue(values, lam: complex, tol: float | None = None) -> int:
@@ -184,13 +175,6 @@ def nearest_eigenvalue(values, lam: complex, tol: float | None = None) -> int:
     return i
 
 
-def _svd_vectors(poly: MatrixPolynomial, lam: complex) -> tuple[np.ndarray, np.ndarray]:
-    U, _, Vh = np.linalg.svd(poly.eval(lam))
-    x = Vh[-1].conj()
-    y = U[:, -1]
-    return x, y
-
-
 def eig_vectors(poly: MatrixPolynomial, lam: complex, tol: float | None = None,
                 values: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Unit right/left eigenvectors of P at the eigenvalue nearest lam.
@@ -202,7 +186,8 @@ def eig_vectors(poly: MatrixPolynomial, lam: complex, tol: float | None = None,
     """
     vals = eigenvalues(poly) if values is None else np.asarray(values, dtype=complex)
     i = nearest_eigenvalue(vals, lam, tol)
-    return _svd_vectors(poly, complex(vals[i]))
+    U, _, Vh = np.linalg.svd(poly.eval(complex(vals[i])))
+    return Vh[-1].conj(), U[:, -1]
 
 
 def companion_vectors(poly: MatrixPolynomial, lam: complex, x: np.ndarray,

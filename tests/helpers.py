@@ -210,6 +210,18 @@ def diagonalizable_triple(poly: MatrixPolynomial):
     return JordanTriple(X, blocks, Y)
 
 
+def simple_eigenpairs(poly: MatrixPolynomial, sp):
+    """(i, lam, x, y) for the eigenvalue of every simple cluster of sp, with
+    its unit right/left vectors from eig_vectors."""
+    from polycond import eig_vectors
+
+    for c in sp.clusters:
+        if c.is_simple:
+            i = c.indices[0]
+            lam = complex(sp.eigenvalues[i])
+            yield (i, lam) + eig_vectors(poly, lam, values=sp.eigenvalues)
+
+
 def snap_vectors(poly: MatrixPolynomial, target: complex):
     """Nearest computed eigenvalue to target, with its right/left vectors."""
     from polycond import eig_vectors, nearest_eigenvalue, spectrum

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import unit_weights
+from helpers import simple_eigenpairs, unit_weights
 from polycond import (
     DegenerateProblemError,
     HypothesisViolationError,
@@ -47,8 +47,7 @@ class TestDistMultBound:
         for pf in (p4, p5, pz):
             poly, w = pf.poly, pf.weights
             sp = spectrum(poly)
-            for i, (x, y) in sp.vectors.items():
-                lam = complex(sp.eigenvalues[i])
+            for i, lam, x, y in simple_eigenpairs(poly, sp):
                 try:
                     direct = dist_mult_bound(poly, w, lam, x, y)
                 except HypothesisViolationError:

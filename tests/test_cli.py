@@ -103,6 +103,16 @@ class TestCond:
         assert res["routes"]["eigenvector"] == res["value"]
         assert res["min_gap_bound"] == min_gap_bound(prob.poly, prob.weights, idx, sp)
 
+    def test_one_adjugate_per_call(self, capsys, monkeypatch):
+        import polycond.condition as condition
+
+        calls = []
+        adj = condition.adjugate_norm
+        monkeypatch.setattr(condition, "adjugate_norm",
+                            lambda *a, **k: calls.append(1) or adj(*a, **k))
+        run_ok(capsys, "cond", P5, "--eig", "4")
+        assert len(calls) == 1
+
 
 class TestMultiCond:
     def test_stored_pair_value(self, capsys):
@@ -269,6 +279,28 @@ class TestUsageErrors:
     def test_unparseable_weights(self, capsys):
         err = run_err(capsys, "eig", P5, "--weights", "1,a,3")
         assert err["type"] == "ValueError"
+
+    @pytest.mark.parametrize("argv", [
+        ("cond", P5, "--eig", "4", "0", "99"),
+        ("dist", P5, "--eig", "4", "0", "99"),
+        ("perturb", "defect", P5, "--eig", "4", "0", "99"),
+        ("pseudo", P3, "--eps", "1e-4", "--box", "0.85", "1.15", "-0.15", "0.15",
+         "--resolution", "10", "20", "30"),
+    ])
+    def test_three_values_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "takes one or two values" in capsys.readouterr().err
+
+    def test_one_and_two_values_accepted(self, capsys):
+        for eig in (["4"], ["4", "0"]):
+            res = run_ok(capsys, "cond", P5, "--eig", *eig)["result"]
+            assert res["eigenvalue"] == pytest.approx([4.0, 0.0], abs=1e-12)
+        for res, want in ((["10"], [10, 10]), (["10", "20"], [10, 20])):
+            doc = run_ok(capsys, "pseudo", P3, "--eps", "1e-4",
+                         "--box", "0.85", "1.15", "-0.15", "0.15", "--resolution", *res)
+            assert doc["result"]["resolution"] == want
 
 
 class TestNegativeNumbers:

@@ -7,6 +7,7 @@ from helpers import (
     companion_eig_conds,
     cofactor_adjugate,
     random_well_separated,
+    simple_eigenpairs,
     singular_with_known_adjugate,
     unit_weights,
 )
@@ -60,8 +61,7 @@ class TestSimpleRoutes:
             poly = random_well_separated(rng, n, m)
             w = unit_weights(poly)
             sp = spectrum(poly)
-            for i, (x, y) in sp.vectors.items():
-                lam = complex(sp.eigenvalues[i])
+            for i, lam, x, y in simple_eigenpairs(poly, sp):
                 a = cond_simple(poly, w, lam, x, y)
                 b = cond_via_companion(poly, w, lam, x, y)
                 c = cond_eigvector_free(poly, w, i, sp)
@@ -73,8 +73,7 @@ class TestSimpleRoutes:
         w = unit_weights(poly)
         vals, conds = companion_eig_conds(poly)
         sp = spectrum(poly)
-        for i, (x, y) in sp.vectors.items():
-            lam = complex(sp.eigenvalues[i])
+        for _, lam, x, y in simple_eigenpairs(poly, sp):
             j = nearest_eigenvalue(vals, lam, tol=1e-8)
             pair = companion_vectors(poly, lam, x, y)
             assert cond_companion(pair) == pytest.approx(conds[j], rel=1e-8)
@@ -200,8 +199,9 @@ class TestEigvectorFree:
     def test_non_simple_rejected(self, p3):
         sp = spectrum(p3.poly, cluster_tol=1e-4)
         big = next(c for c in sp.clusters if c.size == 5)
-        with pytest.raises(NotAnEigenvalueError):
-            cond_eigvector_free(p3.poly, p3.weights, big.indices[0], sp)
+        for route in (cond_eigvector_free, min_gap_bound):
+            with pytest.raises(NotAnEigenvalueError):
+                route(p3.poly, p3.weights, big.indices[0], sp)
 
 
 class TestMinGapBound:

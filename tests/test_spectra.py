@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from helpers import diagonalizable_triple, pair_max_distance, random_well_separated
+from helpers import (
+    FIXTURE_NAMES,
+    diagonalizable_triple,
+    load_fixture,
+    pair_max_distance,
+    random_well_separated,
+    simple_eigenpairs,
+)
 from polycond import (
     HypothesisViolationError,
     InvalidTripleError,
@@ -85,7 +92,7 @@ class TestCluster:
 
     def test_sizes_sum_to_nm(self, p3, p4, p5, p6):
         for pf in (p3, p4, p5, p6):
-            sp = spectrum(pf.poly, vectors=False)
+            sp = spectrum(pf.poly)
             assert sum(c.size for c in sp.clusters) == pf.poly.n * pf.poly.m
 
     def test_matches_pairwise_closure(self, rng):
@@ -177,8 +184,7 @@ class TestCompanionVectors:
         for pf in (p4, p5, p6, pz):
             poly = pf.poly
             sp = spectrum(poly)
-            for i, (x, y) in sp.vectors.items():
-                lam = complex(sp.eigenvalues[i])
+            for _, lam, x, y in simple_eigenpairs(poly, sp):
                 pair = companion_vectors(poly, lam, x, y)
                 lhs = pair.left.conj() @ pair.right
                 rhs = y.conj() @ poly.eval_derivative(lam, 1) @ x
@@ -268,15 +274,23 @@ class TestSpectrumObject:
     def test_simple_flags_and_vectors(self, p5):
         sp = spectrum(p5.poly)
         assert all(sp.is_simple(i) for i in range(4))
-        assert set(sp.vectors) == {0, 1, 2, 3}
 
     def test_multiple_eigenvalue_carries_no_vectors(self, p3):
         sp = spectrum(p3.poly, cluster_tol=1e-4)
         simple = [c for c in sp.clusters if c.is_simple]
         assert len(simple) == 1
-        assert set(sp.vectors) == set(simple[0].indices)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_takes_no_svd(self, monkeypatch, name):
+        # eigenvectors come from eig_vectors on demand, never from spectrum
+        poly = load_fixture(name).poly
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        spectrum(poly)
+        assert calls == []
 
     def test_double_cluster_means(self, p6):
-        sp = spectrum(p6.poly, vectors=False)
+        sp = spectrum(p6.poly)
         centers = sorted(c.center.real for c in sp.clusters)
         assert np.allclose(centers, [-1.0, 0.0, 1.0], atol=1e-9)
