@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from .condition import _coupling, _log_abs_det_leading, cond_eigvector_free
+from .condition import _coupling, cond_eigvector_free
 from .core import MatrixPolynomial, WeightSet, singular_values, spectral_norm
 from .errors import (
     DegenerateProblemError,
@@ -183,7 +183,7 @@ def elsner_bound(poly: MatrixPolynomial, weights: WeightSet, eps: float,
         raise DegenerateProblemError("a degree-0 polynomial has no eigenvalues to bound")
     w = weights.eval(abs(mu))
     norm_p = spectral_norm(poly.eval(mu))
-    logdet = _log_abs_det_leading(poly)
+    logdet = poly.log_abs_det_leading
     if eps * w == 0.0 or (norm_p == 0.0 and mn > 1):
         value = 0.0
     else:
@@ -276,7 +276,7 @@ def bound_comparator(poly: MatrixPolynomial, weights: WeightSet, eps: float,
     k = bf.ingredients["triple_cond"]
     w = bf.ingredients["weight_at_mu"]
     theta = bf.ingredients["theta"]
-    logdet = _log_abs_det_leading(poly)
+    logdet = poly.log_abs_det_leading
     ew = eps * w
     if ew == 0.0:
         omega = 0.0

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import re
 import sys
 
@@ -268,7 +269,7 @@ def cmd_perturb(ctx: _Context, args) -> dict:
             "eps": args.eps,
             "seed": args.seed,
             "stream": args.stream,
-            "delta_norms": list(q.delta_norms),
+            "delta_norms": list(rep.delta_norms),
             "admissible": rep.admissible,
             "tight": list(rep.tight),
         }
@@ -312,6 +313,28 @@ def cmd_verify(ctx: _Context, args) -> dict:
             "pass": residual <= RESIDUAL_TOL}
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that also reads -7.56e-17 as a negative number, not as
     an option; subparsers are built from the same class."""
@@ -326,10 +349,10 @@ def _add_common(p: argparse.ArgumentParser, eig: bool = False) -> None:
     p.add_argument("--weights", default=None,
                    help="override weights: comma-separated w_0,...,w_m")
     if eig:
-        p.add_argument("--eig", nargs="+", type=float, required=True,
+        p.add_argument("--eig", nargs="+", type=_finite_float, required=True,
                        metavar=("RE", "IM"),
                        help="target eigenvalue (snapped to the nearest computed one)")
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=_finite_float, default=None,
                        help="snapping tolerance (default 1e-3 * max(1, |target|))")
 
 
@@ -342,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eig", help="eigenvalues and clusters")
     _add_common(p)
-    p.add_argument("--cluster-tol", type=float, default=None)
+    p.add_argument("--cluster-tol", type=_finite_float, default=None)
 
     p = sub.add_parser("cond", help="condition number of a simple eigenvalue")
     _add_common(p, eig=True)
@@ -358,18 +381,18 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("elsner", "bauer-fike", "compare"):
         bp = bsub.add_parser(name)
         _add_common(bp)
-        bp.add_argument("--eps", type=float, required=True)
-        bp.add_argument("--mu", nargs=2, type=float, required=True,
+        bp.add_argument("--eps", type=_finite_float, required=True)
+        bp.add_argument("--mu", nargs=2, type=_finite_float, required=True,
                         metavar=("RE", "IM"))
 
     p = sub.add_parser("pseudo", help="pseudospectrum grid and contours")
     _add_common(p)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--box", nargs=4, type=float, required=True,
+    p.add_argument("--eps", type=_finite_float, required=True)
+    p.add_argument("--box", nargs=4, type=_finite_float, required=True,
                    metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"))
     p.add_argument("--resolution", nargs="+", type=int, default=[201],
                    metavar=("NX", "NY"))
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--grid-out", default=None, help="write grid CSV here")
     p.add_argument("--contour-out", default=None, help="write contour CSV here")
 
@@ -380,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     dp.add_argument("--out", default=None, help="write the perturbed problem here")
     rp = psub.add_parser("random")
     _add_common(rp)
-    rp.add_argument("--eps", type=float, required=True)
+    rp.add_argument("--eps", type=_finite_float, required=True)
     rp.add_argument("--seed", type=int, default=0)
     rp.add_argument("--stream", type=int, default=0)
     rp.add_argument("--out", default=None, help="write the perturbed problem here")
@@ -389,11 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = p.add_subparsers(dest="check", required=True)
     vl = vsub.add_parser("linearization")
     _add_common(vl)
-    vl.add_argument("--points", type=int, default=20)
+    vl.add_argument("--points", type=_positive_int, default=20)
     vl.add_argument("--seed", type=int, default=0)
     vt = vsub.add_parser("triple")
     _add_common(vt)
-    vt.add_argument("--samples", type=int, default=20)
+    vt.add_argument("--samples", type=_positive_int, default=20)
     vt.add_argument("--seed", type=int, default=0)
 
     return ap

@@ -141,11 +141,6 @@ def adjugate_norm(M, gap: float = 1e6) -> float:
     return float(np.prod(s[:-1]))
 
 
-def _log_abs_det_leading(poly: MatrixPolynomial) -> float:
-    """log |det A_m|."""
-    return float(np.linalg.slogdet(poly.coeffs[-1])[1])
-
-
 def _log_gap_product(values: np.ndarray, i: int) -> float:
     """Sum of log |lam_j - lam_i| over j != i; log-space to survive the
     dynamic range of ill-scaled problems."""
@@ -181,7 +176,7 @@ def cond_eigvector_free(poly: MatrixPolynomial, weights: WeightSet, i: int,
     lam = complex(spec.eigenvalues[i])
     log_num = (np.log(weights.eval(abs(lam)))
                + np.log(adjugate_norm(poly.eval(lam))))
-    log_den = _log_abs_det_leading(poly) + _log_gap_product(spec.eigenvalues, i)
+    log_den = poly.log_abs_det_leading + _log_gap_product(spec.eigenvalues, i)
     return float(np.exp(log_num - log_den))
 
 

@@ -8,6 +8,7 @@ polynomial w(r) used to scale admissible perturbations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import perm
 
 import numpy as np
@@ -33,7 +34,7 @@ def as_complex_matrix(a, name: str = "matrix", square: bool = False) -> np.ndarr
         raise InvalidPolynomialError(f"{name}: expected a 2-D matrix, got ndim={M.ndim}")
     if square and M.shape[0] != M.shape[1]:
         raise InvalidPolynomialError(f"{name}: expected a square matrix, got shape {M.shape}")
-    if not (np.all(np.isfinite(M.real)) and np.all(np.isfinite(M.imag))):
+    if not np.isfinite(M).all():
         raise InvalidPolynomialError(f"{name}: entries must be finite (no NaN/Inf)")
     M = M.copy()
     M.flags.writeable = False
@@ -54,7 +55,7 @@ def spectral_norm(M) -> float:
     M = np.asarray(M, dtype=complex)
     if M.size == 0 or not M.any():
         return 0.0
-    return float(np.linalg.norm(M, 2))
+    return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,11 @@ class MatrixPolynomial:
                 "leading coefficient is numerically singular "
                 f"(s_min={s[-1]:.3e}, s_max={s[0]:.3e})")
         object.__setattr__(self, "coeffs", tuple(mats))
+
+    @cached_property
+    def log_abs_det_leading(self) -> float:
+        """log |det A_m|, from slogdet; computed once per polynomial."""
+        return float(np.linalg.slogdet(self.coeffs[-1])[1])
 
     @property
     def n(self) -> int:

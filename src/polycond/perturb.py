@@ -15,18 +15,12 @@ every j.  Two constructions are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .bounds import _derivative_frame
-from .core import (
-    LEADING_SINGULAR_RTOL,
-    MatrixPolynomial,
-    WeightSet,
-    as_complex_matrix,
-    singular_values,
-    spectral_norm,
-)
+from .core import MatrixPolynomial, WeightSet, as_complex_matrix, singular_values, spectral_norm
 from .errors import (
     DegenerateProblemError,
     HypothesisViolationError,
@@ -89,8 +83,13 @@ class PerturbedPolynomial:
         return tuple(spectral_norm(d) for d in self.deltas)
 
     def materialize(self) -> MatrixPolynomial:
-        """The perturbed polynomial itself; raises if the perturbed leading
-        coefficient is singular."""
+        """The perturbed polynomial itself, built once; raises
+        InvalidPolynomialError if the perturbed leading coefficient is
+        singular."""
+        return self._materialized
+
+    @cached_property
+    def _materialized(self) -> MatrixPolynomial:
         return MatrixPolynomial(tuple(
             self.base.coeffs[j] + self.deltas[j] for j in range(self.base.m + 1)))
 
@@ -163,26 +162,25 @@ def random_perturbation(poly: MatrixPolynomial, eps: float, weights: WeightSet,
     if eps < 0:
         raise HypothesisViolationError(f"eps must be nonnegative, got {eps}")
     n = poly.n
+    targets = [eps * w for w in weights.weights]
+    drawn = [j for j, t in enumerate(targets) if t != 0.0]
     for attempt in range(max_attempts):
-        rng = perturbation_rng(seed, stream, attempt)
-        deltas = []
-        for j in range(poly.m + 1):
-            target = eps * weights.weights[j]
-            if target == 0.0:
-                deltas.append(np.zeros((n, n), dtype=complex))
-                continue
-            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            ng = spectral_norm(g)
-            if ng == 0.0:
-                break
-            deltas.append((target / ng) * g)
-        else:
-            lead = poly.coeffs[-1] + deltas[-1]
-            s = singular_values(lead)
-            if s[0] > 0.0 and s[-1] > LEADING_SINGULAR_RTOL * s[0]:
-                return PerturbedPolynomial(
-                    base=poly, deltas=tuple(deltas), eps_used=float(eps),
-                    weights=weights, certificates=("leading-nonsingular",))
+        # in C order: re_0, im_0, re_1, im_1, ... over the drawn coefficients
+        draws = perturbation_rng(seed, stream, attempt).standard_normal((len(drawn), 2, n, n))
+        g = draws[:, 0] + 1j * draws[:, 1]
+        ng = np.linalg.svd(g, compute_uv=False)[:, 0]
+        if (ng == 0.0).any():
+            continue
+        deltas = [np.zeros((n, n), dtype=complex)] * len(targets)
+        for i, j in enumerate(drawn):
+            deltas[j] = (targets[j] / ng[i]) * g[i]
+        q = PerturbedPolynomial(base=poly, deltas=tuple(deltas), eps_used=float(eps),
+                                weights=weights, certificates=("leading-nonsingular",))
+        try:
+            q.materialize()
+        except InvalidPolynomialError:
+            continue
+        return q
     raise DegenerateProblemError(
         f"no materializable perturbation found in {max_attempts} attempts at "
         f"eps = {eps}; eps * w_m = {eps * weights.weights[-1]:.3e} likely "

@@ -11,6 +11,7 @@ structurally from (x, y).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -289,6 +290,11 @@ class JordanTriple:
             raise NotAnEigenvalueError(f"no Jordan block with eigenvalue near {lam}")
         return max(sizes)
 
+    @cached_property
+    def norm_product(self) -> float:
+        """||X|| ||Y||, computed once per triple (see eigenproblem_cond)."""
+        return spectral_norm(self.X) * spectral_norm(self.Y)
+
     def stacked(self) -> np.ndarray:
         """[X; XJ; ...; XJ^{m-1}], the invertibility witness."""
         J = self.J
@@ -333,4 +339,4 @@ def validate_jordan_triple(poly: MatrixPolynomial, triple: JordanTriple,
 
 def eigenproblem_cond(triple: JordanTriple) -> float:
     """Global eigenproblem condition number ||X|| ||Y|| of the triple."""
-    return spectral_norm(triple.X) * spectral_norm(triple.Y)
+    return triple.norm_product

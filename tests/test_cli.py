@@ -19,6 +19,7 @@ from polycond.cli import main
 from polycond.condition import cond_simple, min_gap_bound
 from polycond.core import spectral_norm
 from polycond.io import load_problem
+from polycond.perturb import is_admissible, random_perturbation
 from polycond.spectra import eig_vectors, eigenvalues, nearest_eigenvalue, spectrum
 
 from helpers import FIXTURE_NAMES, FIXTURES
@@ -233,6 +234,14 @@ class TestPerturb:
             assert spectral_norm(delta) == pytest.approx(
                 res["delta_norms"][j], rel=1e-9, abs=1e-15)
 
+    @pytest.mark.parametrize("path", [P3, P5, P6])
+    def test_random_prints_admissibility_norms(self, capsys, path):
+        res = run_ok(capsys, "perturb", "random", path, "--eps", "0.01",
+                     "--seed", "3", "--stream", "2")["result"]
+        pf = load_problem(path)
+        q = random_perturbation(pf.poly, 0.01, pf.weights, seed=3, stream=2)
+        assert res["delta_norms"] == list(is_admissible(pf.poly, q, 0.01, pf.weights).delta_norms)
+
     def test_defect_pairs_eigenvalue(self, capsys, tmp_path):
         out = tmp_path / "qd.json"
         res = run_ok(capsys, "perturb", "defect", P4, "--eig", "-1", "0",
@@ -292,6 +301,36 @@ class TestUsageErrors:
             main(list(argv))
         assert exc.value.code == 2
         assert "takes one or two values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("verify", "linearization", P3, "--points", "0"), "--points"),
+        (("verify", "linearization", P3, "--points", "-3"), "--points"),
+        (("verify", "triple", P3, "--samples", "0"), "--samples"),
+        (("pseudo", P3, "--eps", "1e-4", "--box", "0.85", "1.15", "-0.15", "0.15",
+          "--threads", "0"), "--threads"),
+    ])
+    def test_nonpositive_count_exit_2(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "NaN", "Infinity"])
+    @pytest.mark.parametrize("argv, flag", [
+        (("bounds", "elsner", P6, "--eps", "0.3", "--mu", "{}", "0"), "--mu"),
+        (("bounds", "elsner", P6, "--eps", "{}", "--mu", "0.5", "0"), "--eps"),
+        (("pseudo", P3, "--eps", "{}", "--box", "0.85", "1.15", "-0.15", "0.15"), "--eps"),
+        (("pseudo", P3, "--eps", "1e-4", "--box", "0.85", "{}", "-0.15", "0.15"), "--box"),
+        (("perturb", "random", P5, "--eps", "{}"), "--eps"),
+        (("cond", P5, "--eig", "4", "{}"), "--eig"),
+        (("dist", P5, "--eig", "4", "--tol", "{}"), "--tol"),
+        (("eig", P5, "--cluster-tol", "{}"), "--cluster-tol"),
+    ])
+    def test_nonfinite_float_exit_2(self, capsys, argv, flag, bad):
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(bad) for a in argv])
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected a finite number" in capsys.readouterr().err
 
     def test_one_and_two_values_accepted(self, capsys):
         for eig in (["4"], ["4", "0"]):

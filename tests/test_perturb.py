@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from helpers import random_unitary, snap_vectors
+import polycond.perturb
+from helpers import FIXTURE_NAMES, load_fixture, random_unitary, snap_vectors
 from polycond import (
+    DegenerateProblemError,
     HypothesisViolationError,
     InvalidPolynomialError,
     MatrixPolynomial,
@@ -102,6 +104,79 @@ class TestRandomPerturbation:
         vals = eigenvalues(q.materialize())
         for lam in (1.0, 2.0, 3.0, 4.0):
             assert np.min(np.abs(vals - lam)) < 1e-3
+
+
+class TestDrawLayout:
+    """Draws stay a pure function of (seed, stream, attempt): every delta is
+    rebuilt here by the sequential recipe, the real and then the imaginary
+    part for each coefficient with a nonzero weight, rescaled to the
+    boundary."""
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-2])
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_deltas_follow_sequential_recipe(self, name, eps):
+        pf = load_fixture(name)
+        n = pf.poly.n
+        for seed, stream in ((0, 0), (7, 3), (42, 11), (12345, 1)):
+            q = random_perturbation(pf.poly, eps, pf.weights, seed=seed, stream=stream)
+            rng = perturbation_rng(seed, stream, 0)
+            for j, w in enumerate(pf.weights.weights):
+                want = np.zeros((n, n), dtype=complex)
+                if eps * w != 0.0:
+                    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                    want = (eps * w / spectral_norm(g)) * g
+                assert np.array_equal(q.deltas[j], want), (seed, stream, j)
+
+
+class _ConstantDraws:
+    """Stands in for a Generator: every standard_normal call returns `value`
+    in the requested shape, however the draws are split into calls."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def standard_normal(self, shape):
+        return np.full(shape, self.value)
+
+
+class TestRedraw:
+    """A draw whose perturbed leading coefficient is singular is redrawn on
+    the next attempt counter."""
+
+    @staticmethod
+    def problem():
+        # n = 1, A_1 = 1 + 1j and w_1 = |-1 - 1j|: with every draw -1 the
+        # delta of A_1 at eps = 1 is exactly -(1 + 1j), so A_1 + Delta_1 = 0
+        poly = MatrixPolynomial([[[0.5]], [[1 + 1j]]])
+        return poly, WeightSet([1.0, spectral_norm(np.array([[-1 - 1j]]))])
+
+    def test_singular_first_attempt_redrawn(self, monkeypatch):
+        attempts = []
+
+        def rng(seed, stream=0, attempt=0):
+            attempts.append(attempt)
+            return _ConstantDraws(-1.0 if attempt == 0 else 1.0)
+
+        monkeypatch.setattr(polycond.perturb, "perturbation_rng", rng)
+        poly, w = self.problem()
+        q = random_perturbation(poly, 1.0, w, seed=0)
+        assert attempts == [0, 1]
+        assert q.certificates == ("leading-nonsingular",)
+        assert np.array_equal(q.deltas[1], np.array([[1 + 1j]]))
+        assert np.array_equal(q.materialize().coeffs[1], np.array([[2 + 2j]]))
+
+    def test_always_singular_raises(self, monkeypatch):
+        attempts = []
+
+        def rng(seed, stream=0, attempt=0):
+            attempts.append(attempt)
+            return _ConstantDraws(-1.0)
+
+        monkeypatch.setattr(polycond.perturb, "perturbation_rng", rng)
+        poly, w = self.problem()
+        with pytest.raises(DegenerateProblemError):
+            random_perturbation(poly, 1.0, w, seed=0, max_attempts=5)
+        assert attempts == [0, 1, 2, 3, 4]
 
 
 class TestPerturbedPolynomial:
