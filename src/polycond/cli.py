@@ -191,24 +191,25 @@ def cmd_bounds(ctx: _Context, args) -> dict:
 
 
 def _write_grid_csv(path: str, grid) -> None:
-    re = [float(v) for v in grid.re_axis]
-    im = [float(v) for v in grid.im_axis]
+    re = [repr(x) for x in grid.re_axis.tolist()]
+    im = [repr(y) for y in grid.im_axis.tolist()]
+    lines = ["re,im,value"]
+    for y, row in zip(im, grid.values.tolist()):
+        lines += [f"{x},{y},{val!r}" for x, val in zip(re, row)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("re,im,value\n")
-        for iy in range(grid.ny):
-            for ix in range(grid.nx):
-                fh.write(f"{re[ix]!r},{im[iy]!r},{float(grid.values[iy, ix])!r}\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _write_contour_csv(path: str, cs) -> None:
     counters = {}
+    lines = ["component,seg,re1,im1,re2,im2"]
+    for (z1, z2), lab in zip(cs.segments, cs.labels):
+        seg = counters.get(lab, 0)
+        counters[lab] = seg + 1
+        lines.append(f"{lab},{seg},{float(z1.real)!r},{float(z1.imag)!r},"
+                     f"{float(z2.real)!r},{float(z2.imag)!r}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("component,seg,re1,im1,re2,im2\n")
-        for (z1, z2), lab in zip(cs.segments, cs.labels):
-            seg = counters.get(lab, 0)
-            counters[lab] = seg + 1
-            fh.write(f"{lab},{seg},{float(z1.real)!r},{float(z1.imag)!r},"
-                     f"{float(z2.real)!r},{float(z2.imag)!r}\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def cmd_pseudo(ctx: _Context, args) -> dict:
@@ -324,15 +325,21 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, what: str):
+    """argparse type: an integer >= low, called `what` in the usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+_nonnegative_int = _int_at_least(0, "a non-negative integer")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -390,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_finite_float, required=True)
     p.add_argument("--box", nargs=4, type=_finite_float, required=True,
                    metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"))
-    p.add_argument("--resolution", nargs="+", type=int, default=[201],
+    p.add_argument("--resolution", nargs="+", type=_positive_int, default=[201],
                    metavar=("NX", "NY"))
     p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--grid-out", default=None, help="write grid CSV here")
@@ -404,8 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     rp = psub.add_parser("random")
     _add_common(rp)
     rp.add_argument("--eps", type=_finite_float, required=True)
-    rp.add_argument("--seed", type=int, default=0)
-    rp.add_argument("--stream", type=int, default=0)
+    rp.add_argument("--seed", type=_nonnegative_int, default=0)
+    rp.add_argument("--stream", type=_nonnegative_int, default=0)
     rp.add_argument("--out", default=None, help="write the perturbed problem here")
 
     p = sub.add_parser("verify", help="internal identity checks")
@@ -413,11 +420,11 @@ def build_parser() -> argparse.ArgumentParser:
     vl = vsub.add_parser("linearization")
     _add_common(vl)
     vl.add_argument("--points", type=_positive_int, default=20)
-    vl.add_argument("--seed", type=int, default=0)
+    vl.add_argument("--seed", type=_nonnegative_int, default=0)
     vt = vsub.add_parser("triple")
     _add_common(vt)
     vt.add_argument("--samples", type=_positive_int, default=20)
-    vt.add_argument("--seed", type=int, default=0)
+    vt.add_argument("--seed", type=_nonnegative_int, default=0)
 
     return ap
 

@@ -282,8 +282,10 @@ def defect_perturbation(poly: MatrixPolynomial, weights: WeightSet, lam: complex
             f"eigenvalue at {lam}: nearest perturbed eigenvalue is {nearest:.3e} "
             f"away and the rank drop check found s_{n - 1}/s_1 = "
             f"{s[-2] / s[0] if n >= 2 and s[0] else 0.0:.3e}")
-    return PerturbedPolynomial(base=poly, deltas=out.deltas, eps_used=out.eps_used,
-                               weights=weights, certificates=tuple(certs))
+    # set in place, as __post_init__ does, so the caller's materialize()
+    # returns the polynomial certified here
+    object.__setattr__(out, "certificates", tuple(certs))
+    return out
 
 
 def eigenvalue_shift_samples(poly: MatrixPolynomial, weights: WeightSet,

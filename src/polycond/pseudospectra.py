@@ -83,6 +83,10 @@ def boundedness_check(poly: MatrixPolynomial, weights: WeightSet, eps: float) ->
     return bool(eps * weights.weights[-1] < s_min)
 
 
+# bytes of n x n complex matrices per grid block
+_BLOCK_BYTES = 2 ** 20
+
+
 def _g_batch(poly: MatrixPolynomial, weights: WeightSet, z: np.ndarray) -> np.ndarray:
     """g at every entry of a complex array, SVDs batched."""
     smin = np.linalg.svd(poly.eval(z), compute_uv=False)[..., -1]
@@ -93,9 +97,11 @@ def grid_eval(poly: MatrixPolynomial, weights: WeightSet, box, resolution,
               threads: int = 1) -> PseudoGrid:
     """Evaluate g on box = (re_min, re_max, im_min, im_max).
 
-    resolution is (nx, ny) or a single int for both.  Rows are dealt to
-    threads in chunks; every node is independent, so the result is identical
-    for any thread count.
+    resolution is (nx, ny) or a single int for both.  Nodes are evaluated in
+    row-major blocks of about 1 MiB of n x n matrices, dealt to the threads;
+    every node is independent, so the result is identical for any thread
+    count, and memory beyond `values` is one block per thread at any
+    resolution.
     """
     weights.require_match(poly)
     re_min, re_max, im_min, im_max = (float(v) for v in box)
@@ -109,19 +115,16 @@ def grid_eval(poly: MatrixPolynomial, weights: WeightSet, box, resolution,
         raise HypothesisViolationError(f"resolution must be positive, got {(nx, ny)}")
     re = np.linspace(re_min, re_max, nx)
     im = np.linspace(im_min, im_max, ny)
-    Z = re[np.newaxis, :] + 1j * im[:, np.newaxis]
     values = np.empty((ny, nx), dtype=float)
-    threads = max(1, int(threads))
-    if threads == 1 or ny == 1:
-        values[:] = _g_batch(poly, weights, Z)
-    else:
-        chunk = max(1, -(-ny // threads))
-        spans = [(i, min(i + chunk, ny)) for i in range(0, ny, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            def work(span):
-                lo, hi = span
-                values[lo:hi] = _g_batch(poly, weights, Z[lo:hi])
-            list(pool.map(work, spans))
+    flat = values.reshape(-1)
+    block = max(1, _BLOCK_BYTES // (16 * poly.n * poly.n))
+
+    def work(lo):
+        iy, ix = np.divmod(np.arange(lo, min(lo + block, flat.size)), nx)
+        flat[lo:lo + block] = _g_batch(poly, weights, re[ix] + 1j * im[iy])
+
+    with ThreadPoolExecutor(max_workers=max(1, int(threads))) as pool:
+        list(pool.map(work, range(0, flat.size, block)))
     values.flags.writeable = False
     return PseudoGrid(
         re_min=re_min, re_max=re_max, im_min=im_min, im_max=im_max,
@@ -150,37 +153,33 @@ class ContourSet:
         return len(set(self.labels))
 
 
-# segment endpoints per marching-squares code, named by cell edge;
-# inside-corner bits: 1 = (ix, iy), 2 = (ix+1, iy), 4 = (ix+1, iy+1), 8 = (ix, iy+1)
+# segment endpoints per marching-squares code, as cell edges 0 = bottom,
+# 1 = right, 2 = top, 3 = left; inside-corner bits: 1 = (ix, iy),
+# 2 = (ix+1, iy), 4 = (ix+1, iy+1), 8 = (ix, iy+1).  The diagonal codes 5 and
+# 10 depend on the cell center: rows 16 (code 5 with the center inside, or 10
+# with it outside) and 17 (the other two) hold their two pairings.
 _CASES = {
-    1: (("left", "bottom"),),
-    2: (("bottom", "right"),),
-    4: (("right", "top"),),
-    8: (("top", "left"),),
-    3: (("left", "right"),),
-    6: (("bottom", "top"),),
-    12: (("right", "left"),),
-    9: (("bottom", "top"),),
-    7: (("left", "top"),),
-    14: (("bottom", "left"),),
-    13: (("right", "bottom"),),
-    11: (("top", "right"),),
+    1: ((3, 0),), 2: ((0, 1),), 4: ((1, 2),), 8: ((2, 3),),
+    3: ((3, 1),), 6: ((0, 2),), 12: ((1, 3),), 9: ((0, 2),),
+    7: ((3, 2),), 14: ((0, 3),), 13: ((1, 0),), 11: ((2, 1),),
+    16: ((0, 1), (2, 3)), 17: ((3, 0), (1, 2)),
 }
-# the two diagonal codes depend on the cell center: value = (center inside,
-# center outside)
-_SADDLES = {
-    5: ((("bottom", "right"), ("top", "left")),
-        (("left", "bottom"), ("right", "top"))),
-    10: ((("left", "bottom"), ("right", "top")),
-         (("bottom", "right"), ("top", "left"))),
-}
+_NSEG = np.array([len(_CASES.get(c, ())) for c in range(18)])
+_PAIRS = np.array([(_CASES.get(c, ()) + ((0, 0), (0, 0)))[:2] for c in range(18)])
+# per edge name: offset of its first node from the cell's (ix, iy) node, and
+# whether it is vertical (its second node is above the first, else right)
+_EDGE_DX = np.array([0, 1, 0, 0])
+_EDGE_DY = np.array([0, 0, 1, 0])
+_EDGE_VERTICAL = np.array([0, 1, 0, 1])
 
 
 def contours(grid: PseudoGrid, eps: float) -> ContourSet:
     """Marching-squares extraction of the level g = eps.
 
     Endpoints are linearly interpolated along cell edges and shared between
-    neighboring cells, so component labels follow true connectivity.
+    neighboring cells, so component labels follow true connectivity.  Edges
+    carry integer ids: horizontal edge (ix, iy) is iy (nx - 1) + ix, vertical
+    edge (ix, iy) is ny (nx - 1) + iy nx + ix.
     """
     if eps <= 0:
         raise HypothesisViolationError(f"eps must be positive, got {eps}")
@@ -194,65 +193,46 @@ def contours(grid: PseudoGrid, eps: float) -> ContourSet:
                           diagnostic=f"eps={eps:g} is above the grid maximum {vmax:g}")
     re = grid.re_axis
     im = grid.im_axis
+    nx, ny = grid.nx, grid.ny
     inside = v <= eps
-    code = (inside[:-1, :-1].astype(np.int8)
+    code = (inside[:-1, :-1].astype(np.intp)
             | (inside[:-1, 1:] << 1)
             | (inside[1:, 1:] << 2)
-            | (inside[1:, :-1] << 3))
-    iys, ixs = np.nonzero((code != 0) & (code != 15))
+            | (inside[1:, :-1] << 3)).reshape(-1)
+    cells = np.flatnonzero((code != 0) & (code != 15))
+    case = code[cells]
+    for k in np.flatnonzero((case == 5) | (case == 10)).tolist():
+        iy, ix = divmod(int(cells[k]), nx - 1)
+        zc = (re[ix] + re[ix + 1]) / 2 + 1j * (im[iy] + im[iy + 1]) / 2
+        case[k] = 16 if (case[k] == 5) == (grid.gfun(zc) <= eps) else 17
 
-    def edge_key(name, ix, iy):
-        if name == "bottom":
-            return ("h", ix, iy)
-        if name == "top":
-            return ("h", ix, iy + 1)
-        if name == "left":
-            return ("v", ix, iy)
-        return ("v", ix + 1, iy)    # right
+    # one row per segment, in cell order; columns are its two endpoint edges
+    nseg = _NSEG[case]
+    first = np.repeat(np.cumsum(nseg) - nseg, nseg)
+    edge = _PAIRS[np.repeat(case, nseg), np.arange(first.size) - first]
+    iy, ix = np.divmod(np.repeat(cells, nseg)[:, np.newaxis], nx - 1)
+    ax, ay = ix + _EDGE_DX[edge], iy + _EDGE_DY[edge]
+    vert = _EDGE_VERTICAL[edge]
+    bx, by = ax + 1 - vert, ay + vert
+    ids = np.where(vert == 1, ny * (nx - 1) + ay * nx + ax, ay * (nx - 1) + ax)
 
-    point_cache = {}
-
-    def edge_point(key):
-        pt = point_cache.get(key)
-        if pt is not None:
-            return pt
-        kind, ix, iy = key
-        if kind == "h":
-            va, vb = v[iy, ix], v[iy, ix + 1]
-            za = re[ix] + 1j * im[iy]
-            zb = re[ix + 1] + 1j * im[iy]
-        else:
-            va, vb = v[iy, ix], v[iy + 1, ix]
-            za = re[ix] + 1j * im[iy]
-            zb = re[ix] + 1j * im[iy + 1]
-        t = 0.0 if vb == va else (eps - va) / (vb - va)
-        pt = za + min(1.0, max(0.0, t)) * (zb - za)
-        point_cache[key] = pt
-        return pt
+    va, vb = v[ay, ax], v[by, bx]
+    za = re[ax] + 1j * im[ay]
+    zb = re[bx] + 1j * im[by]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(vb == va, 0.0, (eps - va) / (vb - va))
+    # min(1, max(0, t)) with Python's semantics: 0 for NaN and for -0.0
+    t = np.where(t > 0.0, t, 0.0)
+    t = np.where(t < 1.0, t, 1.0)
+    pts = za + t * (zb - za)
 
     uf = _UnionFind()
-    seg_edges = []
-    for iy, ix in zip(iys, ixs):
-        c = int(code[iy, ix])
-        if c in _SADDLES:
-            zc = (re[ix] + re[ix + 1]) / 2 + 1j * (im[iy] + im[iy + 1]) / 2
-            center_inside = grid.gfun(zc) <= eps
-            pairs = _SADDLES[c][0 if center_inside else 1]
-        else:
-            pairs = _CASES[c]
-        for e1, e2 in pairs:
-            k1 = edge_key(e1, ix, iy)
-            k2 = edge_key(e2, ix, iy)
-            uf.union(k1, k2)
-            seg_edges.append((k1, k2))
-
-    segments = tuple((edge_point(k1), edge_point(k2)) for k1, k2 in seg_edges)
+    starts, ends = ids[:, 0].tolist(), ids[:, 1].tolist()
+    for a, b in zip(starts, ends):
+        uf.union(a, b)
     relabel = {}
-    labels = []
-    for k1, _ in seg_edges:
-        root = uf.find(k1)
-        labels.append(relabel.setdefault(root, len(relabel)))
-    return ContourSet(eps=eps, segments=segments, labels=tuple(labels))
+    labels = tuple(relabel.setdefault(uf.find(a), len(relabel)) for a in starts)
+    return ContourSet(eps=eps, segments=tuple(map(tuple, pts.tolist())), labels=labels)
 
 
 def _contains(segments, z: complex) -> bool:

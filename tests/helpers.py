@@ -230,3 +230,85 @@ def snap_vectors(poly: MatrixPolynomial, target: complex):
     lam = complex(sp.eigenvalues[nearest_eigenvalue(sp.eigenvalues, target)])
     x, y = eig_vectors(poly, lam, values=sp.eigenvalues)
     return lam, x, y
+
+
+# ---------------------------------------------------------------------------
+# pseudospectra oracles
+
+# segment endpoints per marching-squares code, named by cell edge;
+# inside-corner bits: 1 = (ix, iy), 2 = (ix+1, iy), 4 = (ix+1, iy+1), 8 = (ix, iy+1)
+_MS_CASES = {
+    1: (("left", "bottom"),),
+    2: (("bottom", "right"),),
+    4: (("right", "top"),),
+    8: (("top", "left"),),
+    3: (("left", "right"),),
+    6: (("bottom", "top"),),
+    12: (("right", "left"),),
+    9: (("bottom", "top"),),
+    7: (("left", "top"),),
+    14: (("bottom", "left"),),
+    13: (("right", "bottom"),),
+    11: (("top", "right"),),
+}
+# the two diagonal codes depend on the cell center: (center inside, outside)
+_MS_SADDLES = {
+    5: ((("bottom", "right"), ("top", "left")),
+        (("left", "bottom"), ("right", "top"))),
+    10: ((("left", "bottom"), ("right", "top")),
+         (("bottom", "right"), ("top", "left"))),
+}
+
+
+def reference_contours(grid, eps):
+    """Cell-by-cell marching squares over edge keys ("h" | "v", ix, iy).
+
+    Returns (segments, labels) as contours() defines them: segments in cell
+    order (row-major, real axis fastest), each an endpoint pair interpolated
+    on its edge; labels dense in order of first appearance.  grid.gfun is
+    called at saddle cells only, in cell order.
+    """
+    v = grid.values
+    re, im = grid.re_axis, grid.im_axis
+    inside = v <= eps
+    code = (inside[:-1, :-1].astype(np.int8) | (inside[:-1, 1:] << 1)
+            | (inside[1:, 1:] << 2) | (inside[1:, :-1] << 3))
+
+    def edge_key(name, ix, iy):
+        return {"bottom": ("h", ix, iy), "top": ("h", ix, iy + 1),
+                "left": ("v", ix, iy), "right": ("v", ix + 1, iy)}[name]
+
+    def edge_point(key):
+        kind, ix, iy = key
+        jx, jy = (ix + 1, iy) if kind == "h" else (ix, iy + 1)
+        va, vb = v[iy, ix], v[jy, jx]
+        za = re[ix] + 1j * im[iy]
+        zb = re[jx] + 1j * im[jy]
+        t = 0.0 if vb == va else (eps - va) / (vb - va)
+        return za + min(1.0, max(0.0, t)) * (zb - za)
+
+    parent = {}
+
+    def find(k):
+        while parent.setdefault(k, k) != k:
+            k = parent[k]
+        return k
+
+    seg_edges = []
+    for iy, ix in zip(*np.nonzero((code != 0) & (code != 15))):
+        c = int(code[iy, ix])
+        if c in _MS_SADDLES:
+            zc = (re[ix] + re[ix + 1]) / 2 + 1j * (im[iy] + im[iy + 1]) / 2
+            pairs = _MS_SADDLES[c][0 if grid.gfun(zc) <= eps else 1]
+        else:
+            pairs = _MS_CASES[c]
+        for e1, e2 in pairs:
+            k1, k2 = edge_key(e1, ix, iy), edge_key(e2, ix, iy)
+            r1, r2 = find(k1), find(k2)
+            if r1 != r2:
+                parent[r2] = r1
+            seg_edges.append((k1, k2))
+    segments = [(edge_point(k1), edge_point(k2)) for k1, k2 in seg_edges]
+    relabel = {}
+    labels = [relabel.setdefault(find(k1), len(relabel)) for k1, _ in seg_edges]
+    return segments, labels

@@ -17,9 +17,10 @@ import pytest
 
 from polycond.cli import main
 from polycond.condition import cond_simple, min_gap_bound
-from polycond.core import spectral_norm
+from polycond.core import MatrixPolynomial, spectral_norm
 from polycond.io import load_problem
 from polycond.perturb import is_admissible, random_perturbation
+from polycond.pseudospectra import contours, grid_eval
 from polycond.spectra import eig_vectors, eigenvalues, nearest_eigenvalue, spectrum
 
 from helpers import FIXTURE_NAMES, FIXTURES
@@ -171,6 +172,23 @@ class TestBounds:
         assert "triple" in err["message"]
 
 
+def per_node_csvs(grid, cs):
+    """The grid and contour CSVs as written one f-string per row."""
+    re = [float(v) for v in grid.re_axis]
+    im = [float(v) for v in grid.im_axis]
+    g = "re,im,value\n" + "".join(
+        f"{re[ix]!r},{im[iy]!r},{float(grid.values[iy, ix])!r}\n"
+        for iy in range(grid.ny) for ix in range(grid.nx))
+    counters = {}
+    c = "component,seg,re1,im1,re2,im2\n"
+    for (z1, z2), lab in zip(cs.segments, cs.labels):
+        seg = counters.get(lab, 0)
+        counters[lab] = seg + 1
+        c += (f"{lab},{seg},{float(z1.real)!r},{float(z1.imag)!r},"
+              f"{float(z2.real)!r},{float(z2.imag)!r}\n")
+    return g, c
+
+
 class TestPseudo:
     def test_grid_and_contour_csv(self, capsys, tmp_path):
         gpath = tmp_path / "grid.csv"
@@ -199,6 +217,22 @@ class TestPseudo:
         assert len(clines) == 1 + res["segments"]
         labels = {int(ln.split(",")[0]) for ln in clines[1:]}
         assert labels == {0}
+
+    @pytest.mark.parametrize("path, box, eps", [
+        (P3, (0.85, 1.15, -0.15, 0.15), 1e-4),
+        (P3, (0.85, 1.15, -0.15, 0.15), 100.0),
+        (P5, (0.5, 4.5, -0.5, 0.5), 1e-4),
+        (P5, (0.5, 4.5, -0.5, 0.5), 1e-2),
+    ])
+    def test_csv_bytes_match_per_node_writer(self, capsys, tmp_path, path, box, eps):
+        gpath, cpath = tmp_path / "grid.csv", tmp_path / "contour.csv"
+        run_ok(capsys, "pseudo", path, "--eps", eps, "--box", *box, "--resolution", "61", "37",
+               "--grid-out", gpath, "--contour-out", cpath)
+        pf = load_problem(path)
+        grid = grid_eval(pf.poly, pf.weights, box, (61, 37))
+        want_grid, want_contour = per_node_csvs(grid, contours(grid, eps))
+        assert gpath.read_bytes() == want_grid.encode()
+        assert cpath.read_bytes() == want_contour.encode()
 
     def test_level_above_grid_reports_diagnostic(self, capsys):
         res = run_ok(capsys, "pseudo", P3, "--eps", "100",
@@ -251,6 +285,18 @@ class TestPerturb:
         q = load_problem(str(out))
         gaps = np.sort(np.abs(eigenvalues(q.poly) + 1.0))
         assert gaps[1] <= 1e-5
+
+    @pytest.mark.parametrize("argv", [
+        ("perturb", "defect", P4, "--eig", "-1", "0"),
+        ("perturb", "random", P4, "--eps", "0.01"),
+    ])
+    def test_out_builds_each_polynomial_once(self, capsys, monkeypatch, tmp_path, argv):
+        builds = []
+        init = MatrixPolynomial.__init__
+        monkeypatch.setattr(MatrixPolynomial, "__init__",
+                            lambda self, coeffs: builds.append(1) or init(self, coeffs))
+        run_ok(capsys, *argv, "--out", tmp_path / "q.json")
+        assert len(builds) == 2     # the problem file's and the perturbed one
 
 
 class TestVerify:
@@ -308,12 +354,33 @@ class TestUsageErrors:
         (("verify", "triple", P3, "--samples", "0"), "--samples"),
         (("pseudo", P3, "--eps", "1e-4", "--box", "0.85", "1.15", "-0.15", "0.15",
           "--threads", "0"), "--threads"),
+        (("pseudo", P3, "--eps", "1e-4", "--box", "0.85", "1.15", "-0.15", "0.15",
+          "--resolution", "0"), "--resolution"),
+        (("pseudo", P3, "--eps", "1e-4", "--box", "0.85", "1.15", "-0.15", "0.15",
+          "--resolution", "10", "-2"), "--resolution"),
     ])
     def test_nonpositive_count_exit_2(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
         assert f"argument {flag}: expected a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("perturb", "random", P3, "--eps", "1e-3", "--seed", "-1"), "--seed"),
+        (("perturb", "random", P3, "--eps", "1e-3", "--stream", "-2"), "--stream"),
+        (("verify", "linearization", P3, "--seed", "-1"), "--seed"),
+        (("verify", "triple", P3, "--seed", "-3"), "--seed"),
+    ])
+    def test_negative_seed_exit_2(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected a non-negative integer" in capsys.readouterr().err
+
+    def test_zero_seed_and_stream_accepted(self, capsys):
+        res = run_ok(capsys, "perturb", "random", P3, "--eps", "1e-3",
+                     "--seed", "0", "--stream", "0")["result"]
+        assert (res["seed"], res["stream"]) == (0, 0)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "NaN", "Infinity"])
     @pytest.mark.parametrize("argv, flag", [

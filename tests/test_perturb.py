@@ -271,6 +271,22 @@ class TestDefectPerturbation:
             got = defect_perturbation(rotated, w, lam, xr, yr).eps_used
             assert got == pytest.approx(base, rel=1e-10)
 
+    def test_certified_polynomial_is_the_materialized_one(self, p4, pz, monkeypatch):
+        builds = []
+        init = MatrixPolynomial.__init__
+        monkeypatch.setattr(MatrixPolynomial, "__init__",
+                            lambda self, coeffs: builds.append(1) or init(self, coeffs))
+        for pf, target in ((p4, -1.0), (p4, 0.25 - 3.8971j), (pz, 0.0)):
+            poly, w = pf.poly, pf.weights
+            lam, x, y = snap_vectors(poly, target)
+            builds.clear()
+            q = defect_perturbation(poly, w, lam, x, y)
+            mat = q.materialize()
+            assert len(builds) == 1
+            assert q.materialize() is mat
+            for A, B, D in zip(mat.coeffs, poly.coeffs, q.deltas):
+                assert np.array_equal(A, B + D)
+
     def test_non_eigenvector_input_rejected(self, p4):
         x, y = eig_vectors(p4.poly, -1.0)
         with pytest.raises(HypothesisViolationError):

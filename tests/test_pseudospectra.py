@@ -1,12 +1,18 @@
 """Grid evaluation, level-set extraction, and disc comparison."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import ndimage
 
+import polycond.pseudospectra
+from helpers import reference_contours
 from polycond import (
     ContainmentError,
     HypothesisViolationError,
+    MatrixPolynomial,
     PseudoGrid,
     WeightSet,
     boundedness_check,
@@ -19,6 +25,7 @@ from polycond import (
     fitted_radius,
     grid_eval,
     problem_hash,
+    singular_values,
     sublevel_component_count,
 )
 
@@ -93,12 +100,41 @@ class TestGridEval:
         assert np.abs(b.values[::2, ::2] - a.values).max() <= 1e-13 * scale
 
     def test_thread_count_bitwise_irrelevant(self, p3):
-        box = (0.9, 1.1, -0.1, 0.1)
-        a = grid_eval(p3.poly, p3.weights, box, 41, threads=1)
-        b = grid_eval(p3.poly, p3.weights, box, 41, threads=4)
-        c = grid_eval(p3.poly, p3.weights, box, 41, threads=7)
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.values, c.values)
+        # 91 x 83 = 7553 nodes: one full block of 7281 (n = 3) and a partial one
+        box = (-2.4, 0.0, -1.2, 0.0)
+        a = grid_eval(p3.poly, p3.weights, box, (91, 83), threads=1)
+        for threads in (2, 3, 7):
+            b = grid_eval(p3.poly, p3.weights, box, (91, 83), threads=threads)
+            assert np.array_equal(a.values, b.values)
+
+    def test_block_size_bitwise_irrelevant(self, p3, monkeypatch):
+        # the last node, z = 0 exactly, sits in the partial block
+        box = (-2.4, 0.0, -1.2, 0.0)
+        ref = grid_eval(p3.poly, p3.weights, box, (91, 83), threads=1)
+        assert ref.re_axis[-1] == 0.0 and ref.im_axis[-1] == 0.0
+        want = singular_values(p3.poly.coeffs[0])[-1] / p3.weights.weights[0]
+        assert ref.values[-1, -1] == want
+        # blocks of 100 nodes and of one node give the same bits
+        for nodes in (100, 1):
+            monkeypatch.setattr(polycond.pseudospectra, "_BLOCK_BYTES", 16 * 9 * nodes)
+            for threads in (1, 3):
+                got = grid_eval(p3.poly, p3.weights, box, (91, 83), threads=threads)
+                assert np.array_equal(got.values, ref.values)
+
+    def test_memory_is_one_block_per_thread(self):
+        # n = 6: blocks of 1820 nodes; the whole 201^2 stack of P(z) would
+        # take 22 MiB, and its Horner temporaries as much again
+        rng = np.random.default_rng(6)
+        coeffs = [rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+                  for _ in range(3)] + [np.eye(6)]
+        poly, w = MatrixPolynomial(coeffs), WeightSet([1.0, 1.0, 1.0, 1.0])
+        tracemalloc.start()
+        try:
+            grid_eval(poly, w, (-3.0, 3.0, -3.0, 3.0), 201, threads=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
     def test_grid_minimum_adjacent_to_eigenvalue(self, g3):
         iy, ix = np.unravel_index(np.argmin(g3.values), g3.values.shape)
@@ -211,6 +247,47 @@ class TestContours:
     def test_labels_dense_from_zero(self, g6):
         c = contours(g6, 0.01)
         assert set(c.labels) == set(range(c.n_components))
+
+
+class TestContourReference:
+    """contours() against the cell-by-cell loop in helpers.reference_contours:
+    the same segment bits, labels, and saddle evaluations in the same order."""
+
+    @staticmethod
+    def assert_matches(grid, eps):
+        calls, ref_calls = [], []
+
+        def logged(log):
+            return lambda z: log.append(z) or grid.gfun(z)
+
+        got = contours(dataclasses.replace(grid, gfun=logged(calls)), eps)
+        segs, labels = reference_contours(dataclasses.replace(grid, gfun=logged(ref_calls)), eps)
+        assert (np.array(got.segments, dtype=complex).tobytes()
+                == np.array(segs, dtype=complex).tobytes())
+        assert list(got.labels) == labels
+        assert calls == ref_calls
+        return len(calls)
+
+    def test_fixture_grids(self, g3, g6, p5):
+        g5 = grid_eval(p5.poly, p5.weights, (3.996, 4.004, -0.004, 0.004), 201)
+        g5_wide = grid_eval(p5.poly, p5.weights, (0.5, 4.5, -0.5, 0.5), (101, 21))
+        for grid, levels in ((g3, LADDER), (g6, (1e-3, 1e-2, 0.05)), (g5, (1e-4,)),
+                             (g5_wide, np.quantile(g5_wide.values, [0.01, 0.2, 0.5, 0.8]))):
+            for eps in levels:
+                self.assert_matches(grid, float(eps))
+
+    def test_synthetic_and_saddle_grids(self):
+        circle = synthetic_circle_grid()
+        for eps in (0.4, 0.5):
+            self.assert_matches(circle, eps)
+        for center in (0.0, 1.0):
+            assert self.assert_matches(TestSaddleResolution().build(center), 0.5) == 1
+        noise = PseudoGrid(
+            re_min=-1.0, re_max=1.0, im_min=-0.5, im_max=0.5, nx=53, ny=37,
+            values=np.random.default_rng(11).random((37, 53)), weights=WeightSet([1.0]),
+            poly_hash="noise", gfun=lambda z: abs(np.sin(3 * z)) / 2)
+        saddles = sum(self.assert_matches(noise, eps) for eps in (0.1, 0.3, 0.5, 0.7, 0.9))
+        assert saddles > 100
 
 
 class TestSaddleResolution:
