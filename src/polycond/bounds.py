@@ -79,7 +79,8 @@ def _derivative_frame(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
                       x: np.ndarray, y: np.ndarray):
     """Shared hypothesis checks for the distance-to-multiplicity bounds.
 
-    Returns (c(P'(lam)), ||P(lam)||, delta, ||y* P'||, nu) for unit x, y.
+    Returns (c(P'(lam)), ||P(lam)||, delta, ||y* P'||, nu) for unit x, y,
+    and P'(lam) itself.
     """
     weights.require_match(poly)
     lam = complex(lam)
@@ -92,7 +93,7 @@ def _derivative_frame(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
             f"P'(lam) is numerically singular at lam = {lam} "
             f"(s_min/s_max = {s[-1] / s[0] if s[0] else 0.0:.3e}); "
             "the distance bound assumes 0 is not an eigenvalue of P'(lam)")
-    delta = _coupling(poly, lam, x, y)
+    delta = _coupling(Pp, s[0], lam, x, y)
     row = y.conj() @ Pp
     row_norm = float(np.linalg.norm(row))
     # nu^2 = ||y* P'||^2 - |delta|^2, computed without cancellation as the
@@ -102,7 +103,7 @@ def _derivative_frame(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
         raise HypothesisViolationError(
             f"y* P'(lam) is numerically parallel to x* at lam = {lam}; "
             "the defect construction has no direction to work in")
-    return float(s[0] / s[-1]), spectral_norm(poly.eval(lam)), delta, row_norm, nu
+    return (float(s[0] / s[-1]), spectral_norm(poly.eval(lam)), delta, row_norm, nu), Pp
 
 
 def dist_mult_bound(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
@@ -122,7 +123,7 @@ def dist_mult_bound(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
     weights (1, 0) it reduces to Wilkinson's bound ||A - lam I|| /
     sqrt(kappa^2 - 1), kappa = 1 / |y* x| (Wilkinson, Numer. Math. 1972).
     """
-    frame = _derivative_frame(poly, weights, lam, x, y)
+    frame, _ = _derivative_frame(poly, weights, lam, x, y)
     w = weights.eval(abs(complex(lam)))
     return _dist_report(frame, w / abs(frame[2]), w)    # k = w / |y* P'(lam) x|
 
@@ -136,7 +137,7 @@ def dist_mult_bound_adj(poly: MatrixPolynomial, weights: WeightSet, i: int,
     needed for the direction term nu.
     """
     lam = complex(spec.eigenvalues[i])
-    frame = _derivative_frame(poly, weights, lam, x, y)
+    frame, _ = _derivative_frame(poly, weights, lam, x, y)
     k = cond_eigvector_free(poly, weights, i, spec)
     return _dist_report(frame, k, weights.eval(abs(lam)))
 

@@ -4,6 +4,8 @@ Every subcommand is a thin adapter around one library call: it loads a
 problem file, runs the analysis, and prints a JSON result document on stdout
 carrying the input file hash and a full parameter echo.  Analysis failures
 print a structured error document on stderr and exit 1; usage errors exit 2.
+Subcommands return library values and report objects as they are; one
+json.dumps hook, _jsonable, decides how each becomes JSON.
 """
 
 from __future__ import annotations
@@ -14,11 +16,13 @@ import json
 import math
 import re
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
-from .bounds import bauer_fike_bound, bound_comparator, dist_mult_bound, dist_mult_bound_adj, elsner_bound
+from .bounds import (BoundReport, ComparatorReport, bauer_fike_bound, bound_comparator,
+                     dist_mult_bound, dist_mult_bound_adj, elsner_bound)
 from .condition import cond_eigvector_free, cond_multiple, cond_simple, cond_via_companion, min_gap_bound
 from .core import MatrixPolynomial, WeightSet, spectral_norm, singular_values
 from .errors import HypothesisViolationError, PolycondError
@@ -32,36 +36,16 @@ from .spectra import (default_cluster_tol, eig_vectors, eigenvalues, nearest_eig
 RESIDUAL_TOL = 1e-8
 
 
-def _json_safe(obj):
+def _jsonable(obj):
+    """json.dumps default hook: a complex number becomes [re, im], a NumPy
+    scalar or array its tolist(), a report dataclass its asdict()."""
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, (np.complexfloating,)):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return [_json_safe(v) for v in obj.tolist()]
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    return obj
-
-
-def _report_out(report) -> dict:
-    return {
-        "value": report.value,
-        "ingredients": _json_safe(report.ingredients),
-        "applicable": report.applicable,
-    }
-
-
-def _target_eig(values) -> complex:
-    if len(values) == 1:
-        return complex(values[0], 0.0)
-    return complex(values[0], values[1])
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    if isinstance(obj, (BoundReport, ComparatorReport)):
+        return asdict(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 class _Context:
@@ -74,8 +58,8 @@ class _Context:
         self.sha256 = hashlib.sha256(data).hexdigest()
         self.problem: ProblemFile = load_problem(self.path)
         self.poly: MatrixPolynomial = self.problem.poly
-        if getattr(args, "weights", None):
-            self.weights = WeightSet([float(v) for v in args.weights.split(",")])
+        if args.weights is not None:
+            self.weights = WeightSet(args.weights)
             self.weights.require_match(self.poly)
             self.weights_overridden = True
         else:
@@ -88,21 +72,21 @@ class _Context:
             "version": __version__,
             "command": command,
             "input": {"path": self.path, "sha256": self.sha256},
-            "parameters": _json_safe(dict(
+            "parameters": dict(
                 params,
-                weights=list(self.weights.weights),
+                weights=self.weights.weights,
                 weights_overridden=self.weights_overridden,
                 weights_derived=self.problem.weights_derived,
-            )),
+            ),
         }
 
 
 def _snap(ctx: _Context, args):
     """Resolve the --eig argument to a computed eigenvalue, its index, the
     spectrum and the eigenvalue's unit right/left eigenvectors."""
-    target = _target_eig(args.eig)
+    target = complex(*args.eig)
     sp = spectrum(ctx.poly)
-    idx = nearest_eigenvalue(sp.eigenvalues, target, tol=getattr(args, "tol", None))
+    idx = nearest_eigenvalue(sp.eigenvalues, target, tol=args.tol)
     lam = complex(sp.eigenvalues[idx])
     x, y = eig_vectors(ctx.poly, lam, values=sp.eigenvalues)
     return lam, idx, sp, x, y
@@ -112,10 +96,10 @@ def cmd_eig(ctx: _Context, args) -> dict:
     tol = args.cluster_tol
     sp = spectrum(ctx.poly, cluster_tol=tol)
     return {
-        "eigenvalues": _json_safe(sp.eigenvalues),
+        "eigenvalues": sp.eigenvalues,
         "cluster_tol": tol if tol is not None else default_cluster_tol(sp.eigenvalues),
         "clusters": [
-            {"center": _json_safe(complex(c.center)), "indices": list(c.indices),
+            {"center": c.center, "indices": c.indices,
              "size": c.size} for c in sp.clusters
         ],
     }
@@ -127,7 +111,7 @@ def cmd_cond(ctx: _Context, args) -> dict:
     k8 = cond_via_companion(ctx.poly, ctx.weights, lam, x, y)
     kfree = cond_eigvector_free(ctx.poly, ctx.weights, idx, sp)
     out = {
-        "eigenvalue": _json_safe(lam),
+        "eigenvalue": lam,
         "index": idx,
         "value": k5,
         "routes": {"eigenvector": k5, "companion": k8, "eigenvector_free": kfree},
@@ -146,7 +130,7 @@ def cmd_multi_cond(ctx: _Context, args) -> dict:
     value = cond_multiple(ctx.poly, ctx.weights, data.eigenvalue,
                           data.right_vectors, data.left_vectors)
     return {
-        "eigenvalue": _json_safe(complex(data.eigenvalue)),
+        "eigenvalue": data.eigenvalue,
         "kappa": int(data.right_vectors.shape[1]),
         "value": value,
     }
@@ -157,37 +141,27 @@ def cmd_dist(ctx: _Context, args) -> dict:
     direct = dist_mult_bound(ctx.poly, ctx.weights, lam, x, y)
     adj = dist_mult_bound_adj(ctx.poly, ctx.weights, idx, sp, x, y)
     return {
-        "eigenvalue": _json_safe(lam),
+        "eigenvalue": lam,
         "value": direct.value,
-        "bound": _report_out(direct),
-        "bound_adjugate_route": _report_out(adj),
+        "bound": direct,
+        "bound_adjugate_route": adj,
     }
 
 
 def cmd_bounds(ctx: _Context, args) -> dict:
-    mu = complex(args.mu[0], args.mu[1])
-    eps = args.eps
+    mu = complex(*args.mu)
+    out = {"mu": mu, "eps": args.eps}
     if args.bound == "elsner":
-        rep = elsner_bound(ctx.poly, ctx.weights, eps, mu)
-        return {"mu": _json_safe(mu), "eps": eps, "value": rep.value,
-                "bound": _report_out(rep)}
+        rep = elsner_bound(ctx.poly, ctx.weights, args.eps, mu)
+        return dict(out, value=rep.value, bound=rep)
     triple = ctx.problem.triple
     if triple is None:
         raise HypothesisViolationError(
             "this bound needs a Jordan triple; the problem file has none")
     if args.bound == "bauer-fike":
-        rep = bauer_fike_bound(ctx.poly, ctx.weights, eps, mu, triple)
-        return {"mu": _json_safe(mu), "eps": eps, "value": rep.value,
-                "bound": _report_out(rep)}
-    cmp_ = bound_comparator(ctx.poly, ctx.weights, eps, mu, triple)
-    return {
-        "mu": _json_safe(mu),
-        "eps": eps,
-        "omega": cmp_.omega,
-        "elsner_tighter": cmp_.elsner_tighter,
-        "elsner": _report_out(cmp_.elsner),
-        "bauer_fike": _report_out(cmp_.bauer_fike),
-    }
+        rep = bauer_fike_bound(ctx.poly, ctx.weights, args.eps, mu, triple)
+        return dict(out, value=rep.value, bound=rep)
+    return dict(out, **asdict(bound_comparator(ctx.poly, ctx.weights, args.eps, mu, triple)))
 
 
 def _write_grid_csv(path: str, grid) -> None:
@@ -213,15 +187,13 @@ def _write_contour_csv(path: str, cs) -> None:
 
 
 def cmd_pseudo(ctx: _Context, args) -> dict:
-    if len(args.resolution) == 1:
-        resolution = (args.resolution[0], args.resolution[0])
-    else:
-        resolution = tuple(args.resolution)
+    # grid_eval reads a single int as nx = ny
+    resolution = args.resolution if len(args.resolution) == 2 else args.resolution[0]
     grid = grid_eval(ctx.poly, ctx.weights, tuple(args.box), resolution,
                      threads=args.threads)
     out = {
         "eps": args.eps,
-        "box": list(args.box),
+        "box": args.box,
         "resolution": [grid.nx, grid.ny],
         "grid_min": float(grid.values.min()),
         "grid_max": float(grid.values.max()),
@@ -256,11 +228,11 @@ def cmd_perturb(ctx: _Context, args) -> dict:
         q = defect_perturbation(ctx.poly, ctx.weights, lam, x, y)
         bound = dist_mult_bound(ctx.poly, ctx.weights, lam, x, y)
         out = {
-            "eigenvalue": _json_safe(lam),
+            "eigenvalue": lam,
             "eps_used": q.eps_used,
             "bound": bound.value,
-            "certificates": list(q.certificates),
-            "delta_norms": list(q.delta_norms),
+            "certificates": q.certificates,
+            "delta_norms": q.delta_norms,
         }
     else:
         q = random_perturbation(ctx.poly, args.eps, ctx.weights,
@@ -270,9 +242,9 @@ def cmd_perturb(ctx: _Context, args) -> dict:
             "eps": args.eps,
             "seed": args.seed,
             "stream": args.stream,
-            "delta_norms": list(rep.delta_norms),
+            "delta_norms": rep.delta_norms,
             "admissible": rep.admissible,
-            "tight": list(rep.tight),
+            "tight": rep.tight,
         }
     if args.out:
         _write_problem(args.out, q.materialize(), ctx.problem)
@@ -314,32 +286,31 @@ def cmd_verify(ctx: _Context, args) -> dict:
             "pass": residual <= RESIDUAL_TOL}
 
 
-def _finite_float(text: str) -> float:
-    """argparse type: a float that is neither NaN nor infinite."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
-
-
-def _int_at_least(low: int, what: str):
-    """argparse type: an integer >= low, called `what` in the usage error."""
-    def parse(text: str) -> int:
+def _number(cast, ok, what: str):
+    """argparse type: cast(text), which must satisfy ok; called `what` in
+    the usage error.  A cast that raises ArgumentTypeError keeps its own
+    message, so the bounded float types below report NaN as not finite."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = cast(text)
         except ValueError:
-            value = low - 1
-        if value < low:
+            value = math.nan
+        if not ok(value):
             raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
         return value
     return parse
 
 
-_positive_int = _int_at_least(1, "a positive integer")
-_nonnegative_int = _int_at_least(0, "a non-negative integer")
+_finite_float = _number(float, math.isfinite, "a finite number")
+_positive_float = _number(_finite_float, lambda v: v > 0, "a positive number")
+_nonnegative_float = _number(_finite_float, lambda v: v >= 0, "a non-negative number")
+_positive_int = _number(int, lambda v: v >= 1, "a positive integer")
+_nonnegative_int = _number(int, lambda v: v >= 0, "a non-negative integer")
+
+
+def _float_list(text: str) -> list:
+    """argparse type: comma-separated finite numbers."""
+    return [_finite_float(v) for v in text.split(",")]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -353,13 +324,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(p: argparse.ArgumentParser, eig: bool = False) -> None:
     p.add_argument("file", help="problem file (JSON)")
-    p.add_argument("--weights", default=None,
+    p.add_argument("--weights", type=_float_list, default=None,
                    help="override weights: comma-separated w_0,...,w_m")
     if eig:
         p.add_argument("--eig", nargs="+", type=_finite_float, required=True,
                        metavar=("RE", "IM"),
                        help="target eigenvalue (snapped to the nearest computed one)")
-        p.add_argument("--tol", type=_finite_float, default=None,
+        p.add_argument("--tol", type=_nonnegative_float, default=None,
                        help="snapping tolerance (default 1e-3 * max(1, |target|))")
 
 
@@ -372,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eig", help="eigenvalues and clusters")
     _add_common(p)
-    p.add_argument("--cluster-tol", type=_finite_float, default=None)
+    p.add_argument("--cluster-tol", type=_positive_float, default=None)
 
     p = sub.add_parser("cond", help="condition number of a simple eigenvalue")
     _add_common(p, eig=True)
@@ -456,8 +427,8 @@ def main(argv=None) -> int:
         ctx = _Context(args)
         result = _DISPATCH[args.command](ctx, args)
         doc = ctx.header(args.command, _param_echo(args))
-        doc["result"] = _json_safe(result)
-        print(json.dumps(doc, indent=2))
+        doc["result"] = result
+        print(json.dumps(doc, indent=2, default=_jsonable))
         return 0
     except (PolycondError, OSError, ValueError) as exc:
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}

@@ -38,12 +38,12 @@ __all__ = [
 DEFECT_RTOL = 1e-14
 
 
-def _coupling(poly: MatrixPolynomial, lam: complex, x: np.ndarray, y: np.ndarray) -> complex:
-    """y* P'(lam) x, gated against numerical defectivity."""
-    lam = complex(lam)
-    Pp = poly.eval_derivative(lam)
+def _coupling(Pp: np.ndarray, norm_pp: float, lam: complex, x: np.ndarray,
+              y: np.ndarray) -> complex:
+    """y* P'(lam) x from Pp = P'(lam) and its spectral norm, gated against
+    numerical defectivity."""
     delta = complex(y.conj() @ Pp @ x)
-    gate = DEFECT_RTOL * spectral_norm(Pp) * np.linalg.norm(x) * np.linalg.norm(y)
+    gate = DEFECT_RTOL * norm_pp * np.linalg.norm(x) * np.linalg.norm(y)
     if abs(delta) <= gate:
         raise DefectiveEigenvalueError(
             f"|y* P'(lam) x| = {abs(delta):.3e} is below the defectivity gate "
@@ -58,7 +58,9 @@ def cond_simple(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
     weights.require_match(poly)
     x = np.asarray(x, dtype=complex).reshape(-1)
     y = np.asarray(y, dtype=complex).reshape(-1)
-    delta = _coupling(poly, lam, x, y)
+    lam = complex(lam)
+    Pp = poly.eval_derivative(lam)
+    delta = _coupling(Pp, spectral_norm(Pp), lam, x, y)
     w = weights.eval(abs(lam))
     return w * float(np.linalg.norm(x)) * float(np.linalg.norm(y)) / abs(delta)
 
@@ -126,7 +128,8 @@ def adjugate_norm(M, gap: float = 1e6) -> float:
     the product of the n-1 largest singular values.
 
     The simple-zero assumption is enforced as s_{n-1} > gap * s_n; violations
-    raise with the observed singular-value gap.
+    raise with the observed singular-value gap.  On ill-scaled problems the
+    product can overflow to inf or underflow to 0.
     """
     s = singular_values(M)
     n = len(s)
@@ -169,13 +172,20 @@ def cond_eigvector_free(poly: MatrixPolynomial, weights: WeightSet, i: int,
     w(|lam_i|) ||adj(P(lam_i))|| / (|det A_m| prod_{j != i} |lam_j - lam_i|).
 
     The product runs over all other computed eigenvalues with multiplicity and
-    is accumulated in log space.
+    is accumulated in log space, as is ||adj(P(lam_i))|| when adjugate_norm's
+    product leaves the normal float range.
     """
     weights.require_match(poly)
     _require_simple(spec, i)
     lam = complex(spec.eigenvalues[i])
-    log_num = (np.log(weights.eval(abs(lam)))
-               + np.log(adjugate_norm(poly.eval(lam))))
+    P = poly.eval(lam)
+    with np.errstate(over="ignore"):
+        adj = adjugate_norm(P)
+    if np.finfo(float).tiny <= adj < np.inf:
+        log_adj = np.log(adj)
+    else:   # inf, 0 or a subnormal that has lost digits: sum the logs instead
+        log_adj = np.sum(np.log(singular_values(P)[:-1]))
+    log_num = np.log(weights.eval(abs(lam))) + log_adj
     log_den = poly.log_abs_det_leading + _log_gap_product(spec.eigenvalues, i)
     return float(np.exp(log_num - log_den))
 

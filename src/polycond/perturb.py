@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bounds import _derivative_frame
+from .bounds import _derivative_frame, _unit
 from .core import MatrixPolynomial, WeightSet, as_complex_matrix, singular_values, spectral_norm
 from .errors import (
     DegenerateProblemError,
@@ -220,10 +220,8 @@ def defect_perturbation(poly: MatrixPolynomial, weights: WeightSet, lam: complex
     result carries certificates naming the multiplicity checks that passed.
     """
     lam = complex(lam)
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    x = x / np.linalg.norm(x)
-    y = np.asarray(y, dtype=complex).reshape(-1)
-    y = y / np.linalg.norm(y)
+    x = _unit(x, "x")
+    y = _unit(y, "y")
     n = poly.n
     px = poly.eval(lam)
     rx = float(np.linalg.norm(px @ x))
@@ -237,10 +235,10 @@ def defect_perturbation(poly: MatrixPolynomial, weights: WeightSet, lam: complex
             f"||P(lam) x|| = {rx:.3e}, ||y* P(lam)|| = {ry:.3e} exceed {gate:.3e}")
     # remaining hypothesis gates: P'(lam) nonsingular, lam numerically simple,
     # y* P'(lam) not parallel to x*
-    _derivative_frame(poly, weights, lam, x, y)
+    _, Pp = _derivative_frame(poly, weights, lam, x, y)
 
     V = _completion_to(x)
-    Ppt = poly.eval_derivative(lam) @ V
+    Ppt = Pp @ V
     M = np.linalg.solve(Ppt, px @ V)
     row = y.conj() @ Ppt
     delta = complex(row[0])

@@ -68,12 +68,6 @@ class PseudoGrid:
     def im_axis(self) -> np.ndarray:
         return np.linspace(self.im_min, self.im_max, self.ny)
 
-    def nodes(self) -> np.ndarray:
-        """Complex node coordinates, shape (ny, nx)."""
-        re = self.re_axis
-        im = self.im_axis
-        return re[np.newaxis, :] + 1j * im[:, np.newaxis]
-
 
 def boundedness_check(poly: MatrixPolynomial, weights: WeightSet, eps: float) -> bool:
     """True iff eps * w_m < s_min(A_m) strictly, which certifies that the

@@ -43,6 +43,9 @@ __all__ = [
 # Default absolute tolerance for snapping a user-supplied eigenvalue guess to
 # the computed spectrum, per unit of max(1, |guess|).
 SNAP_RTOL = 1e-3
+# validate_jordan_triple skips samples with s_min(P(z)) below this multiple
+# of s_max(P(z)): they sit too close to the spectrum for a resolvent check.
+NEAR_SPECTRUM_RTOL = 1e-8
 
 
 def _canonical_order(values: np.ndarray) -> np.ndarray:
@@ -73,10 +76,6 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     clusters: tuple[EigenvalueCluster, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.eigenvalues)
 
     def cluster_of(self, i: int) -> EigenvalueCluster:
         for c in self.clusters:
@@ -305,12 +304,13 @@ class JordanTriple:
 
 
 def validate_jordan_triple(poly: MatrixPolynomial, triple: JordanTriple,
-                           samples, near_tol: float = 1e-8) -> float:
+                           samples) -> float:
     """Max over samples of the relative resolvent residual
     ||P(z)^{-1} - X (zI - J)^{-1} Y|| / ||P(z)^{-1}||.
 
-    Samples with s_min(P(z)) <= near_tol * s_max(P(z)) sit too close to the
-    spectrum and are skipped; if every sample is skipped the validation fails.
+    Samples with s_min(P(z)) <= NEAR_SPECTRUM_RTOL * s_max(P(z)) sit too
+    close to the spectrum and are skipped; if every sample is skipped the
+    validation fails.
     """
     if triple.size != poly.n * poly.m or triple.n != poly.n:
         raise InvalidTripleError(
@@ -324,7 +324,7 @@ def validate_jordan_triple(poly: MatrixPolynomial, triple: JordanTriple,
         z = complex(z)
         M = poly.eval(z)
         s = singular_values(M)
-        if s[-1] <= near_tol * s[0]:
+        if s[-1] <= NEAR_SPECTRUM_RTOL * s[0]:
             skipped.append(z)
             continue
         Pinv = np.linalg.inv(M)

@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polycond.cli import main
+from polycond.bounds import BoundReport
+from polycond.cli import _jsonable, main
 from polycond.condition import cond_simple, min_gap_bound
 from polycond.core import MatrixPolynomial, spectral_norm
 from polycond.io import load_problem
@@ -48,6 +49,44 @@ def run_err(capsys, *argv):
     assert rc == 1
     assert out == ""
     return json.loads(err)["error"]
+
+
+class TestJsonable:
+    """The json.dumps hook every CLI document goes through."""
+
+    @staticmethod
+    def encode(obj):
+        return json.loads(json.dumps(obj, default=_jsonable))
+
+    def test_complex_becomes_pair(self):
+        assert _jsonable(1.5 - 2j) == [1.5, -2.0]
+        assert _jsonable(np.complex128(3 + 4j)) == [3.0, 4.0]
+        assert self.encode({"z": np.complex128(-0.5j)}) == {"z": [-0.0, -0.5]}
+
+    @pytest.mark.parametrize("value, want", [
+        (np.float64(2.5), 2.5), (np.int64(7), 7), (np.bool_(True), True),
+        (np.bool_(False), False)])
+    def test_numpy_scalars_become_python_values(self, value, want):
+        got = _jsonable(value)
+        assert got == want and type(got) is type(want)
+
+    def test_complex_array_becomes_nested_pairs(self):
+        arr = np.array([[1 + 2j, -3.0], [0.5j, 4.0]])
+        assert self.encode(arr) == [[[1.0, 2.0], [-3.0, 0.0]], [[0.0, 0.5], [4.0, 0.0]]]
+
+    def test_bound_report_keeps_field_order(self):
+        rep = BoundReport(value=1.25, ingredients={"coupling": 1 - 2j, "eig_cond": np.float64(3.0)},
+                          applicable={"simple_eigenvalue": np.bool_(True)})
+        out = json.loads(json.dumps(rep, default=_jsonable))
+        assert list(out) == ["value", "ingredients", "applicable"]
+        assert out == {"value": 1.25, "ingredients": {"coupling": [1.0, -2.0], "eig_cond": 3.0},
+                       "applicable": {"simple_eigenvalue": True}}
+
+    def test_other_objects_rejected(self):
+        with pytest.raises(TypeError):
+            _jsonable(object())
+        with pytest.raises(TypeError):
+            json.dumps({"x": {1, 2}}, default=_jsonable)
 
 
 class TestDocumentHeader:
@@ -143,6 +182,19 @@ class TestDist:
         }
         assert "orthogonal_component" in direct["ingredients"]
 
+    def test_key_order(self, capsys):
+        res = run_ok(capsys, "dist", P4, "--eig", "-1", "0")["result"]
+        assert list(res) == ["eigenvalue", "value", "bound", "bound_adjugate_route"]
+        for key in ("bound", "bound_adjugate_route"):
+            rep = res[key]
+            assert list(rep) == ["value", "ingredients", "applicable"]
+            assert list(rep["ingredients"]) == [
+                "derivative_cond", "poly_norm_at_lam", "eig_cond", "coupling",
+                "left_derivative_norm", "orthogonal_component", "weight_at_lam"]
+            assert list(rep["applicable"]) == [
+                "simple_eigenvalue", "derivative_nonsingular", "nonparallel"]
+            assert len(rep["ingredients"]["coupling"]) == 2
+
 
 class TestBounds:
     ARGS = ("--eps", "0.3", "--mu", "0.5691", "0.0043")
@@ -164,6 +216,18 @@ class TestBounds:
         assert res["elsner"]["value"] == pytest.approx(0.8554, abs=1e-3)
         assert res["bauer_fike"]["value"] == pytest.approx(3.8240, abs=1e-3)
         assert res["omega"] > 0
+
+    @pytest.mark.parametrize("mode", ["elsner", "bauer-fike"])
+    def test_single_bound_key_order(self, capsys, mode):
+        res = run_ok(capsys, "bounds", mode, P6, *self.ARGS)["result"]
+        assert list(res) == ["mu", "eps", "value", "bound"]
+        assert list(res["bound"]) == ["value", "ingredients", "applicable"]
+
+    def test_compare_key_order(self, capsys):
+        res = run_ok(capsys, "bounds", "compare", P6, *self.ARGS)["result"]
+        assert list(res) == ["mu", "eps", "omega", "elsner_tighter", "elsner", "bauer_fike"]
+        for key in ("elsner", "bauer_fike"):
+            assert list(res[key]) == ["value", "ingredients", "applicable"]
 
     def test_bauer_fike_needs_triple(self, capsys):
         err = run_err(capsys, "bounds", "bauer-fike", P5, "--eps", "0.1",
@@ -332,8 +396,30 @@ class TestUsageErrors:
         assert err["type"] == "InvalidWeightsError"
 
     def test_unparseable_weights(self, capsys):
-        err = run_err(capsys, "eig", P5, "--weights", "1,a,3")
-        assert err["type"] == "ValueError"
+        with pytest.raises(SystemExit) as exc:
+            main(["eig", P5, "--weights", "1,a,3"])
+        assert exc.value.code == 2
+        assert "argument --weights: expected a finite number, got 'a'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag, what", [
+        (("eig", P5, "--weights", "abc"), "--weights", "a finite number"),
+        (("eig", P5, "--weights", "1,,2"), "--weights", "a finite number"),
+        (("eig", P5, "--weights", "1,nan,2"), "--weights", "a finite number"),
+        (("eig", P5, "--cluster-tol", "0"), "--cluster-tol", "a positive number"),
+        (("eig", P5, "--cluster-tol", "-1e-3"), "--cluster-tol", "a positive number"),
+        (("cond", P5, "--eig", "4", "--tol", "-1"), "--tol", "a non-negative number"),
+        (("dist", P5, "--eig", "4", "--tol", "-1e-9"), "--tol", "a non-negative number"),
+    ])
+    def test_out_of_range_value_exit_2(self, capsys, argv, flag, what):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected {what}" in capsys.readouterr().err
+
+    def test_zero_tol_snaps_to_printed_eigenvalue(self, capsys):
+        re_, im = run_ok(capsys, "eig", P5)["result"]["eigenvalues"][-1]
+        res = run_ok(capsys, "cond", P5, "--eig", repr(re_), repr(im), "--tol", "0")["result"]
+        assert res["eigenvalue"] == [re_, im]
 
     @pytest.mark.parametrize("argv", [
         ("cond", P5, "--eig", "4", "0", "99"),

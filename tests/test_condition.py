@@ -25,10 +25,13 @@ from polycond import (
     cond_simple,
     cond_via_companion,
     companion_vectors,
+    dist_mult_bound,
+    dist_mult_bound_adj,
     eig_vectors,
     eigenvalue_shift_samples,
     min_gap_bound,
     nearest_eigenvalue,
+    perturbation_rng,
     spectral_norm,
     spectrum,
 )
@@ -195,6 +198,28 @@ class TestEigvectorFree:
             num = p5.weights.eval(abs(lam)) * adjugate_norm(
                 poly.eval(complex(sp.eigenvalues[i])))
             assert num / det_am == pytest.approx(want, rel=0.01)
+
+    @pytest.mark.parametrize("scale", [1e12, 1e-14])
+    def test_adjugate_product_outside_float_range(self, scale):
+        # ||adj P(lam)|| is a product of 29 singular values of order 10 * scale:
+        # it overflows at 1e12 and underflows at 1e-14, while the condition
+        # number is scale-invariant (64.05)
+        n, m = 30, 2
+        rng = perturbation_rng(1, 7)
+        poly = MatrixPolynomial([
+            scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            for _ in range(m + 1)])
+        w = WeightSet.from_coefficient_norms(poly)
+        sp = spectrum(poly)
+        lam = complex(sp.eigenvalues[0])
+        x, y = eig_vectors(poly, lam, values=sp.eigenvalues)
+        k = cond_simple(poly, w, lam, x, y)
+        assert k == pytest.approx(64.05, abs=5e-3)
+        assert cond_via_companion(poly, w, lam, x, y) == pytest.approx(k, rel=1e-8)
+        assert cond_eigvector_free(poly, w, 0, sp) == pytest.approx(k, rel=1e-8)
+        bound = dist_mult_bound_adj(poly, w, 0, sp, x, y).value
+        assert 0.0 < bound < np.inf
+        assert bound == pytest.approx(dist_mult_bound(poly, w, lam, x, y).value, rel=1e-8)
 
     def test_non_simple_rejected(self, p3):
         sp = spectrum(p3.poly, cluster_tol=1e-4)

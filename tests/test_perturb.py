@@ -242,6 +242,14 @@ class TestDefectPerturbation:
         ratios = [nj / wj for nj, wj in zip(q.delta_norms, w.weights) if wj > 0]
         assert max(ratios) - min(ratios) <= 1e-12 * max(ratios)
 
+    @pytest.mark.parametrize("which", ["x", "y"])
+    def test_zero_vector_rejected(self, p4, which):
+        x, y = eig_vectors(p4.poly, -1.0)
+        vecs = {"x": x, "y": y}
+        vecs[which] = np.zeros_like(vecs[which])
+        with pytest.raises(HypothesisViolationError, match=f"{which} must be a nonzero vector"):
+            defect_perturbation(p4.poly, p4.weights, -1, vecs["x"], vecs["y"])
+
     def test_preserved_eigenvector_and_jordan_chain(self, p4, pz):
         # lam stays an eigenvalue of Q with the same right eigenvector, and
         # Q'(lam) x lies in the range of Q(lam): a length-2 chain exists
