@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from .condition import _coupling, cond_eigvector_free
-from .core import MatrixPolynomial, WeightSet, singular_values, spectral_norm
+from .core import MatrixPolynomial, WeightSet, spectral_norm
 from .errors import (
     DegenerateProblemError,
     HypothesisViolationError,
@@ -87,7 +87,7 @@ def _derivative_frame(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
     x = _unit(x, "x")
     y = _unit(y, "y")
     Pp = poly.eval_derivative(lam)
-    s = singular_values(Pp)
+    s = poly._singular_values_at(lam, 1)
     if s[-1] <= SINGULAR_RTOL * s[0]:
         raise HypothesisViolationError(
             f"P'(lam) is numerically singular at lam = {lam} "
@@ -103,7 +103,7 @@ def _derivative_frame(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
         raise HypothesisViolationError(
             f"y* P'(lam) is numerically parallel to x* at lam = {lam}; "
             "the defect construction has no direction to work in")
-    return (float(s[0] / s[-1]), spectral_norm(poly.eval(lam)), delta, row_norm, nu), Pp
+    return (float(s[0] / s[-1]), float(poly._singular_values_at(lam)[0]), delta, row_norm, nu), Pp
 
 
 def dist_mult_bound(poly: MatrixPolynomial, weights: WeightSet, lam: complex,

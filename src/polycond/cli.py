@@ -23,7 +23,8 @@ import numpy as np
 from . import __version__
 from .bounds import (BoundReport, ComparatorReport, bauer_fike_bound, bound_comparator,
                      dist_mult_bound, dist_mult_bound_adj, elsner_bound)
-from .condition import cond_eigvector_free, cond_multiple, cond_simple, cond_via_companion, min_gap_bound
+from .condition import (_require_simple, cond_eigvector_free, cond_multiple, cond_simple,
+                        cond_via_companion, min_gap_bound)
 from .core import MatrixPolynomial, WeightSet, spectral_norm, singular_values
 from .errors import HypothesisViolationError, PolycondError
 from .io import ProblemFile, load_problem, serialize_problem
@@ -83,10 +84,12 @@ class _Context:
 
 def _snap(ctx: _Context, args):
     """Resolve the --eig argument to a computed eigenvalue, its index, the
-    spectrum and the eigenvalue's unit right/left eigenvectors."""
+    spectrum and the eigenvalue's unit right/left eigenvectors; an eigenvalue
+    in a cluster is refused before any eigenvector is computed."""
     target = complex(*args.eig)
     sp = spectrum(ctx.poly)
     idx = nearest_eigenvalue(sp.eigenvalues, target, tol=args.tol)
+    _require_simple(sp, idx)
     lam = complex(sp.eigenvalues[idx])
     x, y = eig_vectors(ctx.poly, lam, values=sp.eigenvalues)
     return lam, idx, sp, x, y

@@ -60,7 +60,7 @@ def cond_simple(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
     y = np.asarray(y, dtype=complex).reshape(-1)
     lam = complex(lam)
     Pp = poly.eval_derivative(lam)
-    delta = _coupling(Pp, spectral_norm(Pp), lam, x, y)
+    delta = _coupling(Pp, poly._singular_values_at(lam, 1)[0], lam, x, y)
     w = weights.eval(abs(lam))
     return w * float(np.linalg.norm(x)) * float(np.linalg.norm(y)) / abs(delta)
 
@@ -163,7 +163,7 @@ def _require_simple(spec: Spectrum, i: int) -> None:
         c = spec.cluster_of(i)
         raise NotAnEigenvalueError(
             f"eigenvalue index {i} sits in a cluster of size {c.size} "
-            f"around {c.center}; the eigenvector-free route needs a simple eigenvalue")
+            f"around {c.center}; a simple eigenvalue is required")
 
 
 def cond_eigvector_free(poly: MatrixPolynomial, weights: WeightSet, i: int,
@@ -184,7 +184,7 @@ def cond_eigvector_free(poly: MatrixPolynomial, weights: WeightSet, i: int,
     if np.finfo(float).tiny <= adj < np.inf:
         log_adj = np.log(adj)
     else:   # inf, 0 or a subnormal that has lost digits: sum the logs instead
-        log_adj = np.sum(np.log(singular_values(P)[:-1]))
+        log_adj = np.sum(np.log(poly._singular_values_at(lam)[:-1]))
     log_num = np.log(weights.eval(abs(lam))) + log_adj
     log_den = poly.log_abs_det_leading + _log_gap_product(spec.eigenvalues, i)
     return float(np.exp(log_num - log_den))

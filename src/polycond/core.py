@@ -131,6 +131,19 @@ class MatrixPolynomial:
         partial sums E_m = A_m, E_r = A_r + z E_{r+1} on the way to P(z)."""
         return [_horner(self.coeffs[r:], z) for r in range(1, self.m + 1)]
 
+    def _singular_values_at(self, lam: complex, order: int = 0) -> np.ndarray:
+        """Read-only singular_values(P^(order)(lam)), order 0 or 1, memoised in
+        the instance __dict__ for the latest 2nm (lam, order) pairs."""
+        memo = self.__dict__.setdefault("_singular_memo", {})
+        key = (complex(lam), order)
+        s = memo.get(key)
+        if s is None:
+            s = memo[key] = singular_values(self.eval_derivative(key[0], order))
+            s.flags.writeable = False
+            if len(memo) > 2 * self.n * self.m:
+                del memo[next(iter(memo))]      # the oldest
+        return s
+
     def norm_inf(self) -> float:
         """max_j of the spectral norm of A_j."""
         return max(spectral_norm(A) for A in self.coeffs)

@@ -42,7 +42,8 @@ class ProblemFormatError(PolycondError, ValueError):
 
 
 class NotAnEigenvalueError(PolycondError):
-    """A supplied point is not within tolerance of the computed spectrum."""
+    """A supplied point is not within tolerance of the computed spectrum, or
+    the eigenvalue it snaps to is not simple where a simple one is needed."""
 
 
 class DefectiveEigenvalueError(PolycondError):

@@ -39,11 +39,11 @@ __all__ = [
     "eigenvalue_shift_samples",
 ]
 
-# eigenvalues of the materialized polynomial within this relative distance of
-# the target count as a multiplicity certificate; a doubled defective
-# eigenvalue splits like the square root of the backward error, so anything
-# much tighter than 1e-5 rejects correct constructions on problems with
-# coefficient norms in the tens
+# two or more eigenvalues of the materialized polynomial in the disc of this
+# relative radius around the target (a _disc_count, refused when one lies near
+# the circle) certify a multiple eigenvalue; a doubled defective eigenvalue
+# splits like the square root of the backward error, so anything much tighter
+# than 1e-5 rejects correct constructions when coefficient norms are in the tens
 PAIRING_RTOL = 1e-5
 # second-smallest singular value below this multiple of the largest counts as
 # a rank drop of two or more
@@ -80,7 +80,7 @@ class PerturbedPolynomial:
 
     @property
     def delta_norms(self) -> tuple:
-        return tuple(spectral_norm(d) for d in self.deltas)
+        return _spectral_norms(self.deltas)
 
     def materialize(self) -> MatrixPolynomial:
         """The perturbed polynomial itself, built once; raises
@@ -92,6 +92,11 @@ class PerturbedPolynomial:
     def _materialized(self) -> MatrixPolynomial:
         return MatrixPolynomial(tuple(
             self.base.coeffs[j] + self.deltas[j] for j in range(self.base.m + 1)))
+
+
+def _spectral_norms(mats) -> tuple:
+    """spectral_norm of each matrix, bitwise, from one stacked SVD."""
+    return tuple(np.linalg.svd(np.stack(mats), compute_uv=False)[:, 0].tolist())
 
 
 @dataclass(frozen=True)
@@ -129,7 +134,7 @@ def is_admissible(base: MatrixPolynomial, candidate, eps: float,
                 f"against a base with n={base.n}, m={base.m}")
         deltas = tuple(candidate.coeffs[j] - base.coeffs[j]
                        for j in range(base.m + 1))
-    norms = tuple(spectral_norm(d) for d in deltas)
+    norms = _spectral_norms(deltas)
     slack = tuple(eps * weights.weights[j] - norms[j] for j in range(base.m + 1))
     margin = tuple(tol * max(1.0, eps * weights.weights[j]) for j in range(base.m + 1))
     admissible = all(s >= -g for s, g in zip(slack, margin))
@@ -194,10 +199,23 @@ def _completion_to(x: np.ndarray) -> np.ndarray:
     A[:, 0] = x
     Q, _ = np.linalg.qr(A)
     # Q[:, 0] spans x; rotate its phase so the first column is x itself
-    ph = complex(Q[:, 0].conj() @ x)
-    V = Q.copy()
-    V[:, 0] = Q[:, 0] * ph
-    return V
+    Q[:, 0] *= complex(Q[:, 0].conj() @ x)
+    return Q
+
+
+def _disc_count(poly: MatrixPolynomial, centre: complex, r: float):
+    """Eigenvalues of poly in |z - centre| < r: (1/2 pi i) times the integral
+    of tr(P^{-1} P') dz on the circle by the 16-node trapezoid rule, or None if
+    a node solve is singular or the count is off an integer or its even-node
+    (8-node) sub-rule by more than 1e-2."""
+    try:
+        terms = [dz * np.trace(np.linalg.solve(poly.eval(centre + dz), poly.eval_derivative(centre + dz)))
+                 for dz in r * np.exp(2j * np.pi * np.arange(16) / 16)]
+    except np.linalg.LinAlgError:
+        return None
+    full, half = np.mean(terms), np.mean(terms[::2])
+    count = np.rint(full.real)
+    return int(count) if abs(full - count) <= 1e-2 and abs(half - full) <= 1e-2 else None
 
 
 def defect_perturbation(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
@@ -217,7 +235,11 @@ def defect_perturbation(poly: MatrixPolynomial, weights: WeightSet, lam: complex
 
     (for lam = 0 the whole perturbation is carried by Delta_0).  The returned
     eps_used = ||Dhat|| / w(|lam|) never exceeds dist_mult_bound, and the
-    result carries certificates naming the multiplicity checks that passed.
+    result carries certificates naming the multiplicity checks that passed:
+    "eigenvalue-pairing" when a contour count (no eigensolve) finds two or
+    more perturbed eigenvalues within PAIRING_RTOL max(1, |lam|) of lam, not
+    granted when _disc_count refuses (an eigenvalue near the disc's circle);
+    "rank-drop" when s_{n-1}(Q(lam)) <= RANK_DROP_RTOL s_1(Q(lam)).
     """
     lam = complex(lam)
     x = _unit(x, "x")
@@ -226,7 +248,7 @@ def defect_perturbation(poly: MatrixPolynomial, weights: WeightSet, lam: complex
     px = poly.eval(lam)
     rx = float(np.linalg.norm(px @ x))
     ry = float(np.linalg.norm(y.conj() @ px))
-    gate = 1e-8 * max(1.0, spectral_norm(px))
+    gate = 1e-8 * max(1.0, float(poly._singular_values_at(lam)[0]))
     # reject junk vectors before the derivative gates so the error names the
     # actual problem instead of a coupling artifact
     if rx > gate or ry > gate:
@@ -254,31 +276,29 @@ def defect_perturbation(poly: MatrixPolynomial, weights: WeightSet, lam: complex
     w_at = weights.eval(abs(lam))
     eps_used = spectral_norm(Dhat) / w_at
     back = Dhat @ V.conj().T
-    deltas = []
-    for j in range(poly.m + 1):
-        if lam == 0:
-            deltas.append(back if j == 0 else np.zeros((n, n), dtype=complex))
-        else:
-            direction = (lam.conjugate() / abs(lam)) ** j
-            deltas.append(direction * (weights.weights[j] / w_at) * back)
+    if lam == 0:
+        deltas = [back] + [np.zeros((n, n), dtype=complex)] * poly.m
+    else:
+        deltas = [(lam.conjugate() / abs(lam)) ** j * (weights.weights[j] / w_at) * back
+                  for j in range(poly.m + 1)]
 
     out = PerturbedPolynomial(base=poly, deltas=tuple(deltas),
                               eps_used=float(eps_used), weights=weights)
     mat = out.materialize()
     certs = []
-    vals = eigenvalues(mat)
-    scale = max(1.0, abs(lam))
-    if int(np.sum(np.abs(vals - lam) <= PAIRING_RTOL * scale)) >= 2:
+    r = PAIRING_RTOL * max(1.0, abs(lam))
+    count = _disc_count(mat, lam, r)
+    if (count or 0) >= 2:
         certs.append("eigenvalue-pairing")
     s = singular_values(mat.eval(lam))
     if n >= 2 and (s[0] == 0.0 or s[-2] <= RANK_DROP_RTOL * s[0]):
         certs.append("rank-drop")
     if not certs:
-        nearest = float(np.min(np.abs(vals - lam)))
         raise PolycondError(
             "the constructed perturbation failed to certify a multiple "
-            f"eigenvalue at {lam}: nearest perturbed eigenvalue is {nearest:.3e} "
-            f"away and the rank drop check found s_{n - 1}/s_1 = "
+            f"eigenvalue at {lam}: the contour count of perturbed eigenvalues "
+            f"within {r:.3e} is {'refused' if count is None else count} "
+            f"and the rank drop check found s_{n - 1}/s_1 = "
             f"{s[-2] / s[0] if n >= 2 and s[0] else 0.0:.3e}")
     # set in place, as __post_init__ does, so the caller's materialize()
     # returns the polynomial certified here

@@ -363,6 +363,27 @@ class TestPerturb:
         assert len(builds) == 2     # the problem file's and the perturbed one
 
 
+class TestClusteredEigenvalue:
+    """cond, dist and perturb defect refuse an eigenvalue in a cluster before
+    any eigenvector is computed, naming the cluster's size and centre."""
+
+    @pytest.mark.parametrize("argv", [("cond",), ("dist",), ("perturb", "defect")])
+    def test_p3_quintuple_eigenvalue_refused(self, capsys, monkeypatch, argv):
+        import polycond.cli
+
+        calls = []
+        monkeypatch.setattr(polycond.cli, "eig_vectors", lambda *a, **k: calls.append(1))
+        err = run_err(capsys, *argv, P3, "--eig", "1", "0")
+        assert err["type"] == "NotAnEigenvalueError"
+        assert "sits in a cluster of size 5 around (0.99999" in err["message"]
+        assert "a simple eigenvalue is required" in err["message"]
+        assert calls == []
+
+    def test_simple_neighbour_still_accepted(self, capsys):
+        res = run_ok(capsys, "cond", P3, "--eig", "-1", "0")["result"]
+        assert res["eigenvalue"] == pytest.approx([-1.0, 0.0], abs=1e-12)
+
+
 class TestVerify:
     def test_linearization_passes(self, capsys):
         res = run_ok(capsys, "verify", "linearization", P5)["result"]

@@ -254,3 +254,47 @@ class TestSingularValues:
             U, sd, Vh = np.linalg.svd(M)
             assert np.allclose(s, sd)
             assert spectral_norm(M - (U * sd) @ Vh) <= 1e-10 * spectral_norm(M)
+
+
+class TestSingularValuesAt:
+    """The memoised singular values of P(lam) and P'(lam) that the condition
+    number, the distance bounds and the defect construction share."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_bitwise_values_read_only_and_computed_once(self, name, monkeypatch, rng):
+        coeffs = load_fixture(name).poly.coeffs
+        poly = MatrixPolynomial(coeffs)     # a fresh memo
+        # 2 orders at 4 points fill no more than the smallest fixture memo (2nm = 8)
+        points = [0.0, -1.0] + list(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        got = {(z, order): poly._singular_values_at(z, order)
+               for _ in range(2) for z in points for order in (0, 1)}
+        assert len(calls) == 2 * len(points)    # the second pass is all hits
+        monkeypatch.undo()
+        for (z, order), s in got.items():
+            assert np.array_equal(s, singular_values(poly.eval_derivative(z, order)))
+            want = singular_values(naive_derivative(coeffs, z, order))
+            assert np.allclose(s, want, rtol=1e-12, atol=1e-12 * max(1.0, want[0]))
+            assert not s.flags.writeable
+            assert poly._singular_values_at(complex(z), order) is s
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (3, 1)])
+    def test_holds_at_most_2nm_points_oldest_dropped_first(self, n, m, rng):
+        poly = MatrixPolynomial([rng.standard_normal((n, n)) + 3.0 * np.eye(n)
+                                 for _ in range(m + 1)])
+        cap = 2 * n * m
+        keys = []
+        for z in rng.standard_normal(3 * cap) + 1j * rng.standard_normal(3 * cap):
+            for order in (0, 1):
+                poly._singular_values_at(z, order)
+                keys.append((complex(z), order))
+                memo = poly.__dict__["_singular_memo"]
+                assert len(memo) <= cap
+        assert list(memo) == keys[-cap:]
+
+    def test_degree_zero_keeps_nothing(self):
+        poly = MatrixPolynomial([2.0 * np.eye(2)])
+        assert np.array_equal(poly._singular_values_at(0.5), [2.0, 2.0])
+        assert poly.__dict__["_singular_memo"] == {}

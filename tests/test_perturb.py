@@ -2,26 +2,48 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polycond.perturb
-from helpers import FIXTURE_NAMES, load_fixture, random_unitary, snap_vectors
+from helpers import FIXTURE_NAMES, load_fixture, random_unitary, simple_eigenpairs, snap_vectors
 from polycond import (
     DegenerateProblemError,
     HypothesisViolationError,
     InvalidPolynomialError,
     MatrixPolynomial,
     PerturbedPolynomial,
+    PolycondError,
     WeightSet,
+    companion,
+    cond_eigvector_free,
+    cond_simple,
+    cond_via_companion,
     defect_perturbation,
     dist_mult_bound,
+    dist_mult_bound_adj,
     eig_vectors,
     eigenvalue_shift_samples,
     eigenvalues,
     is_admissible,
+    min_gap_bound,
     perturbation_rng,
     random_perturbation,
     spectral_norm,
+    spectrum,
 )
+from polycond.perturb import PAIRING_RTOL, _disc_count
+
+
+def count_calls(monkeypatch, *names):
+    """Count the calls of each named np.linalg function from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def wrapped(*a, _f=getattr(np.linalg, name), _name=name, **k):
+            calls[_name] += 1
+            return _f(*a, **k)
+        monkeypatch.setattr(np.linalg, name, wrapped)
+    return calls
 
 
 class TestIsAdmissible:
@@ -67,6 +89,27 @@ class TestIsAdmissible:
         q = MatrixPolynomial([p5.poly.coeffs[0] + bump, *p5.poly.coeffs[1:]])
         assert is_admissible(p5.poly, q, eps, p5.weights).admissible
         assert not is_admissible(p5.poly, q, eps, p5.weights, tol=1e-16).admissible
+
+
+class TestStackedNorms:
+    """delta_norms and is_admissible take the m+1 norms from one stacked SVD;
+    they stay bitwise the per-coefficient spectral_norm values."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_bitwise_per_coefficient_spectral_norm(self, name):
+        pf = load_fixture(name)     # p6 has a zero weight, so a zero delta
+        for eps in (1e-8, 1e-3, 1e-2, 0.3):
+            for stream in range(6):
+                q = random_perturbation(pf.poly, eps, pf.weights, seed=5, stream=stream)
+                mat = q.materialize()
+                diffs = [A - B for A, B in zip(mat.coeffs, pf.poly.coeffs)]
+                for got, deltas in (
+                        (q.delta_norms, q.deltas),
+                        (is_admissible(pf.poly, q, eps, pf.weights).delta_norms, q.deltas),
+                        (is_admissible(pf.poly, mat, eps, pf.weights).delta_norms, diffs)):
+                    want = tuple(spectral_norm(d) for d in deltas)
+                    assert all(type(v) is float for v in got)
+                    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 class TestRandomPerturbation:
@@ -308,6 +351,137 @@ class TestDefectPerturbation:
         x, y = eig_vectors(p3.poly, 1.0)
         with pytest.raises((DefectiveEigenvalueError, HypothesisViolationError)):
             defect_perturbation(p3.poly, WeightSet([1, 1, 1]), 1.0, x, y)
+
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_takes_no_eigensolve(self, monkeypatch, name):
+        # the pairing certificate is a contour count, not a second eigensolve
+        pf = load_fixture(name)
+        pairs = list(simple_eigenpairs(pf.poly, spectrum(pf.poly)))
+        calls = count_calls(monkeypatch, "eigvals")
+        for _, lam, x, y in pairs:
+            try:
+                q = defect_perturbation(pf.poly, pf.weights, lam, x, y)
+            except PolycondError:
+                continue
+            assert q.certificates
+            assert calls["eigvals"] == 0, lam
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_pairing_count_is_the_eigensolve_count(self, name):
+        pf = load_fixture(name)
+        for _, lam, x, y in simple_eigenpairs(pf.poly, spectrum(pf.poly)):
+            try:
+                q = defect_perturbation(pf.poly, pf.weights, lam, x, y)
+            except PolycondError:
+                continue
+            r = PAIRING_RTOL * max(1.0, abs(lam))
+            near = int(np.sum(np.abs(eigenvalues(q.materialize()) - lam) < r))
+            assert ("eigenvalue-pairing" in q.certificates) == (near >= 2)
+            assert _disc_count(q.materialize(), lam, r) in (near, None)
+
+    def test_refused_count_is_reported(self, monkeypatch, p4):
+        # with the count refused and no rank drop, the error names the disc
+        monkeypatch.setattr(polycond.perturb, "_disc_count", lambda *a: None)
+        monkeypatch.setattr(polycond.perturb, "RANK_DROP_RTOL", 0.0)
+        x, y = eig_vectors(p4.poly, -1.0)
+        with pytest.raises(PolycondError, match="contour count of perturbed eigenvalues "
+                                                "within 1.000e-05 is refused"):
+            defect_perturbation(p4.poly, p4.weights, -1.0, x, y)
+
+
+def planted(seed: int, n: int, m: int):
+    """U diag(p_1(z), ..., p_n(z)) V with seeded unitary U, V and scalar
+    polynomials p_i whose nm roots lie around a centre c at known distances:
+    the first three (as many as nm allows) at rho [1, 1.5], 20 rho [1, 1.5]
+    and 400 rho [1, 1.5], the others at 8000 rho [1, 1.5].  A disc of radius
+    rho 20^(k - 1/2) 1.5^(1/2) around c then holds exactly k roots, with the
+    nearest root outside or inside it at a distance ratio of at least 3.6.
+    Returns the polynomial, c, rho and the generator for further draws."""
+    rng = np.random.default_rng(seed)
+    c = complex(rng.standard_normal(), rng.standard_normal())
+    rho = rng.uniform(1e-4, 1e-3)
+    level = np.minimum(np.arange(n * m), 3)
+    dist = rho * 20.0 ** level * rng.uniform(1.0, 1.5, n * m)
+    roots = c + dist * np.exp(2j * np.pi * rng.uniform(size=n * m))
+    slots = rng.permutation(n * m).reshape(n, m)
+    coeffs = np.zeros((m + 1, n, n), dtype=complex)
+    for i in range(n):
+        scale = rng.uniform(0.5, 2.0)
+        coeffs[:, i, i] = scale * np.poly(roots[slots[i]])[::-1]
+    U, V = random_unitary(rng, n), random_unitary(rng, n)
+    return MatrixPolynomial([U @ C @ V for C in coeffs]), c, rho, rng
+
+
+class TestDiscCount:
+    """The argument-principle count behind the pairing certificate."""
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 5), m=st.integers(1, 3))
+    def test_matches_eigensolve_and_refuses_near_boundary(self, seed, n, m):
+        poly, c, rho, rng = planted(seed, n, m)
+        vals = np.linalg.eigvals(companion(poly).matrix)
+        for k in range(min(3, n * m) + 1):
+            r = rho * 20.0 ** (k - 0.5) * 1.5 ** 0.5
+            assert int(np.sum(np.abs(vals - c) < r)) == k
+            assert _disc_count(poly, c, r) == k
+        # a circle through an eigenvalue, to within 1e-3 r, gives no count
+        for v in vals:
+            r = abs(v - c) * (1.0 + rng.uniform(-1e-3, 1e-3))
+            assert _disc_count(poly, c, r) is None, (v, r)
+
+    def test_aliased_integer_refused_by_sub_rule(self):
+        # one root at a = 0.5^(1/16) on the unit circle's node ray: the 16-node
+        # rule reads 1 / (1 - a^16) = 2 exactly, the 8-node one 3.41
+        a = 0.5 ** (1 / 16)
+        poly = MatrixPolynomial([[[-a]], [[1.0]]])
+        assert _disc_count(poly, 0.0, 1.0) is None
+        assert _disc_count(poly, 0.0, 4.0) == 1
+
+    def test_agreeing_non_integral_rules_refused(self):
+        # roots a and a e^(i pi / 8), a^16 = 0.3: both rules read 2 / 0.7
+        a = 0.3 ** (1 / 16)
+        b = a * np.exp(1j * np.pi / 8)
+        poly = MatrixPolynomial([[[a * b]], [[-(a + b)]], [[1.0]]])
+        assert _disc_count(poly, 0.0, 1.0) is None
+        assert _disc_count(poly, 0.0, 4.0) == 2
+
+    def test_singular_node_refused(self):
+        # P(z) = z - 1 vanishes at the node z = c + r of the circle |z| = 1
+        poly = MatrixPolynomial([[[-1.0]], [[1.0]]])
+        assert _disc_count(poly, 0.0, 1.0) is None
+        assert _disc_count(poly, 0.0, 0.5) == 0
+        assert _disc_count(poly, 0.0, 2.0) == 1
+
+
+class TestSpectralCallCounts:
+    def test_one_eigensolve_and_at_most_54_svds(self, monkeypatch):
+        # one (20, 3) op of the spectral benchmark: all routes and both
+        # distance bounds at 8 eigenvalues, then one defect perturbation
+        n, m = 20, 3
+        rng = perturbation_rng(1, 400)
+        coeffs = [(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+                  / np.sqrt(2 * n) for _ in range(m + 1)]
+        coeffs[-1] = coeffs[-1] + 3.0 * np.eye(n)
+        poly = MatrixPolynomial(coeffs)
+        w = WeightSet.from_coefficient_norms(poly)
+        picks = perturbation_rng(1, 500).choice(n * m, 8, replace=False)
+        calls = count_calls(monkeypatch, "eigvals", "svd")
+        sp = spectrum(poly)
+        for i in picks.tolist():
+            lam = complex(sp.eigenvalues[i])
+            x, y = eig_vectors(poly, lam, values=sp.eigenvalues)
+            cond_simple(poly, w, lam, x, y)
+            cond_via_companion(poly, w, lam, x, y)
+            cond_eigvector_free(poly, w, i, sp)
+            min_gap_bound(poly, w, i, sp)
+            dist_mult_bound(poly, w, lam, x, y)
+            dist_mult_bound_adj(poly, w, i, sp, x, y)
+            if i == picks[0]:
+                first = (lam, x, y)
+        assert defect_perturbation(poly, w, *first).certificates
+        assert calls["eigvals"] == 1
+        assert calls["svd"] <= 54, calls
 
 
 class TestRng:
