@@ -80,7 +80,8 @@ def _derivative_frame(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
     """Shared hypothesis checks for the distance-to-multiplicity bounds.
 
     Returns (c(P'(lam)), ||P(lam)||, delta, ||y* P'||, nu) for unit x, y,
-    and P'(lam) itself.
+    P'(lam) itself and u* = y* P'(lam) (I - x x*), the part of y* P'(lam)
+    orthogonal to x*, whose norm is nu.
     """
     weights.require_match(poly)
     lam = complex(lam)
@@ -98,12 +99,13 @@ def _derivative_frame(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
     row_norm = float(np.linalg.norm(row))
     # nu^2 = ||y* P'||^2 - |delta|^2, computed without cancellation as the
     # norm of the component of y* P' orthogonal to x*
-    nu = float(np.linalg.norm(row - delta * x.conj()))
+    u_row = row - delta * x.conj()
+    nu = float(np.linalg.norm(u_row))
     if nu <= 1e-12 * row_norm:
         raise HypothesisViolationError(
             f"y* P'(lam) is numerically parallel to x* at lam = {lam}; "
             "the defect construction has no direction to work in")
-    return (float(s[0] / s[-1]), float(poly._singular_values_at(lam)[0]), delta, row_norm, nu), Pp
+    return (float(s[0] / s[-1]), float(poly._singular_values_at(lam)[0]), delta, row_norm, nu), Pp, u_row
 
 
 def dist_mult_bound(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
@@ -123,7 +125,7 @@ def dist_mult_bound(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
     weights (1, 0) it reduces to Wilkinson's bound ||A - lam I|| /
     sqrt(kappa^2 - 1), kappa = 1 / |y* x| (Wilkinson, Numer. Math. 1972).
     """
-    frame, _ = _derivative_frame(poly, weights, lam, x, y)
+    frame, *_ = _derivative_frame(poly, weights, lam, x, y)
     w = weights.eval(abs(complex(lam)))
     return _dist_report(frame, w / abs(frame[2]), w)    # k = w / |y* P'(lam) x|
 
@@ -137,7 +139,7 @@ def dist_mult_bound_adj(poly: MatrixPolynomial, weights: WeightSet, i: int,
     needed for the direction term nu.
     """
     lam = complex(spec.eigenvalues[i])
-    frame, _ = _derivative_frame(poly, weights, lam, x, y)
+    frame, *_ = _derivative_frame(poly, weights, lam, x, y)
     k = cond_eigvector_free(poly, weights, i, spec)
     return _dist_report(frame, k, weights.eval(abs(lam)))
 

@@ -282,7 +282,7 @@ def cmd_verify(ctx: _Context, args) -> dict:
         raise HypothesisViolationError(
             "verify triple needs a Jordan triple in the problem file")
     pts = _sample_points(ctx.poly, args.samples, args.seed)
-    residual = validate_jordan_triple(ctx.poly, triple, samples=[complex(z) for z in pts])
+    residual = validate_jordan_triple(ctx.poly, triple, samples=pts)
     return {"samples": args.samples, "seed": args.seed,
             "max_relative_residual": residual,
             "triple_cond": eigenproblem_cond(triple),

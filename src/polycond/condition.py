@@ -131,7 +131,11 @@ def adjugate_norm(M, gap: float = 1e6) -> float:
     raise with the observed singular-value gap.  On ill-scaled problems the
     product can overflow to inf or underflow to 0.
     """
-    s = singular_values(M)
+    return _adjugate_norm_of(singular_values(M), gap)
+
+
+def _adjugate_norm_of(s: np.ndarray, gap: float = 1e6) -> float:
+    """adjugate_norm from the descending singular values s of M."""
     n = len(s)
     if n == 1:
         # adj of a 1x1 matrix is [1] by convention
@@ -178,13 +182,13 @@ def cond_eigvector_free(poly: MatrixPolynomial, weights: WeightSet, i: int,
     weights.require_match(poly)
     _require_simple(spec, i)
     lam = complex(spec.eigenvalues[i])
-    P = poly.eval(lam)
+    s = poly._singular_values_at(lam)
     with np.errstate(over="ignore"):
-        adj = adjugate_norm(P)
+        adj = _adjugate_norm_of(s)
     if np.finfo(float).tiny <= adj < np.inf:
         log_adj = np.log(adj)
     else:   # inf, 0 or a subnormal that has lost digits: sum the logs instead
-        log_adj = np.sum(np.log(poly._singular_values_at(lam)[:-1]))
+        log_adj = np.sum(np.log(s[:-1]))
     log_num = np.log(weights.eval(abs(lam))) + log_adj
     log_den = poly.log_abs_det_leading + _log_gap_product(spec.eigenvalues, i)
     return float(np.exp(log_num - log_den))

@@ -58,6 +58,11 @@ def spectral_norm(M) -> float:
     return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
+def _spectral_norms(mats) -> tuple[float, ...]:
+    """spectral_norm of each matrix, bitwise, from one stacked SVD."""
+    return tuple(np.linalg.svd(np.stack(mats), compute_uv=False)[:, 0].tolist())
+
+
 @dataclass(frozen=True)
 class MatrixPolynomial:
     """Square matrix polynomial with nonsingular leading coefficient.
@@ -146,11 +151,11 @@ class MatrixPolynomial:
 
     def norm_inf(self) -> float:
         """max_j of the spectral norm of A_j."""
-        return max(spectral_norm(A) for A in self.coeffs)
+        return max(self.coefficient_norms())
 
     def coefficient_norms(self) -> tuple[float, ...]:
         """Spectral norm of each coefficient, in degree order."""
-        return tuple(spectral_norm(A) for A in self.coeffs)
+        return _spectral_norms(self.coeffs)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .bounds import _derivative_frame, _unit
-from .core import MatrixPolynomial, WeightSet, as_complex_matrix, singular_values, spectral_norm
+from .core import MatrixPolynomial, WeightSet, _spectral_norms, as_complex_matrix, singular_values
 from .errors import (
     DegenerateProblemError,
     HypothesisViolationError,
@@ -92,11 +92,6 @@ class PerturbedPolynomial:
     def _materialized(self) -> MatrixPolynomial:
         return MatrixPolynomial(tuple(
             self.base.coeffs[j] + self.deltas[j] for j in range(self.base.m + 1)))
-
-
-def _spectral_norms(mats) -> tuple:
-    """spectral_norm of each matrix, bitwise, from one stacked SVD."""
-    return tuple(np.linalg.svd(np.stack(mats), compute_uv=False)[:, 0].tolist())
 
 
 @dataclass(frozen=True)
@@ -192,17 +187,6 @@ def random_perturbation(poly: MatrixPolynomial, eps: float, weights: WeightSet,
         f"reaches the smallest singular value of the leading coefficient")
 
 
-def _completion_to(x: np.ndarray) -> np.ndarray:
-    """Unitary V with V e_1 = x exactly (x unit)."""
-    n = x.shape[0]
-    A = np.eye(n, dtype=complex)
-    A[:, 0] = x
-    Q, _ = np.linalg.qr(A)
-    # Q[:, 0] spans x; rotate its phase so the first column is x itself
-    Q[:, 0] *= complex(Q[:, 0].conj() @ x)
-    return Q
-
-
 def _disc_count(poly: MatrixPolynomial, centre: complex, r: float):
     """Eigenvalues of poly in |z - centre| < r: (1/2 pi i) times the integral
     of tr(P^{-1} P') dz on the circle by the 16-node trapezoid rule, or None if
@@ -222,20 +206,27 @@ def defect_perturbation(poly: MatrixPolynomial, weights: WeightSet, lam: complex
                         x: np.ndarray, y: np.ndarray) -> PerturbedPolynomial:
     """Admissible perturbation making the simple eigenvalue lam multiple.
 
-    x and y are right and left eigenvectors of lam.  The construction works in
-    a unitary frame whose first column is x: with Pt(z) = P(z) V and
-    M = Pt'(lam)^{-1} Pt(lam), the single matrix
+    x and y are right and left eigenvectors of lam.  With delta = y* P'(lam) x,
+    u = (I - x x*) P'(lam)* y, whose norm is the nu of dist_mult_bound, and
 
-        E = (delta / w* w) [0 0; 0 w a*],   y* Pt'(lam) = [delta, w*],
-        a* = first row tail of M,
+        q* = x* P'(lam)^{-1} P(lam) (I - x x*)
 
-    yields Dhat = Pt'(lam) E, which is spread over the coefficients as
+    (the first row of Pt'(lam)^{-1} Pt(lam), Pt = P V, off its diagonal, in
+    any unitary frame V whose first column is x), the rank-one matrix
 
-        Delta_j = (conj(lam)/|lam|)^j (w_j / w(|lam|)) Dhat V*
+        Dhat = (delta / nu^2) (P'(lam) u) q*
+
+    is spread over the coefficients as
+
+        Delta_j = (conj(lam)/|lam|)^j (w_j / w(|lam|)) Dhat
 
     (for lam = 0 the whole perturbation is carried by Delta_0).  The returned
-    eps_used = ||Dhat|| / w(|lam|) never exceeds dist_mult_bound, and the
-    result carries certificates naming the multiplicity checks that passed:
+    eps_used = ||Dhat|| / w(|lam|) = |delta| ||P'(lam) u|| ||q|| / (nu^2 w(|lam|))
+    needs no SVD, and never exceeds dist_mult_bound: ||P'(lam) u|| <=
+    ||P'(lam)|| nu and ||q|| <= ||P'(lam)^{-1}|| ||P(lam)|| give eps_used <=
+    c(P'(lam)) ||P(lam)|| |delta| / (nu w(|lam|)) = c(P'(lam)) ||P(lam)|| /
+    (k(P, lam) nu).  The result carries certificates naming the multiplicity
+    checks that passed:
     "eigenvalue-pairing" when a contour count (no eigensolve) finds two or
     more perturbed eigenvalues within PAIRING_RTOL max(1, |lam|) of lam, not
     granted when _disc_count refuses (an eigenvalue near the disc's circle);
@@ -257,29 +248,23 @@ def defect_perturbation(poly: MatrixPolynomial, weights: WeightSet, lam: complex
             f"||P(lam) x|| = {rx:.3e}, ||y* P(lam)|| = {ry:.3e} exceed {gate:.3e}")
     # remaining hypothesis gates: P'(lam) nonsingular, lam numerically simple,
     # y* P'(lam) not parallel to x*
-    _, Pp = _derivative_frame(poly, weights, lam, x, y)
-
-    V = _completion_to(x)
-    Ppt = Pp @ V
-    M = np.linalg.solve(Ppt, px @ V)
-    row = y.conj() @ Ppt
-    delta = complex(row[0])
-    wvec = row[1:].conj()
-    a_row = M[0, 1:]
-    if np.linalg.norm(a_row) <= 1e-14 * max(1.0, spectral_norm(M)):
+    (_, norm_p, delta, _, nu), Pp, u_row = _derivative_frame(poly, weights, lam, x, y)
+    q_row = np.linalg.solve(Pp.T, x.conj()) @ px
+    q_row -= (q_row @ x) * x.conj()
+    q_norm = float(np.linalg.norm(q_row))
+    # the bound ||P(lam)|| / s_min(P'(lam)) is never below ||Pt'(lam)^{-1} Pt(lam)||
+    if q_norm <= 1e-14 * max(1.0, norm_p / float(poly._singular_values_at(lam, 1)[-1])):
         raise HypothesisViolationError(
             "the defect direction vanishes: the first row of "
             "Pt'(lam)^{-1} Pt(lam) has no off-diagonal part")
-    E = np.zeros((n, n), dtype=complex)
-    E[1:, 1:] = (delta / float(np.linalg.norm(wvec) ** 2)) * np.outer(wvec, a_row)
-    Dhat = Ppt @ E
+    pu = Pp @ u_row.conj()
     w_at = weights.eval(abs(lam))
-    eps_used = spectral_norm(Dhat) / w_at
-    back = Dhat @ V.conj().T
+    eps_used = abs(delta) * float(np.linalg.norm(pu)) * q_norm / (nu ** 2 * w_at)
+    Dhat = (delta / nu ** 2) * np.outer(pu, q_row)
     if lam == 0:
-        deltas = [back] + [np.zeros((n, n), dtype=complex)] * poly.m
+        deltas = [Dhat] + [np.zeros((n, n), dtype=complex)] * poly.m
     else:
-        deltas = [(lam.conjugate() / abs(lam)) ** j * (weights.weights[j] / w_at) * back
+        deltas = [(lam.conjugate() / abs(lam)) ** j * (weights.weights[j] / w_at) * Dhat
                   for j in range(poly.m + 1)]
 
     out = PerturbedPolynomial(base=poly, deltas=tuple(deltas),

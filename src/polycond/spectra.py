@@ -316,12 +316,15 @@ def validate_jordan_triple(poly: MatrixPolynomial, triple: JordanTriple,
         raise InvalidTripleError(
             f"triple is {triple.n}x{triple.size}, polynomial needs "
             f"{poly.n}x{poly.n * poly.m}")
+    samples = [complex(z) for z in samples]
+    if not samples:
+        raise HypothesisViolationError(
+            "no sample points given; the validation needs at least one")
     J = triple.J
     N = triple.size
     worst = -1.0
     skipped = []
     for z in samples:
-        z = complex(z)
         M = poly.eval(z)
         s = singular_values(M)
         if s[-1] <= NEAR_SPECTRUM_RTOL * s[0]:

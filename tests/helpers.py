@@ -233,6 +233,43 @@ def snap_vectors(poly: MatrixPolynomial, target: complex):
 
 
 # ---------------------------------------------------------------------------
+# defect perturbation oracle
+
+
+def frame_defect_perturbation(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
+                              x, y):
+    """(deltas, eps_used) of the multiple-eigenvalue perturbation built in a
+    unitary frame V with V e_1 = x, completed by QR.
+
+    With Pt = P V, M = Pt'(lam)^{-1} Pt(lam), y* Pt'(lam) = [delta, w*] and a*
+    the tail of M's first row, E = (delta / w* w) [0 0; 0 w a*] and
+    Dhat = Pt'(lam) E V*; eps_used = ||Dhat|| / w(|lam|) from an SVD, and Dhat
+    is spread over the coefficients as defect_perturbation documents.
+    """
+    lam = complex(lam)
+    x = np.asarray(x, dtype=complex) / np.linalg.norm(x)
+    y = np.asarray(y, dtype=complex) / np.linalg.norm(y)
+    n = poly.n
+    A = np.eye(n, dtype=complex)
+    A[:, 0] = x
+    V, _ = np.linalg.qr(A)
+    V[:, 0] *= complex(V[:, 0].conj() @ x)
+    Ppt = poly.eval_derivative(lam) @ V
+    M = np.linalg.solve(Ppt, poly.eval(lam) @ V)
+    row = y.conj() @ Ppt
+    delta, wvec, a_row = complex(row[0]), row[1:].conj(), M[0, 1:]
+    E = np.zeros((n, n), dtype=complex)
+    E[1:, 1:] = (delta / np.linalg.norm(wvec) ** 2) * np.outer(wvec, a_row)
+    Dhat = Ppt @ E @ V.conj().T
+    w_at = weights.eval(abs(lam))
+    eps_used = float(np.linalg.svd(Dhat, compute_uv=False)[0]) / w_at
+    if lam == 0:
+        return [Dhat] + [np.zeros((n, n), dtype=complex)] * poly.m, eps_used
+    return [(lam.conjugate() / abs(lam)) ** j * (weights.weights[j] / w_at) * Dhat
+            for j in range(poly.m + 1)], eps_used
+
+
+# ---------------------------------------------------------------------------
 # pseudospectra oracles
 
 # segment endpoints per marching-squares code, named by cell edge;

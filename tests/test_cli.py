@@ -144,15 +144,15 @@ class TestCond:
         assert res["routes"]["eigenvector"] == res["value"]
         assert res["min_gap_bound"] == min_gap_bound(prob.poly, prob.weights, idx, sp)
 
-    def test_one_adjugate_per_call(self, capsys, monkeypatch):
-        import polycond.condition as condition
-
+    def test_four_svds_per_call(self, capsys, monkeypatch):
+        # the leading coefficient's check, the eigenvector SVD of P(lam) and
+        # the memoised singular values of P'(lam) and P(lam), which the
+        # adjugate route reads instead of taking an SVD of its own
         calls = []
-        adj = condition.adjugate_norm
-        monkeypatch.setattr(condition, "adjugate_norm",
-                            lambda *a, **k: calls.append(1) or adj(*a, **k))
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
         run_ok(capsys, "cond", P5, "--eig", "4")
-        assert len(calls) == 1
+        assert len(calls) == 4
 
 
 class TestMultiCond:

@@ -245,6 +245,11 @@ class TestJordanTriple:
         with pytest.raises(HypothesisViolationError):
             validate_jordan_triple(p5.poly, diagonalizable_triple(p5.poly), [1.0, 2.0])
 
+    def test_empty_sample_list_rejected(self, p6):
+        # refused as empty, not as "all 0 samples are within tolerance"
+        with pytest.raises(HypothesisViolationError, match="no sample points given"):
+            validate_jordan_triple(p6.poly, p6.triple, [])
+
     def test_wrong_size_triple_rejected(self, p5, p6):
         with pytest.raises(InvalidTripleError):
             validate_jordan_triple(p5.poly, p6.triple, [10.0])
