@@ -22,12 +22,8 @@ import numpy as np
 
 from .condition import _coupling, cond_eigvector_free
 from .core import MatrixPolynomial, WeightSet, spectral_norm
-from .errors import (
-    DegenerateProblemError,
-    HypothesisViolationError,
-    InvalidTripleError,
-)
-from .spectra import JordanTriple, eigenproblem_cond
+from .errors import DegenerateProblemError, HypothesisViolationError
+from .spectra import JordanTriple, _check_triple_shape, eigenproblem_cond
 
 __all__ = [
     "BoundReport",
@@ -205,13 +201,6 @@ def elsner_bound(poly: MatrixPolynomial, weights: WeightSet, eps: float,
         },
         applicable={"mu_in_perturbed_spectrum": bool(hypothesis_verified)},
     )
-
-
-def _check_triple_shape(poly: MatrixPolynomial, triple: JordanTriple) -> None:
-    if triple.n != poly.n or triple.size != poly.n * poly.m:
-        raise InvalidTripleError(
-            f"triple of size {triple.size} over C^{triple.n} does not match a "
-            f"polynomial with n = {poly.n}, m = {poly.m} (needs size {poly.n * poly.m})")
 
 
 def bauer_fike_bound(poly: MatrixPolynomial, weights: WeightSet, eps: float,

@@ -25,7 +25,7 @@ from .bounds import (BoundReport, ComparatorReport, bauer_fike_bound, bound_comp
                      dist_mult_bound, dist_mult_bound_adj, elsner_bound)
 from .condition import (_require_simple, cond_eigvector_free, cond_multiple, cond_simple,
                         cond_via_companion, min_gap_bound)
-from .core import MatrixPolynomial, WeightSet, spectral_norm, singular_values
+from .core import MatrixPolynomial, WeightSet, spectral_norm
 from .errors import HypothesisViolationError, PolycondError
 from .io import ProblemFile, load_problem, serialize_problem
 from .linearization import linearization_residual
@@ -180,11 +180,10 @@ def _write_grid_csv(path: str, grid) -> None:
 def _write_contour_csv(path: str, cs) -> None:
     counters = {}
     lines = ["component,seg,re1,im1,re2,im2"]
-    for (z1, z2), lab in zip(cs.segments, cs.labels):
-        seg = counters.get(lab, 0)
-        counters[lab] = seg + 1
-        lines.append(f"{lab},{seg},{float(z1.real)!r},{float(z1.imag)!r},"
-                     f"{float(z2.real)!r},{float(z2.imag)!r}")
+    # a (k, 2) complex array viewed as floats is its re1, im1, re2, im2 rows
+    for lab, row in zip(cs.labels.tolist(), cs.segments.view(float).tolist()):
+        seg = counters[lab] = counters.get(lab, -1) + 1
+        lines.append(",".join(map(repr, [lab, seg, *row])))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -264,8 +263,7 @@ def _sample_points(poly: MatrixPolynomial, count: int, seed: int) -> np.ndarray:
 def cmd_verify(ctx: _Context, args) -> dict:
     if args.check == "linearization":
         pts = _sample_points(ctx.poly, args.points, args.seed)
-        lead = ctx.poly.coeffs[-1]
-        s = singular_values(lead)
+        s = ctx.poly.leading_singular_values
         c_lead = float(s[0] / s[-1])
         worst = worst_thresh = 0.0
         ok = True
@@ -368,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pseudo", help="pseudospectrum grid and contours")
     _add_common(p)
-    p.add_argument("--eps", type=_finite_float, required=True)
+    p.add_argument("--eps", type=_positive_float, required=True)
     p.add_argument("--box", nargs=4, type=_finite_float, required=True,
                    metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"))
     p.add_argument("--resolution", nargs="+", type=_positive_int, default=[201],

@@ -73,6 +73,9 @@ class MatrixPolynomial:
         Coefficients A_0..A_m in increasing degree order. The degree is
         taken from the list as given; a singular (or zero) A_m is a
         construction error, never a silent degree reduction.
+
+    leading_singular_values holds the read-only singular values of A_m in
+    descending order, kept from that check.
     """
 
     coeffs: tuple[np.ndarray, ...]
@@ -92,7 +95,9 @@ class MatrixPolynomial:
             raise InvalidPolynomialError(
                 "leading coefficient is numerically singular "
                 f"(s_min={s[-1]:.3e}, s_max={s[0]:.3e})")
+        s.flags.writeable = False
         object.__setattr__(self, "coeffs", tuple(mats))
+        object.__setattr__(self, "leading_singular_values", s)
 
     @cached_property
     def log_abs_det_leading(self) -> float:

@@ -2,19 +2,20 @@
 
 The scalar field is g(z) = s_min(P(z)) / w(|z|); the eps-pseudospectrum is the
 sublevel set {g <= eps}, whose boundary is extracted as marching-squares
-segments.  Saddle cells are resolved by sampling g at the cell center, so the
+segments.  Saddle cells are resolved by sampling g at the cell centers, so the
 extraction is deterministic and refines with the grid.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MatrixPolynomial, WeightSet, _UnionFind, singular_values
+from .core import MatrixPolynomial, WeightSet, _UnionFind
 from .errors import ContainmentError, HypothesisViolationError
 
 __all__ = [
@@ -46,7 +47,8 @@ class PseudoGrid:
     """g sampled on a rectangular grid.
 
     values[iy, ix] = g(re[ix] + i im[iy]); flattened storage is row-major with
-    the real axis fastest.  gfun re-evaluates g off-grid (saddle resolution).
+    the real axis fastest.  gfun re-evaluates g off-grid at an array of points
+    (saddle resolution) and returns the array of values.
     """
 
     re_min: float
@@ -73,8 +75,7 @@ def boundedness_check(poly: MatrixPolynomial, weights: WeightSet, eps: float) ->
     """True iff eps * w_m < s_min(A_m) strictly, which certifies that the
     eps-pseudospectrum is bounded."""
     weights.require_match(poly)
-    s_min = singular_values(poly.coeffs[-1])[-1]
-    return bool(eps * weights.weights[-1] < s_min)
+    return bool(eps * weights.weights[-1] < poly.leading_singular_values[-1])
 
 
 # bytes of n x n complex matrices per grid block
@@ -95,7 +96,7 @@ def grid_eval(poly: MatrixPolynomial, weights: WeightSet, box, resolution,
     row-major blocks of about 1 MiB of n x n matrices, dealt to the threads;
     every node is independent, so the result is identical for any thread
     count, and memory beyond `values` is one block per thread at any
-    resolution.
+    resolution.  The pool has at most one thread per block and per core.
     """
     weights.require_match(poly)
     re_min, re_max, im_min, im_max = (float(v) for v in box)
@@ -117,34 +118,38 @@ def grid_eval(poly: MatrixPolynomial, weights: WeightSet, box, resolution,
         iy, ix = np.divmod(np.arange(lo, min(lo + block, flat.size)), nx)
         flat[lo:lo + block] = _g_batch(poly, weights, re[ix] + 1j * im[iy])
 
-    with ThreadPoolExecutor(max_workers=max(1, int(threads))) as pool:
-        list(pool.map(work, range(0, flat.size, block)))
+    starts = range(0, flat.size, block)
+    workers = min(max(1, int(threads)), len(starts), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(work, starts))
     values.flags.writeable = False
     return PseudoGrid(
         re_min=re_min, re_max=re_max, im_min=im_min, im_max=im_max,
         nx=nx, ny=ny, values=values, weights=weights,
         poly_hash=problem_hash(poly, weights),
-        gfun=lambda z: float(_g_batch(poly, weights, z)))
+        gfun=lambda z: _g_batch(poly, weights, z))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContourSet:
     """Level-set segments of g = eps with connectivity labels.
 
-    segments[i] is a pair of complex endpoints lying on cell edges; labels[i]
-    is the connected-component id of that segment (dense, in order of first
-    appearance).  diagnostic is nonempty when the set is empty by level
-    mismatch rather than by geometry.
+    segments is a read-only (k, 2) complex array: row i holds the two
+    endpoints of segment i, lying on cell edges.  labels is a read-only (k,)
+    integer array: labels[i] is the connected-component id of segment i
+    (dense, in order of first appearance).  diagnostic is nonempty when the
+    set is empty by level mismatch rather than by geometry.  Instances
+    compare by identity (compare the arrays with np.array_equal).
     """
 
     eps: float
-    segments: tuple
-    labels: tuple
+    segments: np.ndarray
+    labels: np.ndarray
     diagnostic: str = ""
 
     @property
     def n_components(self) -> int:
-        return len(set(self.labels))
+        return int(self.labels.max()) + 1 if self.labels.size else 0
 
 
 # segment endpoints per marching-squares code, as cell edges 0 = bottom,
@@ -179,12 +184,12 @@ def contours(grid: PseudoGrid, eps: float) -> ContourSet:
         raise HypothesisViolationError(f"eps must be positive, got {eps}")
     v = grid.values
     vmin, vmax = float(v.min()), float(v.max())
-    if eps < vmin:
-        return ContourSet(eps=eps, segments=(), labels=(),
-                          diagnostic=f"eps={eps:g} is below the grid minimum {vmin:g}")
-    if eps > vmax:
-        return ContourSet(eps=eps, segments=(), labels=(),
-                          diagnostic=f"eps={eps:g} is above the grid maximum {vmax:g}")
+    if eps < vmin or eps > vmax:
+        where = (f"below the grid minimum {vmin:g}" if eps < vmin
+                 else f"above the grid maximum {vmax:g}")
+        return ContourSet(eps=eps, segments=_read_only(np.empty((0, 2), complex)),
+                          labels=_read_only(np.empty(0, np.intp)),
+                          diagnostic=f"eps={eps:g} is {where}")
     re = grid.re_axis
     im = grid.im_axis
     nx, ny = grid.nx, grid.ny
@@ -195,10 +200,11 @@ def contours(grid: PseudoGrid, eps: float) -> ContourSet:
             | (inside[1:, :-1] << 3)).reshape(-1)
     cells = np.flatnonzero((code != 0) & (code != 15))
     case = code[cells]
-    for k in np.flatnonzero((case == 5) | (case == 10)).tolist():
-        iy, ix = divmod(int(cells[k]), nx - 1)
+    saddle = np.flatnonzero((case == 5) | (case == 10))
+    if saddle.size:
+        iy, ix = np.divmod(cells[saddle], nx - 1)
         zc = (re[ix] + re[ix + 1]) / 2 + 1j * (im[iy] + im[iy + 1]) / 2
-        case[k] = 16 if (case[k] == 5) == (grid.gfun(zc) <= eps) else 17
+        case[saddle] = np.where((case[saddle] == 5) == (grid.gfun(zc) <= eps), 16, 17)
 
     # one row per segment, in cell order; columns are its two endpoint edges
     nseg = _NSEG[case]
@@ -221,46 +227,40 @@ def contours(grid: PseudoGrid, eps: float) -> ContourSet:
     pts = za + t * (zb - za)
 
     uf = _UnionFind()
-    starts, ends = ids[:, 0].tolist(), ids[:, 1].tolist()
-    for a, b in zip(starts, ends):
+    for a, b in ids.tolist():
         uf.union(a, b)
-    relabel = {}
-    labels = tuple(relabel.setdefault(uf.find(a), len(relabel)) for a in starts)
-    return ContourSet(eps=eps, segments=tuple(map(tuple, pts.tolist())), labels=labels)
+    roots = np.array([uf.find(a) for a in ids[:, 0].tolist()], dtype=np.intp)
+    # dense labels in order of first appearance: rank of each root's first row
+    _, first, inverse = np.unique(roots, return_index=True, return_inverse=True)
+    labels = np.argsort(np.argsort(first))[inverse]
+    return ContourSet(eps=eps, segments=_read_only(pts), labels=_read_only(labels))
 
 
-def _contains(segments, z: complex) -> bool:
-    """Even-odd test: does the closed curve formed by segments enclose z?"""
-    crossings = 0
-    x, yc = z.real, z.imag
-    for z1, z2 in segments:
-        y1, y2 = z1.imag, z2.imag
-        if (y1 > yc) == (y2 > yc):
-            continue
-        x_at = z1.real + (yc - y1) * (z2.real - z1.real) / (y2 - y1)
-        if x_at > x:
-            crossings += 1
-    return crossings % 2 == 1
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
-def _component_of(contour: ContourSet, center: complex):
-    """Segments of the component enclosing center."""
-    by_label = {}
-    for seg, lab in zip(contour.segments, contour.labels):
-        by_label.setdefault(lab, []).append(seg)
-    for lab in sorted(by_label):
-        if _contains(by_label[lab], center):
-            return by_label[lab]
-    raise ContainmentError(
-        f"no contour component at eps={contour.eps:g} encloses {center} "
-        f"({contour.n_components} components present)")
+def _contains(contour: ContourSet, z: complex) -> np.ndarray:
+    """Even-odd test per component: entry i says whether the closed curve
+    formed by the segments labelled i encloses z."""
+    y1, y2 = contour.segments.imag.T
+    cut = (y1 > z.imag) != (y2 > z.imag)
+    (z1, z2), y1, y2 = contour.segments[cut].T, y1[cut], y2[cut]
+    x_at = z1.real + (z.imag - y1) * (z2.real - z1.real) / (y2 - y1)
+    hits = contour.labels[cut][x_at > z.real]
+    return np.bincount(hits, minlength=contour.n_components) % 2 == 1
 
 
 def component_vertices(contour: ContourSet, center: complex) -> np.ndarray:
-    """Unique segment endpoints of the component enclosing center."""
-    segs = _component_of(contour, center)
-    pts = np.array([p for seg in segs for p in seg], dtype=complex)
-    return np.unique(pts)
+    """Unique segment endpoints of the first component (by label) that
+    encloses center."""
+    enclosing = np.flatnonzero(_contains(contour, center))
+    if not enclosing.size:
+        raise ContainmentError(
+            f"no contour component at eps={contour.eps:g} encloses {center} "
+            f"({contour.n_components} components present)")
+    return np.unique(contour.segments[contour.labels == enclosing[0]])
 
 
 def disc_deviation(contour: ContourSet, center: complex, radius: float) -> float:

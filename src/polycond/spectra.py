@@ -303,6 +303,14 @@ class JordanTriple:
         return np.vstack(rows)
 
 
+def _check_triple_shape(poly: MatrixPolynomial, triple: JordanTriple) -> None:
+    """InvalidTripleError unless triple is n x nm for poly's n and m."""
+    if triple.n != poly.n or triple.size != poly.n * poly.m:
+        raise InvalidTripleError(
+            f"triple of size {triple.size} over C^{triple.n} does not match a "
+            f"polynomial with n = {poly.n}, m = {poly.m} (needs size {poly.n * poly.m})")
+
+
 def validate_jordan_triple(poly: MatrixPolynomial, triple: JordanTriple,
                            samples) -> float:
     """Max over samples of the relative resolvent residual
@@ -312,10 +320,7 @@ def validate_jordan_triple(poly: MatrixPolynomial, triple: JordanTriple,
     close to the spectrum and are skipped; if every sample is skipped the
     validation fails.
     """
-    if triple.size != poly.n * poly.m or triple.n != poly.n:
-        raise InvalidTripleError(
-            f"triple is {triple.n}x{triple.size}, polynomial needs "
-            f"{poly.n}x{poly.n * poly.m}")
+    _check_triple_shape(poly, triple)
     samples = [complex(z) for z in samples]
     if not samples:
         raise HypothesisViolationError(

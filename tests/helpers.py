@@ -303,7 +303,7 @@ def reference_contours(grid, eps):
     Returns (segments, labels) as contours() defines them: segments in cell
     order (row-major, real axis fastest), each an endpoint pair interpolated
     on its edge; labels dense in order of first appearance.  grid.gfun is
-    called at saddle cells only, in cell order.
+    called once per saddle cell, on its center, in cell order.
     """
     v = grid.values
     re, im = grid.re_axis, grid.im_axis
@@ -349,3 +349,18 @@ def reference_contours(grid, eps):
     relabel = {}
     labels = [relabel.setdefault(find(k1), len(relabel)) for k1, _ in seg_edges]
     return segments, labels
+
+
+def reference_contains(segments, z: complex) -> bool:
+    """Scalar even-odd test: does the closed curve formed by segments, a
+    sequence of complex endpoint pairs, enclose z?"""
+    crossings = 0
+    x, yc = z.real, z.imag
+    for z1, z2 in segments:
+        y1, y2 = z1.imag, z2.imag
+        if (y1 > yc) == (y2 > yc):
+            continue
+        x_at = z1.real + (yc - y1) * (z2.real - z1.real) / (y2 - y1)
+        if x_at > x:
+            crossings += 1
+    return crossings % 2 == 1

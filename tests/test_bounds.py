@@ -21,6 +21,7 @@ from polycond import (
     elsner_bound,
     nearest_eigenvalue,
     spectrum,
+    validate_jordan_triple,
 )
 
 MU = 0.5691 + 0.0043j
@@ -207,6 +208,19 @@ class TestBauerFikeBound:
     def test_negative_eps_rejected(self, p6):
         with pytest.raises(HypothesisViolationError):
             bauer_fike_bound(p6.poly, p6.weights, -1.0, MU, p6.triple)
+
+
+@pytest.mark.parametrize("check", [
+    lambda pf, triple: validate_jordan_triple(pf.poly, triple, [2.0]),
+    lambda pf, triple: bauer_fike_bound(pf.poly, pf.weights, 0.1, MU, triple),
+    lambda pf, triple: bound_comparator(pf.poly, pf.weights, 0.1, MU, triple),
+], ids=["validate_jordan_triple", "bauer_fike_bound", "bound_comparator"])
+def test_triple_shape_one_rule(p5, p6, check):
+    # the cubic's 2 x 6 triple against the 2 x 2 quadratic, which needs size 4
+    with pytest.raises(InvalidTripleError) as exc:
+        check(p5, p6.triple)
+    assert str(exc.value) == ("triple of size 6 over C^2 does not match a "
+                              "polynomial with n = 2, m = 2 (needs size 4)")
 
 
 class TestComparator:

@@ -306,6 +306,20 @@ class TestPseudo:
         assert "above the grid maximum" in res["diagnostic"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("pseudo", P3, "--eps", "1e-4", "--box", "0.85", "1.15", "-0.15", "0.15", "--resolution", "21"),
+    ("verify", "linearization", P3),
+])
+def test_one_svd_of_leading_coefficient(capsys, monkeypatch, argv):
+    lead = load_problem(P3).poly.coeffs[-1]
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *r, **k: calls.append(
+        np.shape(a) == lead.shape and np.array_equal(a, lead)) or svd(a, *r, **k))
+    run_ok(capsys, *argv)
+    assert sum(calls) == 1
+
+
 class TestPerturb:
     def test_random_is_deterministic(self, capsys):
         a = run_ok(capsys, "perturb", "random", P6, "--eps", "0.01",
@@ -430,12 +444,34 @@ class TestUsageErrors:
         (("eig", P5, "--cluster-tol", "-1e-3"), "--cluster-tol", "a positive number"),
         (("cond", P5, "--eig", "4", "--tol", "-1"), "--tol", "a non-negative number"),
         (("dist", P5, "--eig", "4", "--tol", "-1e-9"), "--tol", "a non-negative number"),
+        (("pseudo", P3, "--eps", "0", "--box", "0.85", "1.15", "-0.15", "0.15"),
+         "--eps", "a positive number"),
+        (("pseudo", P3, "--eps", "-1e-4", "--box", "0.85", "1.15", "-0.15", "0.15"),
+         "--eps", "a positive number"),
     ])
     def test_out_of_range_value_exit_2(self, capsys, argv, flag, what):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
         assert f"argument {flag}: expected {what}" in capsys.readouterr().err
+
+    def test_zero_pseudo_eps_evaluates_no_grid(self, capsys, monkeypatch):
+        import polycond.cli
+
+        calls = []
+        monkeypatch.setattr(polycond.cli, "grid_eval", lambda *a, **k: calls.append(1))
+        with pytest.raises(SystemExit) as exc:
+            main(["pseudo", P3, "--eps", "0", "--box", "0.85", "1.15", "-0.15", "0.15",
+                  "--resolution", "401"])
+        assert exc.value.code == 2
+        assert calls == []
+
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "elsner", P6, "--eps", "0", "--mu", "0.5", "0"),
+        ("perturb", "random", P3, "--eps", "0"),
+    ])
+    def test_zero_eps_accepted_outside_pseudo(self, capsys, argv):
+        assert run_ok(capsys, *argv)["result"]["eps"] == 0.0
 
     def test_zero_tol_snaps_to_printed_eigenvalue(self, capsys):
         re_, im = run_ok(capsys, "eig", P5)["result"]["eigenvalues"][-1]

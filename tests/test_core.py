@@ -159,6 +159,12 @@ class TestConstruction:
         with pytest.raises(InvalidPolynomialError):
             MatrixPolynomial([])
 
+    def test_leading_singular_values_kept(self, p5):
+        s = p5.poly.leading_singular_values
+        assert np.array_equal(s, singular_values(p5.poly.coeffs[-1]))
+        with pytest.raises(ValueError):
+            s[0] = 0.0
+
     def test_coefficients_frozen(self, p5):
         with pytest.raises(ValueError):
             p5.poly.coeffs[0][0, 0] = 99.0

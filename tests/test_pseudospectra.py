@@ -5,11 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 import polycond.pseudospectra
-from helpers import reference_contours
+from helpers import reference_contains, reference_contours
 from polycond import (
+    ContourSet,
     ContainmentError,
     HypothesisViolationError,
     MatrixPolynomial,
@@ -121,6 +124,39 @@ class TestGridEval:
                 got = grid_eval(p3.poly, p3.weights, box, (91, 83), threads=threads)
                 assert np.array_equal(got.values, ref.values)
 
+    def test_pool_capped_at_blocks_and_cores(self, p3, monkeypatch):
+        # a serial stand-in records each pool's size and starts no thread
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(polycond.pseudospectra, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(polycond.pseudospectra.os, "cpu_count", lambda: 4)
+        box = (-2.4, 0.0, -1.2, 0.0)
+        ref = grid_eval(p3.poly, p3.weights, box, (91, 83), threads=1)
+        # two blocks at n = 3, then 76 blocks of 100 nodes
+        for threads in (2, 3, 10 ** 6):
+            got = grid_eval(p3.poly, p3.weights, box, (91, 83), threads=threads)
+            assert np.array_equal(got.values, ref.values)
+        monkeypatch.setattr(polycond.pseudospectra, "_BLOCK_BYTES", 16 * 9 * 100)
+        for threads in (3, 10 ** 6):
+            got = grid_eval(p3.poly, p3.weights, box, (91, 83), threads=threads)
+            assert np.array_equal(got.values, ref.values)
+        monkeypatch.setattr(polycond.pseudospectra.os, "cpu_count", lambda: None)
+        grid_eval(p3.poly, p3.weights, box, (91, 83), threads=10 ** 6)
+        assert pools == [1, 2, 2, 2, 3, 4, 1]
+
     def test_memory_is_one_block_per_thread(self):
         # n = 6: blocks of 1820 nodes; the whole 201^2 stack of P(z) would
         # take 22 MiB, and its Horner temporaries as much again
@@ -171,7 +207,7 @@ class TestContours:
     def test_vertices_on_level_set(self, g3):
         c = contours(g3, 1e-4)
         verts = component_vertices(c, 1.0)
-        g_at = np.array([g3.gfun(z) for z in verts])
+        g_at = g3.gfun(verts)
         # linear interpolation puts vertices near the true level
         assert np.median(np.abs(g_at - 1e-4)) <= 0.05 * 1e-4
 
@@ -227,12 +263,14 @@ class TestContours:
         far = grid_eval(p3.poly, p3.weights, (10.0, 10.5, 0.1, 0.6), 11)
         assert float(far.values.min()) > 0
         c = contours(far, 1e-12)
-        assert c.segments == ()
+        assert c.segments.shape == (0, 2) and c.labels.shape == (0,)
+        assert c.n_components == 0
         assert "below the grid minimum" in c.diagnostic
 
     def test_eps_above_grid_maximum(self, g3):
         c = contours(g3, 1e6)
-        assert c.segments == ()
+        assert c.segments.shape == (0, 2) and c.labels.shape == (0,)
+        assert c.n_components == 0
         assert "above the grid maximum" in c.diagnostic
 
     def test_nonpositive_eps_rejected(self, g3):
@@ -246,7 +284,19 @@ class TestContours:
 
     def test_labels_dense_from_zero(self, g6):
         c = contours(g6, 0.01)
-        assert set(c.labels) == set(range(c.n_components))
+        assert set(c.labels.tolist()) == set(range(c.n_components))
+
+    def test_arrays_read_only(self, g6):
+        for eps in (0.01, 1e6):
+            c = contours(g6, eps)
+            k = len(c.segments)
+            assert c.segments.shape == (k, 2) and c.segments.dtype == complex
+            assert c.labels.shape == (k,) and c.labels.dtype.kind == "i"
+            for a in (c.segments, c.labels):
+                with pytest.raises(ValueError):
+                    a[...] = 0
+            # compared by identity, never by the truth value of an array
+            assert c == c and c != contours(g6, eps)
 
 
 class TestContourReference:
@@ -255,6 +305,7 @@ class TestContourReference:
 
     @staticmethod
     def assert_matches(grid, eps):
+        """Returns the number of saddle cells resolved."""
         calls, ref_calls = [], []
 
         def logged(log):
@@ -262,11 +313,14 @@ class TestContourReference:
 
         got = contours(dataclasses.replace(grid, gfun=logged(calls)), eps)
         segs, labels = reference_contours(dataclasses.replace(grid, gfun=logged(ref_calls)), eps)
-        assert (np.array(got.segments, dtype=complex).tobytes()
-                == np.array(segs, dtype=complex).tobytes())
-        assert list(got.labels) == labels
-        assert calls == ref_calls
-        return len(calls)
+        assert got.segments.tobytes() == np.array(segs, dtype=complex).reshape(-1, 2).tobytes()
+        assert got.labels.tolist() == labels
+        # one gfun call when there is a saddle cell, none otherwise; it holds
+        # the reference's per-cell points, in order
+        assert len(calls) == (1 if ref_calls else 0)
+        points = np.concatenate([np.ravel(z) for z in calls]) if calls else []
+        assert np.array_equal(points, np.array(ref_calls, dtype=complex))
+        return len(ref_calls)
 
     def test_fixture_grids(self, g3, g6, p5):
         g5 = grid_eval(p5.poly, p5.weights, (3.996, 4.004, -0.004, 0.004), 201)
@@ -290,13 +344,62 @@ class TestContourReference:
         assert saddles > 100
 
 
+def closed_curves(polygons):
+    """A ContourSet whose component i is polygons[i], closed."""
+    segs = [(p[i], p[(i + 1) % len(p)]) for p in polygons for i in range(len(p))]
+    labels = [lab for lab, p in enumerate(polygons) for _ in p]
+    segments, labels = np.array(segs, dtype=complex).reshape(-1, 2), np.array(labels, dtype=np.intp)
+    segments.flags.writeable = labels.flags.writeable = False
+    return ContourSet(eps=1.0, segments=segments, labels=labels)
+
+
+# a vertex on a half-integer lattice (so that rows and vertices line up) or anywhere
+_vertex = (st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(lambda p: complex(*p) / 2)
+           | st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False))
+
+
+class TestContains:
+    """The per-component even-odd test against the scalar loop in
+    helpers.reference_contains, component by component."""
+
+    @staticmethod
+    def assert_matches(contour, points):
+        for z in points:
+            want = [reference_contains(contour.segments[contour.labels == lab].tolist(), z)
+                    for lab in range(contour.n_components)]
+            assert polycond.pseudospectra._contains(contour, z).tolist() == want, z
+
+    def test_fixture_contours(self, g3, g6, p5):
+        g5 = grid_eval(p5.poly, p5.weights, (0.5, 4.5, -0.5, 0.5), (101, 21))
+        rng = np.random.default_rng(3)
+        for grid, levels in ((g3, LADDER), (g6, (1e-3, 1e-2, 0.05)),
+                             (g5, np.quantile(g5.values, [0.01, 0.2, 0.5]))):
+            for eps in levels:
+                c = contours(grid, float(eps))
+                verts = c.segments.reshape(-1)[::max(1, c.segments.size // 8)]
+                points = [0.0, 1.0, -1.0, 4.0, 1.001 + 0.002j]
+                points += [complex(rng.uniform(grid.re_min, grid.re_max), v.imag) for v in verts]
+                points += verts.tolist()
+                self.assert_matches(c, points)
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(polygons=st.lists(st.lists(_vertex, min_size=3, max_size=10), min_size=1, max_size=3),
+           xs=st.lists(st.floats(-3, 3), min_size=1, max_size=4),
+           ys=st.lists(st.floats(-3, 3), min_size=1, max_size=4))
+    def test_random_polygons(self, polygons, xs, ys):
+        # points anywhere, and level with every vertex
+        points = [complex(x, y) for x in xs for y in ys]
+        points += [complex(x, v.imag) for x in xs for p in polygons for v in p]
+        self.assert_matches(closed_curves(polygons), points)
+
+
 class TestSaddleResolution:
     def build(self, center_value):
         values = np.array([[0.0, 1.0], [1.0, 0.0]])
         return PseudoGrid(
             re_min=0.0, re_max=1.0, im_min=0.0, im_max=1.0, nx=2, ny=2,
             values=values, weights=WeightSet([1.0]), poly_hash="saddle",
-            gfun=lambda z: center_value)
+            gfun=lambda z: np.full(np.shape(z), center_value))
 
     def test_center_inside_pairing(self):
         c = contours(self.build(0.0), 0.5)
@@ -315,8 +418,8 @@ class TestSaddleResolution:
     def test_deterministic(self):
         a = contours(self.build(0.0), 0.5)
         b = contours(self.build(0.0), 0.5)
-        assert a.segments == b.segments
-        assert a.labels == b.labels
+        assert np.array_equal(a.segments, b.segments)
+        assert np.array_equal(a.labels, b.labels)
 
 
 class TestSublevelComponentCount:
