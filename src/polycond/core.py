@@ -235,24 +235,20 @@ def _horner(coeffs, z) -> np.ndarray:
     return acc
 
 
-class _UnionFind:
-    """Disjoint sets over hashable keys, each created on first use."""
+def _components(a, b, n: int) -> np.ndarray:
+    """Connected components of the graph on nodes 0..n-1 with edges
+    (a[k], b[k]): entry i of the result is the smallest node of i's component.
 
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, k):
-        p = self.parent.setdefault(k, k)
-        while p != self.parent[p]:
-            self.parent[p] = self.parent[self.parent[p]]
-            p = self.parent[p]
-        self.parent[k] = p
-        return p
-
-    def union(self, a, b) -> bool:
-        """Merge the sets of a and b; False if they were already one."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
+    Each round hooks the root of every edge end onto the other end's root when
+    that one is smaller, then pointer-jumps until every node points at a root;
+    it stops when every edge has the same label at both ends.
+    """
+    lab = np.arange(n)
+    while True:
+        la, lb = lab[a], lab[b]
+        if np.array_equal(la, lb):
+            return lab
+        np.minimum.at(lab, la, lb)
+        np.minimum.at(lab, lb, la)
+        while not np.array_equal(jumped := lab[lab], lab):
+            lab = jumped

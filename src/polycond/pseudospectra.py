@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MatrixPolynomial, WeightSet, _UnionFind
+from .core import MatrixPolynomial, WeightSet, _components
 from .errors import ContainmentError, HypothesisViolationError
 
 __all__ = [
@@ -42,13 +42,14 @@ def problem_hash(poly: MatrixPolynomial, weights: WeightSet) -> str:
     return h.hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PseudoGrid:
     """g sampled on a rectangular grid.
 
     values[iy, ix] = g(re[ix] + i im[iy]); flattened storage is row-major with
     the real axis fastest.  gfun re-evaluates g off-grid at an array of points
-    (saddle resolution) and returns the array of values.
+    (saddle resolution) and returns the array of values.  Instances compare
+    by identity (compare the values with np.array_equal).
     """
 
     re_min: float
@@ -137,14 +138,16 @@ class ContourSet:
     segments is a read-only (k, 2) complex array: row i holds the two
     endpoints of segment i, lying on cell edges.  labels is a read-only (k,)
     integer array: labels[i] is the connected-component id of segment i
-    (dense, in order of first appearance).  diagnostic is nonempty when the
-    set is empty by level mismatch rather than by geometry.  Instances
-    compare by identity (compare the arrays with np.array_equal).
+    (dense, in order of first appearance).  clipped is a read-only
+    (n_components,) bool array: clipped[j] says the box cuts component j, an
+    open curve.  diagnostic is nonempty when the set is empty by level
+    mismatch rather than by geometry.  Instances compare by identity.
     """
 
     eps: float
     segments: np.ndarray
     labels: np.ndarray
+    clipped: np.ndarray
     diagnostic: str = ""
 
     @property
@@ -184,12 +187,8 @@ def contours(grid: PseudoGrid, eps: float) -> ContourSet:
         raise HypothesisViolationError(f"eps must be positive, got {eps}")
     v = grid.values
     vmin, vmax = float(v.min()), float(v.max())
-    if eps < vmin or eps > vmax:
-        where = (f"below the grid minimum {vmin:g}" if eps < vmin
-                 else f"above the grid maximum {vmax:g}")
-        return ContourSet(eps=eps, segments=_read_only(np.empty((0, 2), complex)),
-                          labels=_read_only(np.empty(0, np.intp)),
-                          diagnostic=f"eps={eps:g} is {where}")
+    diagnostic = (f"eps={eps:g} is below the grid minimum {vmin:g}" if eps < vmin else
+                  f"eps={eps:g} is above the grid maximum {vmax:g}" if eps > vmax else "")
     re = grid.re_axis
     im = grid.im_axis
     nx, ny = grid.nx, grid.ny
@@ -226,14 +225,18 @@ def contours(grid: PseudoGrid, eps: float) -> ContourSet:
     t = np.where(t < 1.0, t, 1.0)
     pts = za + t * (zb - za)
 
-    uf = _UnionFind()
-    for a, b in ids.tolist():
-        uf.union(a, b)
-    roots = np.array([uf.find(a) for a in ids[:, 0].tolist()], dtype=np.intp)
+    # edges as graph nodes; an edge bounds two segments, or one if on the box
+    edges, node = np.unique(ids, return_inverse=True)
+    node = node.reshape(ids.shape)
+    roots = _components(node[:, 0], node[:, 1], edges.size)[node[:, 0]]
     # dense labels in order of first appearance: rank of each root's first row
     _, first, inverse = np.unique(roots, return_index=True, return_inverse=True)
     labels = np.argsort(np.argsort(first))[inverse]
-    return ContourSet(eps=eps, segments=_read_only(pts), labels=_read_only(labels))
+    on_box = np.bincount(node.reshape(-1)) == 1
+    clipped = np.zeros(first.size, dtype=bool)
+    clipped[labels[on_box[node].any(axis=1)]] = True
+    return ContourSet(eps=eps, segments=_read_only(pts), labels=_read_only(labels),
+                      clipped=_read_only(clipped), diagnostic=diagnostic)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -253,9 +256,14 @@ def _contains(contour: ContourSet, z: complex) -> np.ndarray:
 
 
 def component_vertices(contour: ContourSet, center: complex) -> np.ndarray:
-    """Unique segment endpoints of the first component (by label) that
-    encloses center."""
-    enclosing = np.flatnonzero(_contains(contour, center))
+    """Unique segment endpoints of the first unclipped component (by label)
+    that encloses center."""
+    passes = _contains(contour, center)
+    enclosing = np.flatnonzero(passes & ~contour.clipped)
+    if not enclosing.size and passes.any():
+        raise ContainmentError(
+            f"the contour component at eps={contour.eps:g} around {center} is cut "
+            "by the box, an open curve that encloses nothing")
     if not enclosing.size:
         raise ContainmentError(
             f"no contour component at eps={contour.eps:g} encloses {center} "
@@ -283,17 +291,13 @@ def fitted_radius(contour: ContourSet, center: complex) -> float:
 def sublevel_component_count(grid: PseudoGrid, eps: float) -> int:
     """Number of 4-connected components of {g <= eps} on the grid.
 
-    Each row run of the mask starts as its own component; runs that share a
-    column in adjacent rows are merged.
+    Each row run of the mask is a node; runs that share a column in adjacent
+    rows are joined by an edge.
     """
     mask = grid.values <= eps
     starts = mask.copy()
     starts[:, 1:] &= ~mask[:, :-1]
-    run = np.cumsum(starts).reshape(mask.shape)     # 1-based run id where mask
+    run = np.cumsum(starts).reshape(mask.shape) - 1     # run id where mask
     both = mask[:-1] & mask[1:]
-    upper, lower = run[:-1][both], run[1:][both]
-    new = np.ones(len(upper), dtype=bool)
-    new[1:] = (upper[1:] != upper[:-1]) | (lower[1:] != lower[:-1])
-    uf = _UnionFind()
-    merges = sum(uf.union(a, b) for a, b in zip(upper[new].tolist(), lower[new].tolist()))
-    return int(starts.sum()) - merges
+    n = int(starts.sum())
+    return int(np.count_nonzero(_components(run[:-1][both], run[1:][both], n) == np.arange(n)))

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import MatrixPolynomial, _UnionFind, as_complex_matrix, singular_values, spectral_norm
+from .core import MatrixPolynomial, _components, as_complex_matrix, singular_values, spectral_norm
 from .errors import (
     EigensolverError,
     HypothesisViolationError,
@@ -115,7 +115,7 @@ def cluster(values, tol: float) -> tuple[EigenvalueCluster, ...]:
 
     Cluster centers are means; clusters are ordered canonically by center.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("clustering tolerance must be positive")
     v = np.asarray(values, dtype=complex)
     k = len(v)
@@ -129,19 +129,15 @@ def cluster(values, tol: float) -> tuple[EigenvalueCluster, ...]:
     i, j = by_re[first], by_re[first + 1 + offset]
     d = v[i] - v[j]
     close = np.hypot(d.real, d.imag) <= tol     # bitwise the scalar abs()
-    uf = _UnionFind()
-    for a, b in zip(i[close].tolist(), j[close].tolist()):
-        uf.union(a, b)
-    groups: dict[int, list[int]] = {}
-    for a in range(k):
-        groups.setdefault(uf.find(a), []).append(a)
+    # group by smallest member; the stable sort keeps each group ascending
+    label = _components(i[close], j[close], k)
+    by_label = np.argsort(label, kind="stable")
+    groups = np.split(by_label, np.flatnonzero(np.diff(label[by_label])) + 1) if k else []
     clusters = [
-        EigenvalueCluster(indices=tuple(sorted(g)), center=complex(np.mean(v[g])))
-        for g in groups.values()
+        EigenvalueCluster(indices=tuple(g.tolist()), center=complex(np.mean(v[g])))
+        for g in groups
     ]
-    centers = np.array([c.center for c in clusters])
-    order = _canonical_order(centers) if len(centers) else []
-    return tuple(clusters[i] for i in order)
+    return tuple(clusters[i] for i in _canonical_order(np.array([c.center for c in clusters])))
 
 
 def default_cluster_tol(values) -> float:

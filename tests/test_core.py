@@ -1,7 +1,12 @@
-"""Polynomial evaluation, derivatives, norms, and the weight polynomial."""
+"""Polynomial evaluation, derivatives, norms, the weight polynomial, and
+connected components."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from helpers import FIXTURE_NAMES, load_fixture, naive_derivative, naive_eval, naive_weight, svd2_closed_form
 from polycond import (
@@ -12,6 +17,7 @@ from polycond import (
     singular_values,
     spectral_norm,
 )
+from polycond.core import _components
 
 
 class TestEval:
@@ -304,3 +310,40 @@ class TestSingularValuesAt:
         poly = MatrixPolynomial([2.0 * np.eye(2)])
         assert np.array_equal(poly._singular_values_at(0.5), [2.0, 2.0])
         assert poly.__dict__["_singular_memo"] == {}
+
+
+def smallest_node_labels(a, b, n):
+    """Per node, the smallest node of its component, from scipy.sparse.csgraph."""
+    graph = coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+    _, comp = connected_components(graph, directed=False)
+    smallest = np.full(comp.max() + 1, n)
+    np.minimum.at(smallest, comp, np.arange(n))
+    return smallest[comp]
+
+
+class TestComponents:
+    """_components against scipy.sparse.csgraph.connected_components."""
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(st.integers(1, 200).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                             max_size=2 * n))))
+    def test_random_edge_lists(self, graph):
+        # the lists may hold self-loops, repeated edges and isolated nodes
+        n, edges = graph
+        a, b = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+        got = _components(a, b, n)
+        assert got.tolist() == smallest_node_labels(a, b, n).tolist()
+
+    def test_shuffled_path_takes_many_rounds(self):
+        n = 20_000
+        order = np.random.default_rng(4).permutation(n)
+        a, b = order[:-1], order[1:]
+        assert np.array_equal(_components(a, b, n), np.zeros(n, dtype=np.intp))
+        # every other edge: 10^4 two-node pieces
+        a, b = a[::2], b[::2]
+        assert np.array_equal(_components(a, b, n), smallest_node_labels(a, b, n))
+
+    def test_no_edges(self):
+        assert _components([], [], 3).tolist() == [0, 1, 2]
+        assert _components([], [], 0).size == 0

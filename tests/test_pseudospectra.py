@@ -47,14 +47,18 @@ def g6(p6):
     return grid_eval(p6.poly, p6.weights, (-1.5, 1.5, -0.75, 0.75), (241, 121))
 
 
+def synthetic_grid(g, box=(-1.0, 1.0, -1.0, 1.0), n=101):
+    """g, a function of an array of points, tabulated on box at n x n nodes."""
+    re_min, re_max, im_min, im_max = box
+    Z = np.linspace(re_min, re_max, n) + 1j * np.linspace(im_min, im_max, n)[:, np.newaxis]
+    return PseudoGrid(
+        re_min=re_min, re_max=re_max, im_min=im_min, im_max=im_max, nx=n, ny=n,
+        values=g(Z), weights=WeightSet([1.0]), poly_hash="synthetic", gfun=g)
+
+
 def synthetic_circle_grid(n=101):
     """g(z) = |z| tabulated on [-1, 1]^2: exact circles as level sets."""
-    ax = np.linspace(-1.0, 1.0, n)
-    Z = ax[np.newaxis, :] + 1j * ax[:, np.newaxis]
-    return PseudoGrid(
-        re_min=-1.0, re_max=1.0, im_min=-1.0, im_max=1.0, nx=n, ny=n,
-        values=np.abs(Z), weights=WeightSet([1.0]), poly_hash="synthetic",
-        gfun=lambda z: abs(z))
+    return synthetic_grid(np.abs, n=n)
 
 
 def mask_grid(mask):
@@ -186,6 +190,13 @@ class TestGridEval:
         with pytest.raises(HypothesisViolationError):
             grid_eval(p5.poly, p5.weights, (0, 1, 0, 1), 0)
 
+    def test_compared_by_identity(self, p3):
+        a = grid_eval(p3.poly, p3.weights, (0, 1, 0, 1), 5)
+        b = grid_eval(p3.poly, p3.weights, (0, 1, 0, 1), 5)
+        # never by the truth value of an array, and hashable
+        assert a == a and a != b and np.array_equal(a.values, b.values)
+        assert len({a, b}) == 2
+
     def test_hash_identifies_problem(self, p5, p6):
         a = grid_eval(p5.poly, p5.weights, (0, 1, 0, 1), 3)
         assert a.poly_hash == problem_hash(p5.poly, p5.weights)
@@ -198,7 +209,7 @@ class TestContours:
     def test_synthetic_circle(self):
         g = synthetic_circle_grid()
         c = contours(g, 0.5)
-        assert c.n_components == 1
+        assert c.n_components == 1 and c.clipped.tolist() == [False]
         assert fitted_radius(c, 0.0) == pytest.approx(0.5, abs=1e-3)
         assert disc_deviation(c, 0.0, 0.5) <= 1e-3
         # against a wrong radius the deviation is the relative radius error
@@ -292,11 +303,46 @@ class TestContours:
             k = len(c.segments)
             assert c.segments.shape == (k, 2) and c.segments.dtype == complex
             assert c.labels.shape == (k,) and c.labels.dtype.kind == "i"
-            for a in (c.segments, c.labels):
+            assert c.clipped.shape == (c.n_components,) and c.clipped.dtype == bool
+            for a in (c.segments, c.labels, c.clipped):
                 with pytest.raises(ValueError):
                     a[...] = 0
             # compared by identity, never by the truth value of an array
             assert c == c and c != contours(g6, eps)
+
+
+class TestClipped:
+    """Components the box cuts are open curves: marked, and never fitted."""
+
+    def test_circle_cut_by_box_refused(self):
+        c = contours(synthetic_grid(np.abs, box=(0.2, 1.0, -1.0, 1.0)), 0.5)
+        assert c.clipped.tolist() == [True]
+        # the open arc passes the even-odd test at 0, outside the box
+        assert polycond.pseudospectra._contains(c, 0.0).tolist() == [True]
+        for measure in (component_vertices, fitted_radius):
+            with pytest.raises(ContainmentError, match="cut by the box"):
+                measure(c, 0.0)
+        with pytest.raises(ContainmentError, match="cut by the box"):
+            disc_deviation(c, 0.0, 0.5)
+
+    def test_simple_eigenvalue_outside_box_refused(self, p5):
+        # the component of the eigenvalue 3 at eps = 1e-4, cut by the left edge
+        c = contours(grid_eval(p5.poly, p5.weights, (3.001, 3.2, -0.1, 0.1), 201), 1e-4)
+        assert c.clipped.any()
+        with pytest.raises(ContainmentError, match="cut by the box"):
+            fitted_radius(c, 3.0)
+        with pytest.raises(ContainmentError, match="cut by the box"):
+            disc_deviation(c, 3.0, 0.002)
+
+    def test_clipped_component_skipped(self):
+        # the arc of |z - 1.3| = 0.4 is cut by the right edge and comes first by
+        # label; at -0.5 it passes the even-odd test, as the closed circle does
+        c = contours(synthetic_grid(lambda z: np.minimum(2 * abs(z + 0.5), abs(z - 1.3))), 0.4)
+        assert c.clipped.tolist() == [True, False]
+        assert polycond.pseudospectra._contains(c, -0.5).tolist() == [True, True]
+        assert fitted_radius(c, -0.5) == pytest.approx(0.2, abs=1e-3)
+        with pytest.raises(ContainmentError, match="cut by the box"):
+            fitted_radius(c, 0.5)
 
 
 class TestContourReference:
@@ -349,8 +395,9 @@ def closed_curves(polygons):
     segs = [(p[i], p[(i + 1) % len(p)]) for p in polygons for i in range(len(p))]
     labels = [lab for lab, p in enumerate(polygons) for _ in p]
     segments, labels = np.array(segs, dtype=complex).reshape(-1, 2), np.array(labels, dtype=np.intp)
-    segments.flags.writeable = labels.flags.writeable = False
-    return ContourSet(eps=1.0, segments=segments, labels=labels)
+    clipped = np.zeros(len(polygons), dtype=bool)
+    segments.flags.writeable = labels.flags.writeable = clipped.flags.writeable = False
+    return ContourSet(eps=1.0, segments=segments, labels=labels, clipped=clipped)
 
 
 # a vertex on a half-integer lattice (so that rows and vertices line up) or anywhere

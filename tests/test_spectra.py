@@ -112,6 +112,14 @@ class TestCluster:
     def test_empty_input(self):
         assert cluster([], tol=1e-6) == ()
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan")])
+    def test_nonpositive_or_nan_tol_rejected(self, tol, p6):
+        # a NaN tolerance would otherwise split every multiple eigenvalue
+        with pytest.raises(ValueError, match="positive"):
+            cluster([1.0, 1.0, 2.0], tol)
+        with pytest.raises(ValueError, match="positive"):
+            spectrum(p6.poly, cluster_tol=tol)
+
     def test_default_tol_scales_with_radius(self):
         assert default_cluster_tol([0.5]) == pytest.approx(1e-6)
         assert default_cluster_tol([100.0]) == pytest.approx(1e-4)
