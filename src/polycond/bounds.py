@@ -174,7 +174,7 @@ def elsner_bound(poly: MatrixPolynomial, weights: WeightSet, eps: float,
     eps, mu) alone; pass hypothesis_verified=True when the caller knows it.
     """
     weights.require_match(poly)
-    if eps < 0:
+    if not eps >= 0:
         raise HypothesisViolationError(f"eps must be nonnegative, got {eps}")
     mu = complex(mu)
     mn = poly.m * poly.n
@@ -217,7 +217,7 @@ def bauer_fike_bound(poly: MatrixPolynomial, weights: WeightSet, eps: float,
     """
     weights.require_match(poly)
     _check_triple_shape(poly, triple)
-    if eps < 0:
+    if not eps >= 0:
         raise HypothesisViolationError(f"eps must be nonnegative, got {eps}")
     mu = complex(mu)
     p = triple.max_block_size

@@ -127,14 +127,9 @@ class MatrixPolynomial:
 
     def eval_derivative(self, z, order: int = 1) -> np.ndarray:
         """P^(order)(z); the zero matrix for order > m, P(z) for order 0."""
-        if order < 0:
-            raise ValueError("derivative order must be nonnegative")
         if order == 0:
             return self.eval(z)
-        if order > self.m:
-            return np.zeros(np.shape(z) + (self.n, self.n), dtype=complex)
-        scaled = [perm(j, order) * A for j, A in enumerate(self.coeffs) if j >= order]
-        return _horner(scaled, z)
+        return _horner(_derivative_coeffs(self.coeffs, order), np.asarray(z, dtype=complex))
 
     def e_blocks(self, z) -> list[np.ndarray]:
         """E_1(z)..E_m(z), E_r(z) = sum_{j >= r} A_j z^(j-r): the Horner
@@ -204,34 +199,39 @@ class WeightSet:
                 f"polynomial of degree {poly.m} needs {poly.m + 1}")
 
     def eval(self, r, order: int = 0):
-        """w(r) (order 0, strictly positive) or w'(r) (order 1) for r >= 0;
-        a NumPy array of r gives the array of values."""
+        """w^(order)(r) for r >= 0 and every order >= 0: w(r) > 0 at order 0,
+        zero above the degree; a NumPy array of r gives the array of values."""
         batch = isinstance(r, np.ndarray)
         x = np.asarray(r, dtype=float) if batch else float(r)
         if (x < 0).any() if batch else x < 0:
             raise ValueError("the weight polynomial takes nonnegative arguments")
-        if order == 0:
-            coeffs = self.weights
-        elif order == 1:
-            coeffs = tuple(j * wj for j, wj in enumerate(self.weights))[1:] or (0.0,)
-        else:
-            raise ValueError("only orders 0 and 1 are supported")
-        acc = coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            acc = acc * x + c
-        return np.full(x.shape, acc) if batch else acc
+        return _horner(_derivative_coeffs(self.weights, order), x)
 
 
-def _horner(coeffs, z) -> np.ndarray:
-    """sum_j C_j z^j by the recurrence S = S z + C_j, for a scalar z or
+def _derivative_coeffs(coeffs, order: int):
+    """Coefficients of the order-th derivative of sum_j C_j z^j: j!/(j - order)! C_j
+    for j >= order, and one zero coefficient above the degree (C - C is +0)."""
+    if order == 0:
+        return coeffs
+    if order < 0:
+        raise ValueError("derivative order must be nonnegative")
+    return [perm(j, order) * C for j, C in enumerate(coeffs) if j >= order] or [coeffs[-1] - coeffs[-1]]
+
+
+def _horner(coeffs, z):
+    """sum_j C_j z^j by the recurrence S = S z + C_j, at one point z or
     elementwise over an array of points (shape z.shape + C.shape)."""
-    z = np.asarray(z, dtype=complex)
-    # a Python complex keeps NumPy's broadcasting overhead off single points
-    zz = z[..., np.newaxis, np.newaxis] if z.ndim else complex(z)
-    acc = np.empty(z.shape + coeffs[-1].shape, dtype=complex)
-    acc[...] = coeffs[-1]
-    for C in reversed(coeffs[:-1]):
-        acc = acc * zz + C
+    acc = coeffs[-1]
+    if isinstance(z, np.ndarray) and z.ndim:
+        acc = np.full(z.shape + np.shape(acc), acc)
+        z = z.reshape(z.shape + (1,) * (acc.ndim - z.ndim))
+    elif isinstance(acc, np.ndarray):
+        # one point: a Python complex keeps NumPy's broadcasting overhead off
+        # it, and the copy keeps the in-place steps off the stored coefficient
+        z, acc = complex(z), acc.copy()
+    for C in coeffs[-2::-1]:
+        acc *= z        # in place: no temporary stack for an array of points
+        acc += C
     return acc
 
 

@@ -113,7 +113,7 @@ def is_admissible(base: MatrixPolynomial, candidate, eps: float,
     differences).  Comparisons carry a slack of tol * max(1, eps * w_j).
     """
     weights.require_match(base)
-    if eps < 0:
+    if not eps >= 0:
         raise HypothesisViolationError(f"eps must be nonnegative, got {eps}")
     if isinstance(candidate, PerturbedPolynomial):
         if candidate.base is not base and not all(
@@ -159,7 +159,7 @@ def random_perturbation(poly: MatrixPolynomial, eps: float, weights: WeightSet,
     rejected and redrawn on a fresh attempt counter.
     """
     weights.require_match(poly)
-    if eps < 0:
+    if not eps >= 0:
         raise HypothesisViolationError(f"eps must be nonnegative, got {eps}")
     n = poly.n
     targets = [eps * w for w in weights.weights]
@@ -192,9 +192,10 @@ def _disc_count(poly: MatrixPolynomial, centre: complex, r: float):
     of tr(P^{-1} P') dz on the circle by the 16-node trapezoid rule, or None if
     a node solve is singular or the count is off an integer or its even-node
     (8-node) sub-rule by more than 1e-2."""
+    dz = r * np.exp(2j * np.pi * np.arange(16) / 16)
+    z = centre + dz
     try:
-        terms = [dz * np.trace(np.linalg.solve(poly.eval(centre + dz), poly.eval_derivative(centre + dz)))
-                 for dz in r * np.exp(2j * np.pi * np.arange(16) / 16)]
+        terms = dz * np.trace(np.linalg.solve(poly.eval(z), poly.eval_derivative(z)), axis1=1, axis2=2)
     except np.linalg.LinAlgError:
         return None
     full, half = np.mean(terms), np.mean(terms[::2])

@@ -183,7 +183,7 @@ def contours(grid: PseudoGrid, eps: float) -> ContourSet:
     carry integer ids: horizontal edge (ix, iy) is iy (nx - 1) + ix, vertical
     edge (ix, iy) is ny (nx - 1) + iy nx + ix.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise HypothesisViolationError(f"eps must be positive, got {eps}")
     v = grid.values
     vmin, vmax = float(v.min()), float(v.max())
@@ -275,7 +275,7 @@ def disc_deviation(contour: ContourSet, center: complex, radius: float) -> float
     """Worst relative deviation of the enclosing component from the circle
     |z - center| = radius: max over its vertices of ||v - center| - radius|,
     normalized by radius."""
-    if radius <= 0:
+    if not radius > 0:
         raise HypothesisViolationError(f"radius must be positive, got {radius}")
     verts = component_vertices(contour, center)
     return float(np.max(np.abs(np.abs(verts - center) - radius)) / radius)
@@ -294,6 +294,8 @@ def sublevel_component_count(grid: PseudoGrid, eps: float) -> int:
     Each row run of the mask is a node; runs that share a column in adjacent
     rows are joined by an edge.
     """
+    if not eps > 0:
+        raise HypothesisViolationError(f"eps must be positive, got {eps}")
     mask = grid.values <= eps
     starts = mask.copy()
     starts[:, 1:] &= ~mask[:, :-1]

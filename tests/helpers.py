@@ -13,7 +13,9 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from polycond import MatrixPolynomial, WeightSet, companion, load_problem
+from polycond import (HypothesisViolationError, MatrixPolynomial, WeightSet, companion, load_problem,
+                      singular_values, spectral_norm)
+from polycond.spectra import NEAR_SPECTRUM_RTOL
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FIXTURE_NAMES = ("p3", "p4", "p5", "p6", "p6_perturbed", "pz_zero_eig")
@@ -349,6 +351,33 @@ def reference_contours(grid, eps):
     relabel = {}
     labels = [relabel.setdefault(find(k1), len(relabel)) for k1, _ in seg_edges]
     return segments, labels
+
+
+def reference_validate_jordan_triple(poly, triple, samples) -> float:
+    """validate_jordan_triple one sample at a time: the largest relative
+    resolvent residual over the samples not within NEAR_SPECTRUM_RTOL of the
+    spectrum, refused when every sample is."""
+    samples = [complex(z) for z in samples]
+    if not samples:
+        raise HypothesisViolationError(
+            "no sample points given; the validation needs at least one")
+    N = triple.size
+    worst = -1.0
+    skipped = []
+    for z in samples:
+        M = poly.eval(z)
+        s = singular_values(M)
+        if s[-1] <= NEAR_SPECTRUM_RTOL * s[0]:
+            skipped.append(z)
+            continue
+        Pinv = np.linalg.inv(M)
+        resolvent = triple.X @ np.linalg.solve(z * np.eye(N) - triple.J, triple.Y)
+        worst = max(worst, spectral_norm(Pinv - resolvent) / spectral_norm(Pinv))
+    if worst < 0:
+        raise HypothesisViolationError(
+            f"all {len(skipped)} samples are within tolerance of the spectrum; "
+            "choose sample points away from the eigenvalues")
+    return worst
 
 
 def reference_contains(segments, z: complex) -> bool:

@@ -156,8 +156,9 @@ class TestElsnerBound:
         assert elsner_bound(p6.poly, p6.weights, 0.1, 0.0).value == 0.0
 
     def test_negative_eps_rejected(self, p5):
-        with pytest.raises(HypothesisViolationError):
-            elsner_bound(p5.poly, p5.weights, -0.1, 1.0)
+        for eps in (-0.1, float("nan")):
+            with pytest.raises(HypothesisViolationError, match="eps must be nonnegative"):
+                elsner_bound(p5.poly, p5.weights, eps, 1.0)
 
     def test_hypothesis_flag_defaults_false(self, p5):
         rep = elsner_bound(p5.poly, p5.weights, 0.1, 1.0)
@@ -206,8 +207,10 @@ class TestBauerFikeBound:
             bauer_fike_bound(p5.poly, p5.weights, 0.1, 1.0, p6.triple)
 
     def test_negative_eps_rejected(self, p6):
-        with pytest.raises(HypothesisViolationError):
-            bauer_fike_bound(p6.poly, p6.weights, -1.0, MU, p6.triple)
+        for eps in (-1.0, float("nan")):
+            for bound in (bauer_fike_bound, bound_comparator):
+                with pytest.raises(HypothesisViolationError, match="eps must be nonnegative"):
+                    bound(p6.poly, p6.weights, eps, MU, p6.triple)
 
 
 @pytest.mark.parametrize("check", [

@@ -109,7 +109,7 @@ class TestArrayArguments:
     def test_weights_bitwise_scalar(self, name, rng):
         w = load_fixture(name).weights
         r = np.abs(self.points(rng))
-        for order in (0, 1):
+        for order in range(w.m + 2):
             got = w.eval(r, order)
             assert got.shape == r.shape
             for idx in np.ndindex(r.shape):
@@ -206,6 +206,22 @@ class TestWeights:
         r, h = 1.3, 1e-7
         fd = (w.eval(r + h) - w.eval(r - h)) / (2 * h)
         assert w.eval(r, order=1) == pytest.approx(fd, rel=1e-6)
+
+    def test_every_order_matches_termwise_oracle(self, rng):
+        # the derivative rule of eval_derivative: 0 above the degree
+        for m in range(4):
+            wts = [float(rng.uniform(0.01, 2))] + [float(rng.uniform(0, 2)) for _ in range(m)]
+            w = WeightSet(wts)
+            for r in (0.0, float(rng.uniform(0, 3))):
+                for order in range(m + 3):
+                    want = naive_derivative([[[wj]] for wj in wts], r, order)[0, 0].real
+                    assert w.eval(r, order) == pytest.approx(want, rel=1e-12)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            WeightSet([1.0, 2.0]).eval(0.5, -1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            MatrixPolynomial([np.eye(2), np.eye(2)]).eval_derivative(0.5, -1)
 
     def test_zero_w0_rejected(self):
         with pytest.raises(InvalidWeightsError):

@@ -54,6 +54,11 @@ class TestIsAdmissible:
         assert rep.admissible
         assert all(n == 0.0 for n in rep.delta_norms)
 
+    def test_negative_eps_rejected(self, p5):
+        for eps in (-1e-3, float("nan")):
+            with pytest.raises(HypothesisViolationError, match="eps must be nonnegative"):
+                is_admissible(p5.poly, p5.poly, eps, p5.weights)
+
     def test_printed_boundary_perturbation(self, p6, p6q):
         rep = is_admissible(p6.poly, p6q.poly, 0.3, p6.weights)
         assert rep.admissible
@@ -140,8 +145,11 @@ class TestRandomPerturbation:
         assert spectral_norm(q.deltas[1]) == pytest.approx(0.5, rel=1e-12)
 
     def test_negative_eps_rejected(self, p5):
-        with pytest.raises(HypothesisViolationError):
-            random_perturbation(p5.poly, -1e-3, p5.weights, seed=0)
+        for eps in (-1e-3, float("nan")):
+            with pytest.raises(HypothesisViolationError, match="eps must be nonnegative"):
+                random_perturbation(p5.poly, eps, p5.weights, seed=0)
+            with pytest.raises(HypothesisViolationError, match="eps must be nonnegative"):
+                eigenvalue_shift_samples(p5.poly, p5.weights, eps, 4.0, samples=2, seed=0)
 
     def test_materialized_spectrum_moves_continuously(self, p5):
         # tiny eps must keep the eigenvalues near {1, 2, 3, 4}
@@ -511,6 +519,17 @@ class TestDiscCount:
         assert _disc_count(poly, 0.0, 1.0) is None
         assert _disc_count(poly, 0.0, 0.5) == 0
         assert _disc_count(poly, 0.0, 2.0) == 1
+
+    def test_one_batched_evaluation(self, monkeypatch):
+        # P and P' at all 16 nodes in one call each
+        calls = []
+        for name in ("eval", "eval_derivative"):
+            def logged(self, *a, _f=getattr(MatrixPolynomial, name), _name=name, **k):
+                calls.append(_name)
+                return _f(self, *a, **k)
+            monkeypatch.setattr(MatrixPolynomial, name, logged)
+        assert _disc_count(MatrixPolynomial([[[-0.5]], [[1.0]]]), 0.0, 1.0) == 1
+        assert sorted(calls) == ["eval", "eval_derivative"]
 
 
 class TestSpectralCallCounts:

@@ -215,6 +215,12 @@ class TestContours:
         # against a wrong radius the deviation is the relative radius error
         assert disc_deviation(c, 0.0, 0.4) == pytest.approx(0.25, abs=0.01)
 
+    def test_nonpositive_radius_rejected(self):
+        c = contours(synthetic_circle_grid(), 0.5)
+        for radius in (0.0, -0.5, float("nan")):
+            with pytest.raises(HypothesisViolationError, match="radius must be positive"):
+                disc_deviation(c, 0.0, radius)
+
     def test_vertices_on_level_set(self, g3):
         c = contours(g3, 1e-4)
         verts = component_vertices(c, 1.0)
@@ -285,8 +291,10 @@ class TestContours:
         assert "above the grid maximum" in c.diagnostic
 
     def test_nonpositive_eps_rejected(self, g3):
-        with pytest.raises(HypothesisViolationError):
-            contours(g3, 0.0)
+        for eps in (0.0, -1.0, float("nan")):
+            for level_set in (contours, sublevel_component_count):
+                with pytest.raises(HypothesisViolationError, match="eps must be positive"):
+                    level_set(g3, eps)
 
     def test_center_outside_every_component(self, g3):
         c = contours(g3, 1e-4)
@@ -489,6 +497,7 @@ class TestSublevelComponentCount:
     def test_matches_ndimage_on_fixture_grids(self, g3, g6, p5):
         g5 = grid_eval(p5.poly, p5.weights, (0.5, 4.5, -0.5, 0.5), (101, 21))
         for g in (g3, g6, g5):
-            for eps in np.quantile(g.values, [0.0, 0.01, 0.05, 0.2, 0.5, 0.8, 1.0]):
+            # eps must be positive; g3 has a node with g = 0, inside every mask
+            for eps in np.quantile(g.values[g.values > 0], [0.0, 0.01, 0.05, 0.2, 0.5, 0.8, 1.0]):
                 want = ndimage.label(g.values <= eps)[1]
                 assert sublevel_component_count(g, eps) == want

@@ -9,6 +9,7 @@ from helpers import (
     load_fixture,
     pair_max_distance,
     random_well_separated,
+    reference_validate_jordan_triple,
     simple_eigenpairs,
 )
 from polycond import (
@@ -137,8 +138,9 @@ class TestNearestEigenvalue:
 
     def test_explicit_tol(self, p5):
         vals = eigenvalues(p5.poly)
-        with pytest.raises(NotAnEigenvalueError):
-            nearest_eigenvalue(vals, 4.01, tol=1e-6)
+        for tol in (1e-6, float("nan")):
+            with pytest.raises(NotAnEigenvalueError):
+                nearest_eigenvalue(vals, 4.01, tol=tol)
         assert vals[nearest_eigenvalue(vals, 4.01, tol=0.1)] == pytest.approx(4.0, abs=1e-6)
 
 
@@ -168,6 +170,8 @@ class TestEigVectors:
     def test_not_an_eigenvalue(self, p5):
         with pytest.raises(NotAnEigenvalueError):
             eig_vectors(p5.poly, 2.5)
+        with pytest.raises(NotAnEigenvalueError):
+            eig_vectors(p5.poly, 1e6, tol=float("nan"))
 
 
 class TestCompanionVectors:
@@ -265,6 +269,37 @@ class TestJordanTriple:
     def test_corrupted_triple_fails_validation(self, p6):
         bad = JordanTriple(p6.triple.X, p6.triple.blocks, 2.0 * p6.triple.Y)
         assert validate_jordan_triple(p6.poly, bad, [2.0, 0.5j]) > 0.1
+
+
+class TestTripleValidationReference:
+    """validate_jordan_triple, which takes every sample in one batch, against
+    the per-sample loop in helpers.reference_validate_jordan_triple."""
+
+    @pytest.mark.parametrize("name", ["p3", "p6"])
+    def test_same_bits_and_refusals(self, name, rng):
+        pf = load_fixture(name)
+        vals = eigenvalues(pf.poly)
+        for k in range(30):
+            count = int(rng.integers(1, 25))
+            z = 3 * (rng.standard_normal(count) + 1j * rng.standard_normal(count))
+            on = [0, count // 2, count][k % 3]      # none, some or all on eigenvalues
+            z[:on] = vals[rng.integers(0, len(vals), on)]
+            if on == count:
+                with pytest.raises(HypothesisViolationError) as want:
+                    reference_validate_jordan_triple(pf.poly, pf.triple, z)
+                with pytest.raises(HypothesisViolationError) as got:
+                    validate_jordan_triple(pf.poly, pf.triple, z)
+                assert str(got.value) == str(want.value)
+                continue
+            got = validate_jordan_triple(pf.poly, pf.triple, z)
+            want = reference_validate_jordan_triple(pf.poly, pf.triple, z)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (k, on)
+
+    def test_twenty_samples_take_two_svds(self, p3, monkeypatch):
+        svd, calls = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        assert validate_jordan_triple(p3.poly, p3.triple, 3 * np.exp(0.3j * np.arange(20))) <= 1e-8
+        assert len(calls) == 2
 
 
 class TestEigenproblemCond:
