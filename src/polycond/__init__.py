@@ -36,7 +36,7 @@ from .errors import (
     ProblemFormatError,
 )
 from .io import MultipleEigenvalueData, ProblemFile, load_problem, parse_problem, serialize_problem
-from .linearization import CompanionMatrix, companion, ef_factors, linearization_residual
+from .linearization import companion, ef_factors, linearization_residual
 from .perturb import (
     AdmissibilityReport,
     PerturbedPolynomial,
@@ -80,7 +80,7 @@ __all__ = [
     # core
     "MatrixPolynomial", "WeightSet", "singular_values", "spectral_norm",
     # linearization
-    "CompanionMatrix", "companion", "ef_factors", "linearization_residual",
+    "companion", "ef_factors", "linearization_residual",
     # spectra
     "CompanionEigenPair", "EigenvalueCluster", "JordanBlock", "JordanTriple",
     "Spectrum", "cluster", "companion_vectors", "default_cluster_tol",

@@ -15,6 +15,7 @@ ingredients that produced it, so callers can audit rather than trust.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -176,7 +177,8 @@ def elsner_bound(poly: MatrixPolynomial, weights: WeightSet, eps: float,
     weights.require_match(poly)
     if not eps >= 0:
         raise HypothesisViolationError(f"eps must be nonnegative, got {eps}")
-    mu = complex(mu)
+    if not cmath.isfinite(mu := complex(mu)):
+        raise HypothesisViolationError(f"mu must be finite, got {mu}")
     mn = poly.m * poly.n
     if mn == 0:
         raise DegenerateProblemError("a degree-0 polynomial has no eigenvalues to bound")
@@ -219,7 +221,8 @@ def bauer_fike_bound(poly: MatrixPolynomial, weights: WeightSet, eps: float,
     _check_triple_shape(poly, triple)
     if not eps >= 0:
         raise HypothesisViolationError(f"eps must be nonnegative, got {eps}")
-    mu = complex(mu)
+    if not cmath.isfinite(mu := complex(mu)):
+        raise HypothesisViolationError(f"mu must be finite, got {mu}")
     p = triple.max_block_size
     k = eigenproblem_cond(triple)
     w = weights.eval(abs(mu))
@@ -263,7 +266,6 @@ def bound_comparator(poly: MatrixPolynomial, weights: WeightSet, eps: float,
             "coincide up to normalization")
     el = elsner_bound(poly, weights, eps, mu, hypothesis_verified)
     bf = bauer_fike_bound(poly, weights, eps, mu, triple, hypothesis_verified)
-    mu = complex(mu)
     p = bf.ingredients["max_block_size"]
     k = bf.ingredients["triple_cond"]
     w = bf.ingredients["weight_at_mu"]

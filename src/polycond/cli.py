@@ -25,7 +25,7 @@ from .bounds import (BoundReport, ComparatorReport, bauer_fike_bound, bound_comp
                      dist_mult_bound, dist_mult_bound_adj, elsner_bound)
 from .condition import (_require_simple, cond_eigvector_free, cond_multiple, cond_simple,
                         cond_via_companion, min_gap_bound)
-from .core import MatrixPolynomial, WeightSet, spectral_norm
+from .core import MatrixPolynomial, WeightSet, _blocks
 from .errors import HypothesisViolationError, PolycondError
 from .io import ProblemFile, load_problem, serialize_problem
 from .linearization import linearization_residual
@@ -204,6 +204,7 @@ def cmd_pseudo(ctx: _Context, args) -> dict:
     }
     cs = contours(grid, args.eps)
     out["components"] = cs.n_components
+    out["clipped"] = cs.clipped
     out["segments"] = len(cs.segments)
     out["sublevel_components"] = sublevel_component_count(grid, args.eps)
     if cs.diagnostic:
@@ -264,17 +265,15 @@ def cmd_verify(ctx: _Context, args) -> dict:
     if args.check == "linearization":
         pts = _sample_points(ctx.poly, args.points, args.seed)
         s = ctx.poly.leading_singular_values
-        c_lead = float(s[0] / s[-1])
-        worst = worst_thresh = 0.0
-        ok = True
-        for z in pts:
-            r = linearization_residual(ctx.poly, complex(z))
-            thresh = RESIDUAL_TOL * (1.0 + spectral_norm(ctx.poly.eval(complex(z)))) * c_lead
-            ok = ok and (r <= thresh)
-            if r > worst:
-                worst, worst_thresh = r, thresh
+        residual = linearization_residual(ctx.poly, pts)
+        norms = np.concatenate([np.linalg.svd(ctx.poly.eval(pts[b]), compute_uv=False)[:, 0]
+                                for b in _blocks(len(pts), ctx.poly.n)])
+        thresh = RESIDUAL_TOL * (1.0 + norms) * float(s[0] / s[-1])
+        worst = int(np.argmax(residual))    # the first point with the largest residual
         return {"points": args.points, "seed": args.seed,
-                "max_residual": worst, "threshold_at_max": worst_thresh, "pass": ok}
+                "max_residual": float(residual[worst]),
+                "threshold_at_max": float(thresh[worst]) if residual[worst] > 0 else 0.0,
+                "pass": bool((residual <= thresh).all())}
     triple = ctx.problem.triple
     if triple is None:
         raise HypothesisViolationError(
@@ -389,14 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="internal identity checks")
     vsub = p.add_subparsers(dest="check", required=True)
-    vl = vsub.add_parser("linearization")
-    _add_common(vl)
-    vl.add_argument("--points", type=_positive_int, default=20)
-    vl.add_argument("--seed", type=_nonnegative_int, default=0)
-    vt = vsub.add_parser("triple")
-    _add_common(vt)
-    vt.add_argument("--samples", type=_positive_int, default=20)
-    vt.add_argument("--seed", type=_nonnegative_int, default=0)
+    for name, count in (("linearization", "--points"), ("triple", "--samples")):
+        vp = vsub.add_parser(name)
+        _add_common(vp)
+        vp.add_argument(count, type=_positive_int, default=20)
+        vp.add_argument("--seed", type=_nonnegative_int, default=0)
 
     return ap
 

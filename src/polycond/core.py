@@ -13,7 +13,7 @@ from math import perm
 
 import numpy as np
 
-from .errors import InvalidPolynomialError, InvalidWeightsError
+from .errors import HypothesisViolationError, InvalidPolynomialError, InvalidWeightsError
 
 __all__ = [
     "MatrixPolynomial",
@@ -25,6 +25,7 @@ __all__ = [
 
 # Leading coefficient counts as singular below this relative threshold.
 LEADING_SINGULAR_RTOL = 1e-12
+_BLOCK_BYTES = 2 ** 20      # see _blocks
 
 
 def as_complex_matrix(a, name: str = "matrix", square: bool = False) -> np.ndarray:
@@ -203,7 +204,7 @@ class WeightSet:
         zero above the degree; a NumPy array of r gives the array of values."""
         batch = isinstance(r, np.ndarray)
         x = np.asarray(r, dtype=float) if batch else float(r)
-        if (x < 0).any() if batch else x < 0:
+        if not ((x >= 0).all() if batch else x >= 0):     # NaN fails too
             raise ValueError("the weight polynomial takes nonnegative arguments")
         return _horner(_derivative_coeffs(self.weights, order), x)
 
@@ -233,6 +234,21 @@ def _horner(coeffs, z):
         acc *= z        # in place: no temporary stack for an array of points
         acc += C
     return acc
+
+
+def _blocks(count: int, n: int) -> list[slice]:
+    """Consecutive slices covering range(count), each of about _BLOCK_BYTES of
+    complex n x n matrices and at least one point, so a stack over points stays bounded."""
+    step = max(1, _BLOCK_BYTES // (16 * n * n))
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+def _finite_points(z) -> np.ndarray:
+    """z as a complex array; HypothesisViolationError for a NaN or infinite point."""
+    z = np.asarray(z, dtype=complex)
+    if not np.isfinite(z).all():
+        raise HypothesisViolationError("points must be finite (no NaN/Inf)")
+    return z
 
 
 def _components(a, b, n: int) -> np.ndarray:

@@ -12,27 +12,12 @@ first block row and F unit block lower-triangular with (i, j) block z^{i-j} I.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import MatrixPolynomial, spectral_norm
+from .core import MatrixPolynomial, _blocks, _finite_points
 from .errors import InvalidPolynomialError
 
-__all__ = ["CompanionMatrix", "companion", "ef_factors", "linearization_residual"]
-
-
-@dataclass(frozen=True)
-class CompanionMatrix:
-    """nm x nm companion matrix with its block dimensions."""
-
-    matrix: np.ndarray
-    n: int
-    m: int
-
-    @property
-    def size(self) -> int:
-        return self.n * self.m
+__all__ = ["companion", "ef_factors", "linearization_residual"]
 
 
 def _require_positive_degree(poly: MatrixPolynomial) -> None:
@@ -40,8 +25,8 @@ def _require_positive_degree(poly: MatrixPolynomial) -> None:
         raise InvalidPolynomialError("companion linearization needs degree m >= 1")
 
 
-def companion(poly: MatrixPolynomial) -> CompanionMatrix:
-    """Block companion matrix of P.
+def companion(poly: MatrixPolynomial) -> np.ndarray:
+    """Read-only nm x nm block companion matrix of P.
 
     Top block rows carry the shift pattern [0 I 0 ...]; the bottom block row is
     -A_m^{-1} [A_0 ... A_{m-1}], computed by a single LU solve against A_m
@@ -54,44 +39,47 @@ def companion(poly: MatrixPolynomial) -> CompanionMatrix:
     except np.linalg.LinAlgError as exc:  # construction gate makes this unreachable
         raise InvalidPolynomialError(f"leading-coefficient solve failed: {exc}") from exc
     C = np.zeros((n * m, n * m), dtype=complex)
-    for i in range(m - 1):
-        C[i * n:(i + 1) * n, (i + 1) * n:(i + 2) * n] = np.eye(n)
+    C[:n * (m - 1), n:] = np.eye(n * (m - 1))
     C[(m - 1) * n:, :] = bottom
     C.flags.writeable = False
-    return CompanionMatrix(matrix=C, n=n, m=m)
+    return C
 
 
-def ef_factors(poly: MatrixPolynomial, z: complex) -> tuple[np.ndarray, np.ndarray]:
+def ef_factors(poly: MatrixPolynomial, z) -> tuple[np.ndarray, np.ndarray]:
     """The factor pair (E(z), F(z)) of the companion equivalence.
 
     E has blocks E_1(z)..E_m(z) in its first block row and -I on the block
     subdiagonal, so |det E(z)| = |det A_m|; F is unit block lower-triangular
-    with det F(z) = 1 identically.
+    with det F(z) = 1 identically. z may be an array of points; each factor
+    then has shape z.shape + (nm, nm).
     """
     _require_positive_degree(poly)
     n, m = poly.n, poly.m
-    z = complex(z)
+    z = np.asarray(z, dtype=complex)
+    E = np.zeros(z.shape + (m, n, m, n), dtype=complex)
+    E[..., 0, :, :, :] = np.stack(poly.e_blocks(z), axis=-2)
+    E[..., range(1, m), :, range(m - 1), :] = -np.eye(n)
+    # F's block (i, j) is z^(i-j) I on and below the diagonal, 0 above it; the
+    # powers are Python's, element by element, as complex(z) ** k would give
+    k = np.subtract.outer(np.arange(m), np.arange(m))
+    T = np.where(k >= 0, z.astype(object)[..., None, None] ** np.maximum(k, 0), 0).astype(complex)
+    F = T[..., :, np.newaxis, :, np.newaxis] * np.eye(n)[:, np.newaxis, :]
+    shape = z.shape + (n * m, n * m)
+    return E.reshape(shape), F.reshape(shape)
 
-    E = np.zeros((n * m, n * m), dtype=complex)
-    E[:n] = np.hstack(poly.e_blocks(z))
-    for i in range(1, m):
-        E[i * n:(i + 1) * n, (i - 1) * n:i * n] = -np.eye(n)
 
-    F = np.zeros((n * m, n * m), dtype=complex)
-    for i in range(m):
-        for j in range(i + 1):
-            F[i * n:(i + 1) * n, j * n:(j + 1) * n] = z ** (i - j) * np.eye(n)
-    return E, F
-
-
-def linearization_residual(poly: MatrixPolynomial, z: complex) -> float:
-    """Spectral norm of E(z)(zI - C_P)F(z) - diag(P(z), I)."""
-    z = complex(z)
+def linearization_residual(poly: MatrixPolynomial, z):
+    """Spectral norm of E(z)(zI - C_P)F(z) - diag(P(z), I): a float at one
+    point, an array of shape z.shape at an array of points (taken in blocks,
+    core._blocks).  A NaN or infinite point raises HypothesisViolationError."""
+    z = _finite_points(z)
     C = companion(poly)
-    E, F = ef_factors(poly, z)
-    lhs = E @ (z * np.eye(C.size) - C.matrix) @ F
-    rhs = np.zeros_like(lhs)
-    rhs[:poly.n, :poly.n] = poly.eval(z)
-    idx = np.arange(poly.n, C.size)
-    rhs[idx, idx] = 1.0
-    return spectral_norm(lhs - rhs)
+    n, nm = poly.n, len(C)
+    flat, out = z.reshape(-1), np.empty(z.size)
+    for b in _blocks(z.size, nm):
+        E, F = ef_factors(poly, flat[b])
+        lhs = E @ (flat[b, np.newaxis, np.newaxis] * np.eye(nm) - C) @ F
+        lhs[:, :n, :n] -= poly.eval(flat[b])
+        lhs[:, n:, n:] -= np.eye(nm - n)
+        out[b] = np.linalg.svd(lhs, compute_uv=False)[:, 0]
+    return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MatrixPolynomial, WeightSet, _components
+from .core import MatrixPolynomial, WeightSet, _blocks, _components
 from .errors import ContainmentError, HypothesisViolationError
 
 __all__ = [
@@ -79,10 +79,6 @@ def boundedness_check(poly: MatrixPolynomial, weights: WeightSet, eps: float) ->
     return bool(eps * weights.weights[-1] < poly.leading_singular_values[-1])
 
 
-# bytes of n x n complex matrices per grid block
-_BLOCK_BYTES = 2 ** 20
-
-
 def _g_batch(poly: MatrixPolynomial, weights: WeightSet, z: np.ndarray) -> np.ndarray:
     """g at every entry of a complex array, SVDs batched."""
     smin = np.linalg.svd(poly.eval(z), compute_uv=False)[..., -1]
@@ -93,16 +89,19 @@ def grid_eval(poly: MatrixPolynomial, weights: WeightSet, box, resolution,
               threads: int = 1) -> PseudoGrid:
     """Evaluate g on box = (re_min, re_max, im_min, im_max).
 
-    resolution is (nx, ny) or a single int for both.  Nodes are evaluated in
-    row-major blocks of about 1 MiB of n x n matrices, dealt to the threads;
-    every node is independent, so the result is identical for any thread
-    count, and memory beyond `values` is one block per thread at any
-    resolution.  The pool has at most one thread per block and per core.
+    resolution is (nx, ny) or a single int for both; the box edges must be
+    finite.  Nodes are evaluated in row-major blocks of about 1 MiB of n x n
+    matrices (core._blocks), dealt to the threads; every node is
+    independent, so the result is identical for any thread count, and memory
+    beyond `values` is one block per thread at any resolution.  The pool has
+    at most one thread per block and per core.
     """
     weights.require_match(poly)
     re_min, re_max, im_min, im_max = (float(v) for v in box)
-    if not (re_min <= re_max and im_min <= im_max):
+    if not (re_min <= re_max and im_min <= im_max):     # a NaN edge too
         raise HypothesisViolationError(f"empty bounding box {box}")
+    if np.isinf([re_min, re_max, im_min, im_max]).any():
+        raise HypothesisViolationError(f"box edges must be finite, got {box}")
     if np.isscalar(resolution):
         nx = ny = int(resolution)
     else:
@@ -113,16 +112,15 @@ def grid_eval(poly: MatrixPolynomial, weights: WeightSet, box, resolution,
     im = np.linspace(im_min, im_max, ny)
     values = np.empty((ny, nx), dtype=float)
     flat = values.reshape(-1)
-    block = max(1, _BLOCK_BYTES // (16 * poly.n * poly.n))
 
-    def work(lo):
-        iy, ix = np.divmod(np.arange(lo, min(lo + block, flat.size)), nx)
-        flat[lo:lo + block] = _g_batch(poly, weights, re[ix] + 1j * im[iy])
+    def work(s):
+        iy, ix = np.divmod(np.arange(s.start, s.stop), nx)
+        flat[s] = _g_batch(poly, weights, re[ix] + 1j * im[iy])
 
-    starts = range(0, flat.size, block)
-    workers = min(max(1, int(threads)), len(starts), os.cpu_count() or 1)
+    blocks = _blocks(flat.size, poly.n)
+    workers = min(max(1, int(threads)), len(blocks), os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(work, starts))
+        list(pool.map(work, blocks))
     values.flags.writeable = False
     return PseudoGrid(
         re_min=re_min, re_max=re_max, im_min=im_min, im_max=im_max,

@@ -15,7 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import MatrixPolynomial, _components, as_complex_matrix, singular_values, spectral_norm
+from .core import (MatrixPolynomial, _blocks, _components, _finite_points, as_complex_matrix,
+                   singular_values, spectral_norm)
 from .errors import (
     EigensolverError,
     HypothesisViolationError,
@@ -100,9 +101,8 @@ class CompanionEigenPair:
 
 def eigenvalues(poly: MatrixPolynomial) -> np.ndarray:
     """The nm eigenvalues of P in canonical order (re, im, |.|)."""
-    C = companion(poly).matrix
     try:
-        vals = np.linalg.eigvals(C)
+        vals = np.linalg.eigvals(companion(poly))
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"companion eigensolve failed: {exc}") from exc
     out = vals[_canonical_order(vals)]
@@ -263,15 +263,11 @@ class JordanTriple:
     @property
     def J(self) -> np.ndarray:
         """The Jordan matrix assembled from the block metadata."""
-        N = self.size
-        J = np.zeros((N, N), dtype=complex)
-        at = 0
-        for b in self.blocks:
-            for t in range(b.size):
-                J[at + t, at + t] = b.eigenvalue
-                if t + 1 < b.size:
-                    J[at + t, at + t + 1] = 1.0
-            at += b.size
+        sizes = [b.size for b in self.blocks]
+        J = np.diag(np.repeat([b.eigenvalue for b in self.blocks], sizes).astype(complex))
+        # 1 above the diagonal except in the last row of each block
+        rows = np.flatnonzero(np.arange(self.size) < np.repeat(np.cumsum(sizes) - 1, sizes))
+        J[rows, rows + 1] = 1.0
         return J
 
     @property
@@ -314,27 +310,30 @@ def validate_jordan_triple(poly: MatrixPolynomial, triple: JordanTriple,
 
     Samples with s_min(P(z)) <= NEAR_SPECTRUM_RTOL * s_max(P(z)) sit too
     close to the spectrum and are skipped; if every sample is skipped the
-    validation fails.
+    validation fails, as it does for a NaN or infinite sample.  Samples are
+    taken in blocks (core._blocks), two SVD calls each.
     """
     _check_triple_shape(poly, triple)
-    z = np.fromiter(samples, dtype=complex)
+    z = _finite_points(np.fromiter(samples, dtype=complex))
     if not len(z):
         raise HypothesisViolationError(
             "no sample points given; the validation needs at least one")
-    M = poly.eval(z)
-    s = np.linalg.svd(M, compute_uv=False)
-    far = s[:, -1] > NEAR_SPECTRUM_RTOL * s[:, 0]
-    if not far.any():
+    J, ratios = triple.J, []
+    for b in _blocks(len(z), triple.size):
+        M = poly.eval(z[b])
+        s = np.linalg.svd(M, compute_uv=False)
+        far = s[:, -1] > NEAR_SPECTRUM_RTOL * s[:, 0]
+        zf, Pinv = z[b][far], np.linalg.inv(M[far])
+        zI = zf[:, np.newaxis, np.newaxis] * np.eye(triple.size)
+        # Y as a stack of one matrix, which NumPy 1.x would otherwise read as vectors
+        resolvent = triple.X @ np.linalg.solve(zI - J, triple.Y[np.newaxis])
+        norms = np.linalg.svd(np.concatenate([Pinv - resolvent, Pinv]), compute_uv=False)[:, 0]
+        ratios.append(norms[:len(zf)] / norms[len(zf):])
+    if not any(r.size for r in ratios):
         raise HypothesisViolationError(
             f"all {len(z)} samples are within tolerance of the spectrum; "
             "choose sample points away from the eigenvalues")
-    z, M = z[far], M[far]
-    Pinv = np.linalg.inv(M)
-    zI = z[:, np.newaxis, np.newaxis] * np.eye(triple.size)
-    # Y as a stack of one matrix, which NumPy 1.x would otherwise read as vectors
-    resolvent = triple.X @ np.linalg.solve(zI - triple.J, triple.Y[np.newaxis])
-    norms = np.linalg.svd(np.concatenate([Pinv - resolvent, Pinv]), compute_uv=False)[:, 0]
-    return float(np.max(norms[:len(z)] / norms[len(z):]))
+    return float(np.max(np.concatenate(ratios)))
 
 
 def eigenproblem_cond(triple: JordanTriple) -> float:

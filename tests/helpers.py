@@ -138,7 +138,7 @@ def companion_eig_conds(poly: MatrixPolynomial):
     condition numbers ||u|| ||v|| / |u* v| from a full left/right eigensolve."""
     import scipy.linalg
 
-    C = companion(poly).matrix
+    C = companion(poly)
     vals, vl, vr = scipy.linalg.eig(C, left=True, right=True)
     conds = np.empty(len(vals))
     for i in range(len(vals)):
@@ -174,7 +174,7 @@ def random_well_separated(
         s = np.linalg.svd(np.asarray(poly.coeffs[m]), compute_uv=False)
         if s[-1] < s[0] / 20.0:
             continue
-        vals = np.linalg.eigvals(companion(poly).matrix)
+        vals = np.linalg.eigvals(companion(poly))
         if len(vals) > 1:
             diff = np.abs(vals[:, None] - vals[None, :])
             np.fill_diagonal(diff, np.inf)
@@ -202,7 +202,7 @@ def diagonalizable_triple(poly: MatrixPolynomial):
     A_m^{-1}. Valid whenever the companion matrix is diagonalizable."""
     from polycond import JordanBlock, JordanTriple
 
-    C = companion(poly).matrix
+    C = companion(poly)
     vals, V = np.linalg.eig(C)
     n = poly.n
     X = V[:n, :]
@@ -351,6 +351,21 @@ def reference_contours(grid, eps):
     relabel = {}
     labels = [relabel.setdefault(find(k1), len(relabel)) for k1, _ in seg_edges]
     return segments, labels
+
+
+def reference_jordan_matrix(blocks) -> np.ndarray:
+    """JordanTriple.J entry by entry: each block's eigenvalue on the diagonal
+    and 1.0 above it inside the block."""
+    N = sum(b.size for b in blocks)
+    J = np.zeros((N, N), dtype=complex)
+    at = 0
+    for b in blocks:
+        for t in range(b.size):
+            J[at + t, at + t] = b.eigenvalue
+            if t + 1 < b.size:
+                J[at + t, at + t + 1] = 1.0
+        at += b.size
+    return J
 
 
 def reference_validate_jordan_triple(poly, triple, samples) -> float:

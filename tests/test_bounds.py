@@ -155,10 +155,13 @@ class TestElsnerBound:
         # P(0) is the zero matrix for this fixture, so the bound collapses
         assert elsner_bound(p6.poly, p6.weights, 0.1, 0.0).value == 0.0
 
-    def test_negative_eps_rejected(self, p5):
+    def test_negative_eps_rejected(self, p5, p6):
         for eps in (-0.1, float("nan")):
             with pytest.raises(HypothesisViolationError, match="eps must be nonnegative"):
                 elsner_bound(p5.poly, p5.weights, eps, 1.0)
+        for mu in (complex(np.nan, 0.0), complex(0.0, np.inf), -np.inf):
+            with pytest.raises(HypothesisViolationError, match="mu must be finite"):
+                elsner_bound(p6.poly, p6.weights, 0.3, mu)
 
     def test_hypothesis_flag_defaults_false(self, p5):
         rep = elsner_bound(p5.poly, p5.weights, 0.1, 1.0)
@@ -211,6 +214,10 @@ class TestBauerFikeBound:
             for bound in (bauer_fike_bound, bound_comparator):
                 with pytest.raises(HypothesisViolationError, match="eps must be nonnegative"):
                     bound(p6.poly, p6.weights, eps, MU, p6.triple)
+        for mu in (complex(np.nan, 0.0), complex(0.0, np.inf)):
+            for bound in (bauer_fike_bound, bound_comparator):
+                with pytest.raises(HypothesisViolationError, match="mu must be finite"):
+                    bound(p6.poly, p6.weights, 0.3, mu, p6.triple)
 
 
 @pytest.mark.parametrize("check", [

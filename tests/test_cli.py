@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 
 from polycond.bounds import BoundReport
-from polycond.cli import _jsonable, main
+from polycond.cli import _jsonable, _sample_points, main
 from polycond.condition import cond_simple, min_gap_bound
 from polycond.core import MatrixPolynomial, spectral_norm
 from polycond.io import load_problem
+from polycond.linearization import linearization_residual
 from polycond.perturb import is_admissible, random_perturbation
 from polycond.pseudospectra import contours, grid_eval
 from polycond.spectra import eig_vectors, eigenvalues, nearest_eigenvalue, spectrum
@@ -265,6 +266,7 @@ class TestPseudo:
         assert res["resolution"] == [81, 81]
         assert res["bounded"] is True
         assert res["components"] == 1
+        assert res["clipped"] == [False]
         assert res["sublevel_components"] == 1
         assert "diagnostic" not in res
 
@@ -297,6 +299,13 @@ class TestPseudo:
         want_grid, want_contour = per_node_csvs(grid, contours(grid, eps))
         assert gpath.read_bytes() == want_grid.encode()
         assert cpath.read_bytes() == want_contour.encode()
+
+    def test_component_cut_by_box_reported_clipped(self, capsys):
+        # the box's left edge 3.001 cuts the eps = 1e-4 component around 3
+        res = run_ok(capsys, "pseudo", P5, "--eps", "1e-4", "--box", "3.001", "3.2", "-0.1", "0.1",
+                     "--resolution", "201")["result"]
+        assert res["components"] == 1
+        assert res["clipped"] == [True]
 
     def test_level_above_grid_reports_diagnostic(self, capsys):
         res = run_ok(capsys, "pseudo", P3, "--eps", "100",
@@ -414,6 +423,38 @@ class TestVerify:
     def test_triple_missing(self, capsys):
         err = run_err(capsys, "verify", "triple", P5)
         assert err["type"] == "HypothesisViolationError"
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_linearization_matches_per_point_loop(self, capsys, name):
+        path = str(FIXTURES / f"{name}.json")
+        res = run_ok(capsys, "verify", "linearization", path, "--points", "20", "--seed", "3")["result"]
+        poly = load_problem(path).poly
+        s = poly.leading_singular_values
+        worst = worst_thresh = 0.0
+        ok = True
+        for z in _sample_points(poly, 20, 3):
+            r = linearization_residual(poly, complex(z))
+            thresh = 1e-8 * (1.0 + spectral_norm(poly.eval(complex(z)))) * float(s[0] / s[-1])
+            ok = ok and r <= thresh
+            if r > worst:
+                worst, worst_thresh = r, thresh
+        assert res == {"points": 20, "seed": 3, "max_residual": worst,
+                       "threshold_at_max": worst_thresh, "pass": ok}
+
+    def test_linearization_zero_residuals(self, capsys, tmp_path):
+        # P(z) = z - 0.5: every residual is exactly 0, and so is the threshold
+        path = tmp_path / "monic.json"
+        path.write_text(json.dumps({"n": 1, "m": 1, "coefficients": [[[-0.5]], [[1.0]]]}))
+        res = run_ok(capsys, "verify", "linearization", path)["result"]
+        assert res["max_residual"] == 0.0 and res["threshold_at_max"] == 0.0 and res["pass"]
+
+    def test_twenty_points_take_four_svds(self, capsys, monkeypatch):
+        # two of the four load the problem: A_m's and the Jordan triple's
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        run_ok(capsys, "verify", "linearization", P3, "--points", "20")
+        assert len(calls) == 4
 
 
 class TestUsageErrors:

@@ -126,6 +126,10 @@ class TestArrayArguments:
     def test_negative_radius_anywhere_rejected(self):
         with pytest.raises(ValueError):
             WeightSet([1.0, 1.0]).eval(np.array([0.5, -1e-300]))
+        # NaN too, one point or in an array
+        for r in (float("nan"), np.array([0.5, np.nan])):
+            with pytest.raises(ValueError, match="nonnegative"):
+                WeightSet([1.0, 1.0]).eval(r)
 
     def test_e_blocks_are_horner_partial_sums(self, p4, rng):
         A = p4.poly.coeffs

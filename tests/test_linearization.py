@@ -1,15 +1,22 @@
 """Companion matrix structure and the E/F equivalence witnesses."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import polycond.core
+import polycond.linearization
 from helpers import (
+    FIXTURE_NAMES,
     det_poly_roots,
+    load_fixture,
     pair_max_distance,
     random_polynomial,
     random_well_separated,
 )
-from polycond import InvalidPolynomialError, MatrixPolynomial, companion, ef_factors, linearization_residual
+from polycond import (HypothesisViolationError, InvalidPolynomialError, MatrixPolynomial, companion,
+                      ef_factors, linearization_residual)
 
 
 def leading_cond(poly) -> float:
@@ -21,12 +28,13 @@ class TestCompanion:
     def test_monic_linear_case(self, rng):
         A = rng.standard_normal((3, 3))
         p = MatrixPolynomial([-A, np.eye(3)])
-        assert np.allclose(companion(p).matrix, A, atol=1e-14)
+        assert np.allclose(companion(p), A, atol=1e-14)
 
     def test_block_shift_structure(self, p6):
         C = companion(p6.poly)
-        n, m = C.n, C.m
-        top = C.matrix[: n * (m - 1), :]
+        n, m = p6.poly.n, p6.poly.m
+        assert C.shape == (n * m, n * m) and not C.flags.writeable
+        top = C[: n * (m - 1), :]
         want = np.zeros_like(top)
         for i in range(m - 1):
             want[i * n:(i + 1) * n, (i + 1) * n:(i + 2) * n] = np.eye(n)
@@ -34,20 +42,20 @@ class TestCompanion:
 
     def test_bottom_row_solves_leading_coefficient(self, p5):
         C = companion(p5.poly)
-        n, m = C.n, C.m
-        bottom = C.matrix[(m - 1) * n:, :]
+        n, m = p5.poly.n, p5.poly.m
+        bottom = C[(m - 1) * n:, :]
         Am = np.asarray(p5.poly.coeffs[m])
         lhs = Am @ bottom
         rhs = -np.hstack([np.asarray(A) for A in p5.poly.coeffs[:-1]])
         assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_cubic_fixture_eigenvalues(self, p6):
-        vals = np.sort_complex(np.linalg.eigvals(companion(p6.poly).matrix))
+        vals = np.sort_complex(np.linalg.eigvals(companion(p6.poly)))
         want = np.array([-1.0, -1.0, 0.0, 0.0, 1.0, 1.0], dtype=complex)
         assert pair_max_distance(vals, want) <= 1e-7
 
     def test_ill_scaled_fixture_eigenvalues(self, p5):
-        vals = np.linalg.eigvals(companion(p5.poly).matrix)
+        vals = np.linalg.eigvals(companion(p5.poly))
         assert pair_max_distance(vals, [1.0, 2.0, 3.0, 4.0]) <= 1e-6
 
     def test_degree_zero_rejected(self):
@@ -59,7 +67,7 @@ class TestCompanion:
             n = int(rng.integers(1, 4))
             m = int(rng.integers(1, 4))
             p = random_polynomial(rng, n, m)
-            vals = np.linalg.eigvals(companion(p).matrix)
+            vals = np.linalg.eigvals(companion(p))
             roots = det_poly_roots(p)
             assert pair_max_distance(vals, roots) <= 1e-6
 
@@ -131,6 +139,70 @@ class TestResidual:
                 assert linearization_residual(poly, z) <= 1e-8 * (1 + norm_pz) * c
 
 
+class TestStackedPoints:
+    """ef_factors and linearization_residual at an array of points, against
+    their single-point calls."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_same_bits_as_single_points(self, name, rng):
+        poly = load_fixture(name).poly
+        nm = poly.n * poly.m
+        z = 3 * (rng.standard_normal(20) + 1j * rng.standard_normal(20))
+        E, F = ef_factors(poly, z)
+        r = linearization_residual(poly, z)
+        assert E.shape == F.shape == (20, nm, nm) and r.shape == (20,)
+        for k in range(20):
+            e, f = ef_factors(poly, z[k])
+            assert e.tobytes() == E[k].tobytes() and f.tobytes() == F[k].tobytes()
+            one = linearization_residual(poly, z[k])
+            assert type(one) is float and np.float64(one).tobytes() == r[k].tobytes()
+
+    def test_shape_kept_and_empty(self, p6, rng):
+        z = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+        E, F = ef_factors(p6.poly, z)
+        assert E.shape == F.shape == (4, 5, 6, 6)
+        r = linearization_residual(p6.poly, z)
+        assert r.shape == (4, 5)
+        assert r.tobytes() == linearization_residual(p6.poly, z.ravel()).tobytes()
+        E, F = ef_factors(p6.poly, np.array([], dtype=complex))
+        assert E.shape == F.shape == (0, 6, 6)
+        assert linearization_residual(p6.poly, []).shape == (0,)
+
+    def test_block_size_bitwise_irrelevant(self, p3, rng, monkeypatch):
+        z = 3 * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
+        want = linearization_residual(p3.poly, z)
+        # blocks of one 6 x 6 matrix: one point each
+        monkeypatch.setattr(polycond.core, "_BLOCK_BYTES", 16 * 36)
+        assert linearization_residual(p3.poly, z).tobytes() == want.tobytes()
+
+    def test_memory_does_not_grow_with_points(self):
+        # (n, m) = (20, 3): 400 stacked 60 x 60 products would hold 23 MiB each
+        rng = np.random.default_rng(23)
+        poly = MatrixPolynomial([rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
+                                 for _ in range(4)])
+        z = 3 * (rng.standard_normal(400) + 1j * rng.standard_normal(400))
+        tracemalloc.start()
+        try:
+            linearization_residual(poly, z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+    def test_one_companion_per_call(self, p3, monkeypatch):
+        calls = []
+        build = polycond.linearization.companion
+        monkeypatch.setattr(polycond.linearization, "companion",
+                            lambda poly: calls.append(1) or build(poly))
+        linearization_residual(p3.poly, np.linspace(-2, 2, 20) + 0.5j)
+        assert len(calls) == 1
+
+    def test_nonfinite_points_rejected(self, p6):
+        for z in (np.nan, complex(0.0, np.inf), [2.0, np.nan]):
+            with pytest.raises(HypothesisViolationError, match="must be finite"):
+                linearization_residual(p6.poly, z)
+
+
 class TestEigenvalueUnitaryInvariance:
     def test_unitary_similarity_preserves_spectrum(self, rng):
         from helpers import random_unitary
@@ -138,6 +210,6 @@ class TestEigenvalueUnitaryInvariance:
         p = random_well_separated(rng, 3, 2)
         U = random_unitary(rng, 3)
         q = MatrixPolynomial([U.conj().T @ A @ U for A in p.coeffs])
-        a = np.linalg.eigvals(companion(p).matrix)
-        b = np.linalg.eigvals(companion(q).matrix)
+        a = np.linalg.eigvals(companion(p))
+        b = np.linalg.eigvals(companion(q))
         assert pair_max_distance(a, b) <= 1e-8

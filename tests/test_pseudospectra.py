@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+import polycond.core
 import polycond.pseudospectra
 from helpers import reference_contains, reference_contours
 from polycond import (
@@ -123,7 +124,7 @@ class TestGridEval:
         assert ref.values[-1, -1] == want
         # blocks of 100 nodes and of one node give the same bits
         for nodes in (100, 1):
-            monkeypatch.setattr(polycond.pseudospectra, "_BLOCK_BYTES", 16 * 9 * nodes)
+            monkeypatch.setattr(polycond.core, "_BLOCK_BYTES", 16 * 9 * nodes)
             for threads in (1, 3):
                 got = grid_eval(p3.poly, p3.weights, box, (91, 83), threads=threads)
                 assert np.array_equal(got.values, ref.values)
@@ -153,7 +154,7 @@ class TestGridEval:
         for threads in (2, 3, 10 ** 6):
             got = grid_eval(p3.poly, p3.weights, box, (91, 83), threads=threads)
             assert np.array_equal(got.values, ref.values)
-        monkeypatch.setattr(polycond.pseudospectra, "_BLOCK_BYTES", 16 * 9 * 100)
+        monkeypatch.setattr(polycond.core, "_BLOCK_BYTES", 16 * 9 * 100)
         for threads in (3, 10 ** 6):
             got = grid_eval(p3.poly, p3.weights, box, (91, 83), threads=threads)
             assert np.array_equal(got.values, ref.values)
@@ -185,6 +186,11 @@ class TestGridEval:
     def test_empty_box_rejected(self, p5):
         with pytest.raises(HypothesisViolationError):
             grid_eval(p5.poly, p5.weights, (1.0, 0.0, 0.0, 1.0), 5)
+        for box in ((-np.inf, 1.0, 0.0, 1.0), (0.0, 1.0, 0.0, np.inf)):
+            with pytest.raises(HypothesisViolationError, match="must be finite"):
+                grid_eval(p5.poly, p5.weights, box, 5)
+        with pytest.raises(HypothesisViolationError, match="empty bounding box"):
+            grid_eval(p5.poly, p5.weights, (0.0, np.nan, 0.0, 1.0), 5)
 
     def test_zero_resolution_rejected(self, p5):
         with pytest.raises(HypothesisViolationError):

@@ -1,14 +1,18 @@
 """Eigenvalues, eigenvectors, clustering, and Jordan-triple validation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import polycond.core
 from helpers import (
     FIXTURE_NAMES,
     diagonalizable_triple,
     load_fixture,
     pair_max_distance,
     random_well_separated,
+    reference_jordan_matrix,
     reference_validate_jordan_triple,
     simple_eigenpairs,
 )
@@ -223,6 +227,13 @@ class TestJordanTriple:
         with pytest.raises(NotAnEigenvalueError):
             t.max_block_size_at(7.0)
 
+    def test_jordan_matrix_same_bits_as_block_loop(self, p3, p6):
+        blocks = [JordanBlock(-0.0, 3), JordanBlock(1 - 2j, 1), JordanBlock(-0.5, 2)]
+        t = JordanTriple(np.eye(2, 6) + np.eye(2, 6, 2) + np.eye(2, 6, 4), blocks,
+                         np.eye(6, 2) + np.eye(6, 2, -3))
+        for triple in (p3.triple, p6.triple, t):
+            assert triple.J.tobytes() == reference_jordan_matrix(triple.blocks).tobytes()
+
     def test_rank_deficient_stack_rejected(self):
         X = np.array([[1.0, 1.0], [0.0, 0.0]])
         with pytest.raises(InvalidTripleError):
@@ -261,6 +272,9 @@ class TestJordanTriple:
         # refused as empty, not as "all 0 samples are within tolerance"
         with pytest.raises(HypothesisViolationError, match="no sample points given"):
             validate_jordan_triple(p6.poly, p6.triple, [])
+        for bad in (np.nan, complex(2.0, np.inf)):
+            with pytest.raises(HypothesisViolationError, match="must be finite"):
+                validate_jordan_triple(p6.poly, p6.triple, [bad, 2.0])
 
     def test_wrong_size_triple_rejected(self, p5, p6):
         with pytest.raises(InvalidTripleError):
@@ -300,6 +314,33 @@ class TestTripleValidationReference:
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
         assert validate_jordan_triple(p3.poly, p3.triple, 3 * np.exp(0.3j * np.arange(20))) <= 1e-8
         assert len(calls) == 2
+
+    def test_block_size_bitwise_irrelevant(self, p3, rng, monkeypatch):
+        vals = eigenvalues(p3.poly)
+        z = 3 * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
+        z[::7] = vals[:6]                   # skipped samples, in several blocks
+        want = validate_jordan_triple(p3.poly, p3.triple, z)
+        # blocks of one 6 x 6 matrix: one sample each
+        monkeypatch.setattr(polycond.core, "_BLOCK_BYTES", 16 * 36)
+        got = validate_jordan_triple(p3.poly, p3.triple, z)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        with pytest.raises(HypothesisViolationError, match="all 3 samples"):
+            validate_jordan_triple(p3.poly, p3.triple, vals[:3])
+
+    def test_memory_does_not_grow_with_samples(self):
+        # (n, m) = (20, 3): one stack of all 400 samples held 56 MiB
+        rng = np.random.default_rng(23)
+        poly = MatrixPolynomial([rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
+                                 for _ in range(4)])
+        triple = diagonalizable_triple(poly)
+        z = 3 * (rng.standard_normal(400) + 1j * rng.standard_normal(400))
+        tracemalloc.start()
+        try:
+            validate_jordan_triple(poly, triple, z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestEigenproblemCond:
