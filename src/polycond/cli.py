@@ -27,7 +27,7 @@ from .condition import (_require_simple, cond_eigvector_free, cond_multiple, con
                         cond_via_companion, min_gap_bound)
 from .core import MatrixPolynomial, WeightSet, _blocks
 from .errors import HypothesisViolationError, PolycondError
-from .io import ProblemFile, load_problem, serialize_problem
+from .io import ProblemFile, parse_problem, serialize_problem
 from .linearization import linearization_residual
 from .perturb import defect_perturbation, is_admissible, perturbation_rng, random_perturbation
 from .pseudospectra import boundedness_check, contours, grid_eval, sublevel_component_count
@@ -56,8 +56,9 @@ class _Context:
         self.path = args.file
         with open(self.path, "rb") as fh:
             data = fh.read()
+        # one read: the hash describes exactly the bytes analysed
         self.sha256 = hashlib.sha256(data).hexdigest()
-        self.problem: ProblemFile = load_problem(self.path)
+        self.problem: ProblemFile = parse_problem(data.decode("utf-8"))
         self.poly: MatrixPolynomial = self.problem.poly
         if args.weights is not None:
             self.weights = WeightSet(args.weights)
@@ -250,7 +251,7 @@ def cmd_perturb(ctx: _Context, args) -> dict:
             "tight": rep.tight,
         }
     if args.out:
-        _write_problem(args.out, q.materialize(), ctx.problem)
+        _write_problem(args.out, q, ctx.problem)
         out["problem_out"] = args.out
     return out
 

@@ -64,7 +64,7 @@ def _spectral_norms(mats) -> tuple[float, ...]:
     return tuple(np.linalg.svd(np.stack(mats), compute_uv=False)[:, 0].tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixPolynomial:
     """Square matrix polynomial with nonsingular leading coefficient.
 

@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultipleEigenvalueData:
     """Eigenvector matrices spanning the largest Jordan blocks of one
     (typically multiple) eigenvalue."""
@@ -49,7 +49,7 @@ class MultipleEigenvalueData:
     left_vectors: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemFile:
     poly: MatrixPolynomial
     weights: WeightSet

@@ -77,9 +77,11 @@ def linearization_residual(poly: MatrixPolynomial, z):
     n, nm = poly.n, len(C)
     flat, out = z.reshape(-1), np.empty(z.size)
     for b in _blocks(z.size, nm):
+        zb = flat[b, np.newaxis, np.newaxis]
         E, F = ef_factors(poly, flat[b])
-        lhs = E @ (flat[b, np.newaxis, np.newaxis] * np.eye(nm) - C) @ F
-        lhs[:, :n, :n] -= poly.eval(flat[b])
+        lhs = E @ (zb * np.eye(nm) - C) @ F
+        # P(z) = E_1(z) z + A_0, the last Horner step of MatrixPolynomial.eval
+        lhs[:, :n, :n] -= E[:, :n, :n] * zb + poly.coeffs[0]
         lhs[:, n:, n:] -= np.eye(nm - n)
         out[b] = np.linalg.svd(lhs, compute_uv=False)[:, 0]
     return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)

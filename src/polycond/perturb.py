@@ -14,8 +14,7 @@ every j.  Two constructions are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,7 +38,7 @@ __all__ = [
     "eigenvalue_shift_samples",
 ]
 
-# two or more eigenvalues of the materialized polynomial in the disc of this
+# two or more eigenvalues of the perturbed polynomial in the disc of this
 # relative radius around the target (a _disc_count, refused when one lies near
 # the circle) certify a multiple eigenvalue; a doubled defective eigenvalue
 # splits like the square root of the backward error, so anything much tighter
@@ -50,48 +49,48 @@ PAIRING_RTOL = 1e-5
 RANK_DROP_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
-class PerturbedPolynomial:
-    """A base polynomial plus one delta per coefficient.
+@dataclass(frozen=True, eq=False)
+class PerturbedPolynomial(MatrixPolynomial):
+    """A base polynomial plus one delta per coefficient: the matrix polynomial
+    with coefficients base.coeffs[j] + deltas[j], refused with
+    InvalidPolynomialError when its leading coefficient is singular.
 
     eps_used is the smallest level at which the deltas are admissible for the
     stored weights; certificates names the checks the construction passed.
     """
 
+    coeffs: tuple = field(init=False)     # built from base and deltas
     base: MatrixPolynomial
     deltas: tuple
     eps_used: float
     weights: WeightSet
     certificates: tuple = ()
 
-    def __post_init__(self):
-        n, m = self.base.n, self.base.m
-        if len(self.deltas) != m + 1:
+    def __init__(self, base: MatrixPolynomial, deltas, eps_used: float,
+                 weights: WeightSet, certificates: tuple = ()):
+        n, m = base.n, base.m
+        if len(deltas) != m + 1:
             raise InvalidPolynomialError(
-                f"expected {m + 1} deltas for degree {m}, got {len(self.deltas)}")
+                f"expected {m + 1} deltas for degree {m}, got {len(deltas)}")
         frozen = tuple(
             as_complex_matrix(d, name=f"deltas[{j}]", square=True)
-            for j, d in enumerate(self.deltas))
+            for j, d in enumerate(deltas))
         for j, d in enumerate(frozen):
             if d.shape != (n, n):
                 raise InvalidPolynomialError(
                     f"deltas[{j}] has shape {d.shape}, expected {(n, n)}")
-        object.__setattr__(self, "deltas", frozen)
+        super().__init__(tuple(A + d for A, d in zip(base.coeffs, frozen)))
+        for name, value in (("base", base), ("deltas", frozen), ("eps_used", eps_used),
+                            ("weights", weights), ("certificates", certificates)):
+            object.__setattr__(self, name, value)
 
     @property
     def delta_norms(self) -> tuple:
         return _spectral_norms(self.deltas)
 
-    def materialize(self) -> MatrixPolynomial:
-        """The perturbed polynomial itself, built once; raises
-        InvalidPolynomialError if the perturbed leading coefficient is
-        singular."""
-        return self._materialized
-
-    @cached_property
-    def _materialized(self) -> MatrixPolynomial:
-        return MatrixPolynomial(tuple(
-            self.base.coeffs[j] + self.deltas[j] for j in range(self.base.m + 1)))
+    def materialize(self) -> "PerturbedPolynomial":
+        """The polynomial itself, which already is P + Delta."""
+        return self
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,7 @@ def perturbation_rng(seed: int, stream: int = 0, attempt: int = 0) -> np.random.
 
     (seed, stream) addresses an independent sequence, so parallel sweeps can
     partition work by stream without coordination; attempt separates redraws
-    after a rejected (non-materializable) draw.
+    after a rejected draw (a singular perturbed leading coefficient).
     """
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, attempt))
     return np.random.Generator(np.random.Philox(ss))
@@ -174,13 +173,11 @@ def random_perturbation(poly: MatrixPolynomial, eps: float, weights: WeightSet,
         deltas = [np.zeros((n, n), dtype=complex)] * len(targets)
         for i, j in enumerate(drawn):
             deltas[j] = (targets[j] / ng[i]) * g[i]
-        q = PerturbedPolynomial(base=poly, deltas=tuple(deltas), eps_used=float(eps),
-                                weights=weights, certificates=("leading-nonsingular",))
         try:
-            q.materialize()
+            return PerturbedPolynomial(base=poly, deltas=tuple(deltas), eps_used=float(eps),
+                                       weights=weights, certificates=("leading-nonsingular",))
         except InvalidPolynomialError:
             continue
-        return q
     raise DegenerateProblemError(
         f"no materializable perturbation found in {max_attempts} attempts at "
         f"eps = {eps}; eps * w_m = {eps * weights.weights[-1]:.3e} likely "
@@ -270,13 +267,12 @@ def defect_perturbation(poly: MatrixPolynomial, weights: WeightSet, lam: complex
 
     out = PerturbedPolynomial(base=poly, deltas=tuple(deltas),
                               eps_used=float(eps_used), weights=weights)
-    mat = out.materialize()
     certs = []
     r = PAIRING_RTOL * max(1.0, abs(lam))
-    count = _disc_count(mat, lam, r)
+    count = _disc_count(out, lam, r)
     if (count or 0) >= 2:
         certs.append("eigenvalue-pairing")
-    s = singular_values(mat.eval(lam))
+    s = singular_values(out.eval(lam))
     if n >= 2 and (s[0] == 0.0 or s[-2] <= RANK_DROP_RTOL * s[0]):
         certs.append("rank-drop")
     if not certs:
@@ -286,8 +282,8 @@ def defect_perturbation(poly: MatrixPolynomial, weights: WeightSet, lam: complex
             f"within {r:.3e} is {'refused' if count is None else count} "
             f"and the rank drop check found s_{n - 1}/s_1 = "
             f"{s[-2] / s[0] if n >= 2 and s[0] else 0.0:.3e}")
-    # set in place, as __post_init__ does, so the caller's materialize()
-    # returns the polynomial certified here
+    # the certificates come from checks on the built polynomial, so they are
+    # set in place after construction
     object.__setattr__(out, "certificates", tuple(certs))
     return out
 
@@ -304,7 +300,6 @@ def eigenvalue_shift_samples(poly: MatrixPolynomial, weights: WeightSet,
     lam = complex(lam)
     out = np.empty(samples, dtype=float)
     for i in range(samples):
-        q = random_perturbation(poly, eps, weights, seed, stream=stream_base + i)
-        vals = eigenvalues(q.materialize())
+        vals = eigenvalues(random_perturbation(poly, eps, weights, seed, stream=stream_base + i))
         out[i] = float(np.min(np.abs(vals - lam)))
     return out

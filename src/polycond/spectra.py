@@ -70,7 +70,7 @@ class EigenvalueCluster:
         return len(self.indices) == 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """All nm eigenvalues with their multiplicity clusters; eigenvectors are
     not stored, eig_vectors computes them on demand."""
@@ -88,7 +88,7 @@ class Spectrum:
         return self.cluster_of(i).is_simple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompanionEigenPair:
     """Right/left eigenvectors of the companion matrix synthesized from an
     eigenpair (x, y) of P: right = [x; lam x; ...], left from the E-block
@@ -210,7 +210,7 @@ class JordanBlock:
             raise InvalidTripleError("Jordan block size must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JordanTriple:
     """A triple (X, J, Y) with J given by its block structure.
 

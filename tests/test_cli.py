@@ -5,6 +5,7 @@ prints, so argument parsing, dispatch, and output serialization are all
 covered without spawning subprocesses.
 """
 
+import builtins
 import hashlib
 import json
 import os
@@ -102,6 +103,23 @@ class TestDocumentHeader:
         assert params["weights"] == [1.0, 1.0, 1.0]
         assert params["weights_overridden"] is False
         assert params["weights_derived"] is False
+
+    def test_problem_file_read_once(self, capsys, monkeypatch):
+        # the hash and the parse come from the same bytes
+        opened = []
+        real_open = builtins.open
+        monkeypatch.setattr(builtins, "open",
+                            lambda f, *a, **k: opened.append(f) or real_open(f, *a, **k))
+        doc = run_ok(capsys, "eig", P5)
+        assert opened.count(P5) == 1
+        with real_open(P5, "rb") as fh:
+            assert doc["input"]["sha256"] == hashlib.sha256(fh.read()).hexdigest()
+
+    def test_non_utf8_file_is_analysis_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"comment": "\xe9", "n": 1, "m": 1, "coefficients": [[[-2.0]], [[1.0]]]}')
+        err = run_err(capsys, "eig", path)
+        assert err["type"] == "UnicodeDecodeError"
 
     def test_derived_weights_flagged(self, capsys):
         # p4 carries no weights block, so they come from coefficient norms
@@ -455,6 +473,16 @@ class TestVerify:
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
         run_ok(capsys, "verify", "linearization", P3, "--points", "20")
         assert len(calls) == 4
+
+    def test_twenty_points_evaluate_p_once(self, capsys, monkeypatch):
+        # the residual takes P(z) from the E factor; only the threshold's
+        # norms evaluate P, in one stacked call
+        calls = []
+        ev = MatrixPolynomial.eval
+        monkeypatch.setattr(MatrixPolynomial, "eval",
+                            lambda self, z: calls.append(np.shape(z)) or ev(self, z))
+        run_ok(capsys, "verify", "linearization", P3, "--points", "20")
+        assert calls == [(20,)]
 
 
 class TestUsageErrors:

@@ -5,12 +5,18 @@ import json
 import numpy as np
 import pytest
 
-from helpers import FIXTURES
+from helpers import FIXTURES, load_fixture
 from polycond import (
     InvalidPolynomialError,
     ProblemFormatError,
+    companion_vectors,
+    contours,
+    eig_vectors,
+    grid_eval,
     parse_problem,
+    random_perturbation,
     serialize_problem,
+    spectrum,
 )
 
 MINIMAL = '{"n": 1, "m": 1, "coefficients": [[[-2.0]], [[1.0]]]}'
@@ -159,3 +165,38 @@ class TestRoundTrip:
         for a, b in zip(pf.poly.coeffs, p6q.poly.coeffs):
             assert np.array_equal(a, b)
         assert pf.weights.weights == p6q.weights.weights
+
+
+def _p3():
+    return load_fixture("p3")
+
+
+def _grid():
+    pf = _p3()
+    return grid_eval(pf.poly, pf.weights, (-2.0, 2.0, -1.0, 1.0), 9)
+
+
+# one builder per record type that holds arrays; each call makes a fresh
+# instance with the same content as the last
+RECORDS = {
+    "MatrixPolynomial": lambda: _p3().poly,
+    "PerturbedPolynomial": lambda: random_perturbation(_p3().poly, 1e-3, _p3().weights, seed=0),
+    "JordanTriple": lambda: _p3().triple,
+    "MultipleEigenvalueData": lambda: _p3().multiple,
+    "ProblemFile": _p3,
+    "Spectrum": lambda: spectrum(_p3().poly),
+    "CompanionEigenPair": lambda: companion_vectors(
+        _p3().poly, -1.0, *eig_vectors(_p3().poly, -1.0)),
+    "PseudoGrid": _grid,
+    "ContourSet": lambda: contours(_grid(), 0.05),
+}
+
+
+class TestRecordIdentity:
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_records_with_arrays_compare_by_identity(self, name):
+        a, b = RECORDS[name](), RECORDS[name]()
+        assert type(a).__name__ == name
+        assert a == a and a in [a]
+        assert a != b and b not in [a]
+        assert len({a, b, a}) == 2

@@ -1,5 +1,7 @@
 """Admissible perturbations: random boundary draws and the defect construction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,7 +110,8 @@ class TestStackedNorms:
         for eps in (1e-8, 1e-3, 1e-2, 0.3):
             for stream in range(6):
                 q = random_perturbation(pf.poly, eps, pf.weights, seed=5, stream=stream)
-                mat = q.materialize()
+                # a plain polynomial is checked by its coefficient differences
+                mat = MatrixPolynomial(q.coeffs)
                 diffs = [A - B for A, B in zip(mat.coeffs, pf.poly.coeffs)]
                 for got, deltas in (
                         (q.delta_norms, q.deltas),
@@ -154,7 +157,7 @@ class TestRandomPerturbation:
     def test_materialized_spectrum_moves_continuously(self, p5):
         # tiny eps must keep the eigenvalues near {1, 2, 3, 4}
         q = random_perturbation(p5.poly, 1e-8, p5.weights, seed=3)
-        vals = eigenvalues(q.materialize())
+        vals = eigenvalues(q)
         for lam in (1.0, 2.0, 3.0, 4.0):
             assert np.min(np.abs(vals - lam)) < 1e-3
 
@@ -216,7 +219,7 @@ class TestRedraw:
         assert attempts == [0, 1]
         assert q.certificates == ("leading-nonsingular",)
         assert np.array_equal(q.deltas[1], np.array([[1 + 1j]]))
-        assert np.array_equal(q.materialize().coeffs[1], np.array([[2 + 2j]]))
+        assert np.array_equal(q.coeffs[1], np.array([[2 + 2j]]))
 
     def test_always_singular_raises(self, monkeypatch):
         attempts = []
@@ -245,10 +248,24 @@ class TestPerturbedPolynomial:
                                 weights=p5.weights)
 
     def test_materialize_adds_deltas(self, p5):
+        # the perturbed polynomial is a MatrixPolynomial with coefficients
+        # A_j + Delta_j; materialize() is the identity
         q = random_perturbation(p5.poly, 1e-3, p5.weights, seed=1)
-        mat = q.materialize()
+        assert isinstance(q, MatrixPolynomial)
+        assert q.materialize() is q
         for j in range(3):
-            assert np.allclose(mat.coeffs[j], p5.poly.coeffs[j] + q.deltas[j])
+            assert np.array_equal(q.coeffs[j], p5.poly.coeffs[j] + q.deltas[j])
+        # dataclasses.replace rebuilds the sum from base and deltas
+        r = dataclasses.replace(q, eps_used=2.0)
+        assert r.eps_used == 2.0
+        for a, b in zip(r.coeffs + r.deltas, q.coeffs + q.deltas):
+            assert np.array_equal(a, b)
+
+    def test_singular_leading_coefficient_refused_at_construction(self, p5):
+        deltas = (np.zeros((2, 2)),) * 2 + (-np.asarray(p5.poly.coeffs[2]),)
+        with pytest.raises(InvalidPolynomialError, match="leading coefficient"):
+            PerturbedPolynomial(base=p5.poly, deltas=deltas, eps_used=1.0,
+                                weights=p5.weights)
 
 
 class TestDefectPerturbation:
@@ -275,7 +292,7 @@ class TestDefectPerturbation:
         poly, w = p4.poly, p4.weights
         x, y = eig_vectors(poly, -1.0)
         q = defect_perturbation(poly, w, -1.0, x, y)
-        vals = eigenvalues(q.materialize())
+        vals = eigenvalues(q)
         close = np.sort(np.abs(vals + 1.0))
         assert close[1] <= 1e-5  # two perturbed eigenvalues within 1e-5 of -1
 
@@ -310,12 +327,11 @@ class TestDefectPerturbation:
             poly, w = pf.poly, pf.weights
             lam, x, y = snap_vectors(poly, target)
             q = defect_perturbation(poly, w, lam, x, y)
-            mat = q.materialize()
-            qx = mat.eval(lam) @ x
-            assert np.linalg.norm(qx) <= 1e-10 * max(1.0, spectral_norm(mat.eval(lam)))
-            rhs = -mat.eval_derivative(lam, 1) @ x
-            z, *_ = np.linalg.lstsq(mat.eval(lam), rhs, rcond=None)
-            residual = np.linalg.norm(mat.eval(lam) @ z - rhs)
+            qx = q.eval(lam) @ x
+            assert np.linalg.norm(qx) <= 1e-10 * max(1.0, spectral_norm(q.eval(lam)))
+            rhs = -q.eval_derivative(lam, 1) @ x
+            z, *_ = np.linalg.lstsq(q.eval(lam), rhs, rcond=None)
+            residual = np.linalg.norm(q.eval(lam) @ z - rhs)
             assert residual <= 1e-8 * max(1.0, np.linalg.norm(rhs))
 
     def test_unitary_frame_independence(self, p4, rng):
@@ -342,10 +358,9 @@ class TestDefectPerturbation:
             lam, x, y = snap_vectors(poly, target)
             builds.clear()
             q = defect_perturbation(poly, w, lam, x, y)
-            mat = q.materialize()
             assert len(builds) == 1
-            assert q.materialize() is mat
-            for A, B, D in zip(mat.coeffs, poly.coeffs, q.deltas):
+            assert q.materialize() is q
+            for A, B, D in zip(q.coeffs, poly.coeffs, q.deltas):
                 assert np.array_equal(A, B + D)
 
     def test_non_eigenvector_input_rejected(self, p4):
@@ -386,9 +401,9 @@ class TestDefectPerturbation:
             except PolycondError:
                 continue
             r = PAIRING_RTOL * max(1.0, abs(lam))
-            near = int(np.sum(np.abs(eigenvalues(q.materialize()) - lam) < r))
+            near = int(np.sum(np.abs(eigenvalues(q) - lam) < r))
             assert ("eigenvalue-pairing" in q.certificates) == (near >= 2)
-            assert _disc_count(q.materialize(), lam, r) in (near, None)
+            assert _disc_count(q, lam, r) in (near, None)
 
     def test_refused_count_is_reported(self, monkeypatch, p4):
         # with the count refused and no rank drop, the error names the disc

@@ -116,17 +116,20 @@ class TestGridEval:
             assert np.array_equal(a.values, b.values)
 
     def test_block_size_bitwise_irrelevant(self, p3, monkeypatch):
-        # the last node, z = 0 exactly, sits in the partial block
+        # 23 x 19 = 437 nodes: in blocks of 100 nodes, five blocks (more than
+        # the three threads) and the last node, z = 0 exactly, in the partial
+        # fifth block of 37
         box = (-2.4, 0.0, -1.2, 0.0)
-        ref = grid_eval(p3.poly, p3.weights, box, (91, 83), threads=1)
+        ref = grid_eval(p3.poly, p3.weights, box, (23, 19), threads=1)
         assert ref.re_axis[-1] == 0.0 and ref.im_axis[-1] == 0.0
         want = singular_values(p3.poly.coeffs[0])[-1] / p3.weights.weights[0]
         assert ref.values[-1, -1] == want
         # blocks of 100 nodes and of one node give the same bits
         for nodes in (100, 1):
             monkeypatch.setattr(polycond.core, "_BLOCK_BYTES", 16 * 9 * nodes)
+            assert len(polycond.core._blocks(ref.values.size, 3)) > 3
             for threads in (1, 3):
-                got = grid_eval(p3.poly, p3.weights, box, (91, 83), threads=threads)
+                got = grid_eval(p3.poly, p3.weights, box, (23, 19), threads=threads)
                 assert np.array_equal(got.values, ref.values)
 
     def test_pool_capped_at_blocks_and_cores(self, p3, monkeypatch):
