@@ -2,8 +2,9 @@
 
 Every subcommand is a thin adapter around one library call: it loads a
 problem file, runs the analysis, and prints a JSON result document on stdout
-carrying the input file hash and a full parameter echo.  Analysis failures
-print a structured error document on stderr and exit 1; usage errors exit 2.
+carrying the input file hash and a full parameter echo.  Analysis failures,
+a result holding NaN or Infinity among them, print a structured error document
+on stderr and exit 1; usage errors exit 2.
 Subcommands return library values and report objects as they are; one
 json.dumps hook, _jsonable, decides how each becomes JSON.
 """
@@ -426,7 +427,11 @@ def main(argv=None) -> int:
         result = _DISPATCH[args.command](ctx, args)
         doc = ctx.header(args.command, _param_echo(args))
         doc["result"] = result
-        print(json.dumps(doc, indent=2, default=_jsonable))
+        try:
+            text = json.dumps(doc, indent=2, default=_jsonable, allow_nan=False)
+        except ValueError as exc:   # NaN or +-inf: JSON has no literal for either
+            raise PolycondError(f"the result holds NaN or Infinity, which JSON cannot carry: {exc}")
+        print(text)
         return 0
     except (PolycondError, OSError, ValueError) as exc:
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}

@@ -125,36 +125,30 @@ def cond_multiple(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
 
 def adjugate_norm(M, gap: float = 1e6) -> float:
     """Spectral norm of adj(M) for M with a simple zero singular value:
-    the product of the n-1 largest singular values.
+    the product of the n-1 largest singular values (1 for a 1x1 M).
 
     The simple-zero assumption is enforced as s_{n-1} > gap * s_n; violations
     raise with the observed singular-value gap.  On ill-scaled problems the
     product can overflow to inf or underflow to 0.
     """
-    return _adjugate_norm_of(singular_values(M), gap)
+    return float(np.prod(_adjugate_factors(singular_values(M), gap)))
 
 
-def _adjugate_norm_of(s: np.ndarray, gap: float = 1e6) -> float:
-    """adjugate_norm from the descending singular values s of M."""
-    n = len(s)
-    if n == 1:
-        # adj of a 1x1 matrix is [1] by convention
-        return 1.0
-    if not s[-2] > gap * s[-1]:
+def _adjugate_factors(s: np.ndarray, gap: float = 1e6) -> np.ndarray:
+    """s_1..s_{n-1}, whose product is ||adj(M)||, from the descending singular
+    values s of M; raises unless s_{n-1} > gap * s_n (vacuous for n = 1)."""
+    if len(s) > 1 and not s[-2] > gap * s[-1]:
         raise HypothesisViolationError(
             "adjugate norm needs a simple zero singular value: "
-            f"s_{n - 1} = {s[-2]:.3e} vs gap * s_{n} = {gap * s[-1]:.3e} "
+            f"s_{len(s) - 1} = {s[-2]:.3e} vs gap * s_{len(s)} = {gap * s[-1]:.3e} "
             f"(observed ratio {s[-2] / s[-1] if s[-1] > 0 else np.inf:.3e}, required > {gap:.1e})")
-    return float(np.prod(s[:-1]))
+    return s[:-1]
 
 
 def _log_gap_product(values: np.ndarray, i: int) -> float:
-    """Sum of log |lam_j - lam_i| over j != i; log-space to survive the
-    dynamic range of ill-scaled problems."""
+    """Sum of log |lam_j - lam_i| over j != i (0 for a lone eigenvalue);
+    log-space to survive the dynamic range of ill-scaled problems."""
     gaps = np.abs(np.delete(values, i) - values[i])
-    if len(gaps) == 0:
-        raise DegenerateProblemError(
-            "the polynomial has a single eigenvalue; no gap product exists")
     if np.any(gaps == 0.0):
         raise NotAnEigenvalueError(
             f"eigenvalue {values[i]} has a zero gap to another eigenvalue; "
@@ -175,20 +169,14 @@ def cond_eigvector_free(poly: MatrixPolynomial, weights: WeightSet, i: int,
     """Condition number of the i-th eigenvalue without eigenvectors:
     w(|lam_i|) ||adj(P(lam_i))|| / (|det A_m| prod_{j != i} |lam_j - lam_i|).
 
-    The product runs over all other computed eigenvalues with multiplicity and
-    is accumulated in log space, as is ||adj(P(lam_i))|| when adjugate_norm's
-    product leaves the normal float range.
+    The product runs over all other computed eigenvalues with multiplicity and,
+    like ||adj(P(lam_i))|| = s_1 ... s_{n-1} from the memoised SVD of P(lam_i),
+    is summed in log space; a 1x1 linear P gives w(|lam|) / |a_1|.
     """
     weights.require_match(poly)
     _require_simple(spec, i)
     lam = complex(spec.eigenvalues[i])
-    s = poly._singular_values_at(lam)
-    with np.errstate(over="ignore"):
-        adj = _adjugate_norm_of(s)
-    if np.finfo(float).tiny <= adj < np.inf:
-        log_adj = np.log(adj)
-    else:   # inf, 0 or a subnormal that has lost digits: sum the logs instead
-        log_adj = np.sum(np.log(s[:-1]))
+    log_adj = np.sum(np.log(_adjugate_factors(poly._singular_values_at(lam))))
     log_num = np.log(weights.eval(abs(lam))) + log_adj
     log_den = poly.log_abs_det_leading + _log_gap_product(spec.eigenvalues, i)
     return float(np.exp(log_num - log_den))

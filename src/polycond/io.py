@@ -14,14 +14,15 @@ A problem file is a single JSON document:
       "comment": "free text"                 // optional, ignored
     }
 
-Matrices are nested row-major arrays; every entry is a real number or a
-[re, im] pair.  serialize_problem(parse_problem(text)) reproduces the same
-problem exactly (floats survive the round trip bit for bit).
+Matrices are nested row-major arrays; every entry is a finite real number or
+a [re, im] pair of them.  serialize_problem(parse_problem(text)) reproduces
+the same problem exactly (floats survive the round trip bit for bit).
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,13 +60,12 @@ class ProblemFile:
 
 
 def _entry(v, path: str) -> complex:
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2 and all(
-            isinstance(c, (int, float)) and not isinstance(c, bool) for c in v):
-        return complex(v[0], v[1])
+    parts = v if isinstance(v, list) and len(v) == 2 else [v]
+    # a JSON true is no number; NaN, +-Infinity and too-large integers fail the bound
+    if all(type(c) in (int, float) and abs(c) <= sys.float_info.max for c in parts):
+        return complex(*parts)
     raise ProblemFormatError(
-        f"{path}: expected a number or a [re, im] pair, got {v!r}")
+        f"{path}: expected a finite number or a [re, im] pair of them, got {v!r}")
 
 
 def _matrix(v, rows: int, cols: int, path: str) -> np.ndarray:
@@ -127,8 +127,8 @@ def parse_problem(text: str) -> ProblemFile:
                 f"weights: expected {m + 1} values, got "
                 f"{len(weights_doc) if isinstance(weights_doc, list) else type(weights_doc).__name__}")
         for j, wv in enumerate(weights_doc):
-            if not isinstance(wv, (int, float)) or isinstance(wv, bool):
-                raise ProblemFormatError(f"weights[{j}]: expected a number, got {wv!r}")
+            if type(wv) not in (int, float) or not abs(wv) <= sys.float_info.max:
+                raise ProblemFormatError(f"weights[{j}]: expected a finite number, got {wv!r}")
         weights = WeightSet(weights_doc)
         derived = False
 

@@ -3,8 +3,8 @@ Jordan triples, and the triple-based global condition number.
 
 Eigenvalues come from a dense eigensolve of the companion matrix. Unit
 right/left eigenvectors are computed on demand, one eigenvalue at a time, by
-eig_vectors from the SVD of P(lam) at the computed eigenvalue (never from
-companion eigenvectors); companion-level eigenvectors are then synthesized
+eig_vectors from the memoised SVD of P(lam) at the computed eigenvalue (never
+from companion eigenvectors); companion-level eigenvectors are then synthesized
 structurally from (x, y).
 """
 
@@ -176,14 +176,13 @@ def eig_vectors(poly: MatrixPolynomial, lam: complex, tol: float | None = None,
     """Unit right/left eigenvectors of P at the eigenvalue nearest lam.
 
     lam is snapped to the nearest computed eigenvalue within tol (default
-    1e-3 * max(1, |lam|)); x and y are the right/left singular vectors of the
-    smallest singular value of P evaluated at the snapped eigenvalue, so
-    ||P(lam0) x|| = s_min(P(lam0)).
+    1e-3 * max(1, |lam|)); x and y are copies of the right/left singular
+    vectors of s_min(P(lam0)) at the snapped eigenvalue lam0, from the SVD of
+    P(lam0) that poly memoises, so ||P(lam0) x|| = s_min(P(lam0)).
     """
     vals = eigenvalues(poly) if values is None else np.asarray(values, dtype=complex)
-    i = nearest_eigenvalue(vals, lam, tol)
-    U, _, Vh = np.linalg.svd(poly.eval(complex(vals[i])))
-    return Vh[-1].conj(), U[:, -1]
+    _, x, y = poly._svd_at(complex(vals[nearest_eigenvalue(vals, lam, tol)]))
+    return x.copy(), y.copy()
 
 
 def companion_vectors(poly: MatrixPolynomial, lam: complex, x: np.ndarray,
@@ -200,14 +199,15 @@ def companion_vectors(poly: MatrixPolynomial, lam: complex, x: np.ndarray,
 
 @dataclass(frozen=True)
 class JordanBlock:
-    """One Jordan block: its eigenvalue and dimension."""
+    """One Jordan block: its finite eigenvalue and dimension."""
 
     eigenvalue: complex
     size: int
 
     def __post_init__(self):
-        if self.size < 1:
-            raise InvalidTripleError("Jordan block size must be positive")
+        if not (self.size >= 1 and np.isfinite(self.eigenvalue)):
+            raise InvalidTripleError(
+                f"a Jordan block needs a positive size and a finite eigenvalue, got {self}")
 
 
 @dataclass(frozen=True, eq=False)

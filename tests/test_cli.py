@@ -40,17 +40,34 @@ def run(capsys, *argv):
     return rc, cap.out, cap.err
 
 
+def strict_loads(text):
+    """json.loads that refuses NaN, Infinity and -Infinity, which RFC 8259
+    JSON has no literal for."""
+    def refuse(name):
+        raise AssertionError(f"the document holds {name}, which is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def run_ok(capsys, *argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 0, err
-    return json.loads(out)
+    return strict_loads(out)
 
 
 def run_err(capsys, *argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 1
     assert out == ""
-    return json.loads(err)["error"]
+    return strict_loads(err)["error"]
+
+
+def count_svds(capsys, monkeypatch, *argv):
+    """The np.linalg.svd calls of one successful CLI run."""
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    run_ok(capsys, *argv)
+    return len(calls)
 
 
 class TestJsonable:
@@ -163,15 +180,24 @@ class TestCond:
         assert res["routes"]["eigenvector"] == res["value"]
         assert res["min_gap_bound"] == min_gap_bound(prob.poly, prob.weights, idx, sp)
 
-    def test_four_svds_per_call(self, capsys, monkeypatch):
-        # the leading coefficient's check, the eigenvector SVD of P(lam) and
-        # the memoised singular values of P'(lam) and P(lam), which the
-        # adjugate route reads instead of taking an SVD of its own
-        calls = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
-        run_ok(capsys, "cond", P5, "--eig", "4")
-        assert len(calls) == 4
+    def test_three_svds_per_call(self, capsys, monkeypatch):
+        # the leading coefficient's check, the memoised full SVD of P(lam),
+        # which gives eig_vectors its pair and the adjugate route its
+        # singular values, and the memoised singular values of P'(lam)
+        assert count_svds(capsys, monkeypatch, "cond", P5, "--eig", "4") == 3
+
+    def test_one_by_one_linear_problem(self, capsys, tmp_path):
+        # P(lam) = 4 lam - 2: lam = 1/2, w(1/2) = 1.5 and every route reads
+        # w(|lam|) / |a_1| = 0.375; there is no other eigenvalue to bound a gap to
+        path = tmp_path / "p1.json"
+        path.write_text(json.dumps({"n": 1, "m": 1, "coefficients": [[[-2.0]], [[4.0]]],
+                                    "weights": [1.0, 1.0]}))
+        res = run_ok(capsys, "cond", path, "--eig", "0.5")["result"]
+        assert res["eigenvalue"] == [0.5, 0.0]
+        assert res["value"] == 0.375
+        assert res["routes"] == pytest.approx(
+            {"eigenvector": 0.375, "companion": 0.375, "eigenvector_free": 0.375}, rel=1e-15)
+        assert "min_gap_bound" not in res
 
 
 class TestMultiCond:
@@ -200,6 +226,10 @@ class TestDist:
             "nonparallel": True,
         }
         assert "orthogonal_component" in direct["ingredients"]
+
+    def test_four_svds_per_call(self, capsys, monkeypatch):
+        # as for cond, plus one stacked SVD for p4's coefficient-norm weights
+        assert count_svds(capsys, monkeypatch, "dist", P4, "--eig", "-1", "0") == 4
 
     def test_key_order(self, capsys):
         res = run_ok(capsys, "dist", P4, "--eig", "-1", "0")["result"]
@@ -391,6 +421,12 @@ class TestPerturb:
         gaps = np.sort(np.abs(eigenvalues(q.poly) + 1.0))
         assert gaps[1] <= 1e-5
 
+    def test_defect_takes_seven_svds(self, capsys, monkeypatch):
+        # dist's four, the perturbed leading coefficient's check, the
+        # rank-drop certificate's SVD of Q(lam) and one stacked SVD for the
+        # printed delta norms
+        assert count_svds(capsys, monkeypatch, "perturb", "defect", P4, "--eig", "-1", "0") == 7
+
     @pytest.mark.parametrize("argv", [
         ("perturb", "defect", P4, "--eig", "-1", "0"),
         ("perturb", "random", P4, "--eps", "0.01"),
@@ -402,6 +438,48 @@ class TestPerturb:
                             lambda self, coeffs: builds.append(1) or init(self, coeffs))
         run_ok(capsys, *argv, "--out", tmp_path / "q.json")
         assert len(builds) == 2     # the problem file's and the perturbed one
+
+
+def p3_with(tmp_path, edit):
+    """A copy of p3 after edit(doc), written with Python's NaN/Infinity literals."""
+    doc = json.loads(Path(P3).read_text())
+    edit(doc)
+    path = tmp_path / "p3_edited.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestNonFinite:
+    """Problem files refuse NaN and Infinity, and no document prints them."""
+
+    @pytest.mark.parametrize("edit, field, argv", [
+        (lambda d: d["multiple"].update(eigenvalue=float("inf")),
+         "multiple.eigenvalue", ("multi-cond",)),
+        (lambda d: d["multiple"]["right_vectors"][0].__setitem__(0, float("nan")),
+         "multiple.right_vectors[0][0]", ("multi-cond",)),
+        (lambda d: d["triple"]["blocks"][0].update(eigenvalue=float("nan")),
+         "triple.blocks[0].eigenvalue", ("eig",)),
+    ], ids=["inf-eigenvalue", "nan-vector", "nan-block"])
+    def test_problem_file_refused_with_field_path(self, capsys, tmp_path, edit, field, argv):
+        # through the CLI; tests/test_io.py covers every field of the format
+        err = run_err(capsys, *argv, p3_with(tmp_path, edit))
+        assert err["type"] == "ProblemFormatError"
+        assert err["message"].startswith(f"{field}: expected a finite number")
+
+    @pytest.mark.parametrize("bound, mu", [
+        ("elsner", ("1e300", "0")),      # inf * 0 in P(mu): the value is NaN
+        ("bauer-fike", ("1", "0")),      # theta = p k eps w overflows to inf
+    ])
+    def test_non_finite_result_is_analysis_error(self, capsys, bound, mu):
+        with np.errstate(over="ignore", invalid="ignore"):   # P(1e300) overflows on purpose
+            err = run_err(capsys, "bounds", bound, P6, "--eps", "1e308", "--mu", *mu)
+        assert err["type"] == "PolycondError"
+        assert err["message"].startswith("the result holds NaN or Infinity, which JSON cannot carry")
+
+    def test_strict_loads_refuses_constants(self):
+        for text in ("NaN", "[Infinity]", '{"v": -Infinity}'):
+            with pytest.raises(AssertionError, match="not JSON"):
+                strict_loads(text)
 
 
 class TestClusteredEigenvalue:

@@ -221,6 +221,20 @@ class TestEigvectorFree:
         assert 0.0 < bound < np.inf
         assert bound == pytest.approx(dist_mult_bound(poly, w, lam, x, y).value, rel=1e-8)
 
+    @pytest.mark.parametrize("a0, a1, weights", [
+        (-2.0, 4.0, (1.0, 1.0)), (3.0 - 1.0j, -0.5j, (0.25, 2.0)), (0.0, 2.0, (1.0, 0.0))])
+    def test_scalar_linear_routes_agree(self, a0, a1, weights):
+        # no other eigenvalue: the gap product is the empty product 1 and
+        # adj of a 1x1 matrix is [1], so every route reads w(|lam|) / |a_1|
+        poly, w = MatrixPolynomial([[[a0]], [[a1]]]), WeightSet(weights)
+        sp = spectrum(poly)
+        lam = complex(sp.eigenvalues[0])
+        want = w.eval(abs(lam)) / abs(a1)
+        x, y = eig_vectors(poly, lam, values=sp.eigenvalues)
+        assert cond_simple(poly, w, lam, x, y) == pytest.approx(want, rel=1e-15)
+        assert cond_via_companion(poly, w, lam, x, y) == pytest.approx(want, rel=1e-15)
+        assert cond_eigvector_free(poly, w, 0, sp) == pytest.approx(want, rel=1e-15)
+
     def test_non_simple_rejected(self, p3):
         sp = spectrum(p3.poly, cluster_tol=1e-4)
         big = next(c for c in sp.clusters if c.size == 5)

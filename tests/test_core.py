@@ -14,6 +14,8 @@ from polycond import (
     InvalidWeightsError,
     MatrixPolynomial,
     WeightSet,
+    eig_vectors,
+    eigenvalues,
     singular_values,
     spectral_norm,
 )
@@ -289,8 +291,9 @@ class TestSingularValues:
 
 
 class TestSingularValuesAt:
-    """The memoised singular values of P(lam) and P'(lam) that the condition
-    number, the distance bounds and the defect construction share."""
+    """The memoised SVD of P(lam) and singular values of P'(lam) that
+    eig_vectors, the condition number, the distance bounds and the defect
+    construction share: one full SVD per P(lam), values only for P'(lam)."""
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_bitwise_values_read_only_and_computed_once(self, name, monkeypatch, rng):
@@ -301,16 +304,44 @@ class TestSingularValuesAt:
         calls = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
-        got = {(z, order): poly._singular_values_at(z, order)
+        got = {(z, order): poly._svd_at(z, order)
                for _ in range(2) for z in points for order in (0, 1)}
         assert len(calls) == 2 * len(points)    # the second pass is all hits
         monkeypatch.undo()
-        for (z, order), s in got.items():
-            assert np.array_equal(s, singular_values(poly.eval_derivative(z, order)))
+        for (z, order), entry in got.items():
+            s = entry[0]
+            if order == 0:
+                U, s_full, Vh = np.linalg.svd(poly.eval(z))
+                assert np.array_equal(s, s_full)
+                assert np.array_equal(entry[1], Vh[-1].conj())
+                assert np.array_equal(entry[2], U[:, -1])
+                # the pair holds O(n) numbers, not a view of U or Vh
+                assert entry[1].base is None and entry[2].base is None
+            else:
+                assert len(entry) == 1
+                assert np.array_equal(s, singular_values(poly.eval_derivative(z, order)))
             want = singular_values(naive_derivative(coeffs, z, order))
             assert np.allclose(s, want, rtol=1e-12, atol=1e-12 * max(1.0, want[0]))
-            assert not s.flags.writeable
+            assert not any(a.flags.writeable for a in entry)
+            assert poly._svd_at(complex(z), order) is entry
             assert poly._singular_values_at(complex(z), order) is s
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_eig_vectors_returns_copies_of_the_stored_pair(self, name, monkeypatch):
+        poly = MatrixPolynomial(load_fixture(name).poly.coeffs)     # a fresh memo
+        vals = eigenvalues(poly)
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        for lam in vals:
+            x, y = eig_vectors(poly, lam, values=vals)
+            _, xs, ys = poly._svd_at(complex(lam))
+            assert np.array_equal(x, xs) and np.array_equal(y, ys)
+            assert x.flags.writeable and y.flags.writeable
+            assert not np.shares_memory(x, xs) and not np.shares_memory(y, ys)
+            # the singular values come with the pair: no second SVD of P(lam)
+            poly._singular_values_at(lam)
+        assert len(calls) == len(set(vals.tolist()))
 
     @pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (3, 1)])
     def test_holds_at_most_2nm_points_oldest_dropped_first(self, n, m, rng):
@@ -328,7 +359,9 @@ class TestSingularValuesAt:
 
     def test_degree_zero_keeps_nothing(self):
         poly = MatrixPolynomial([2.0 * np.eye(2)])
-        assert np.array_equal(poly._singular_values_at(0.5), [2.0, 2.0])
+        s, x, y = poly._svd_at(0.5)
+        assert np.array_equal(s, [2.0, 2.0]) and np.array_equal(poly._singular_values_at(0.5), s)
+        assert np.linalg.norm(x) == pytest.approx(1.0) and np.linalg.norm(y) == pytest.approx(1.0)
         assert poly.__dict__["_singular_memo"] == {}
 
 

@@ -1,6 +1,7 @@
 """Problem-file parsing, validation diagnostics, and round-tripping."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -130,6 +131,46 @@ class TestParseErrors:
         with pytest.raises(ProblemFormatError) as err:
             parse_problem(minimal_doc(multiple=multiple))
         assert "multiple.left_vectors" in str(err.value)
+
+
+class TestNonFiniteNumbers:
+    """json.loads accepts NaN, Infinity and -Infinity; a problem file may not."""
+
+    P3 = json.loads((FIXTURES / "p3.json").read_text())
+
+    @pytest.mark.parametrize("path, value", [
+        (("coefficients", 0, 0, 0), float("nan")),
+        (("coefficients", 2, 1, 1), [1.0, float("inf")]),
+        (("weights", 2), float("-inf")),
+        (("triple", "blocks", 0, "eigenvalue"), float("nan")),
+        (("triple", "X", 0, 3), float("inf")),
+        (("multiple", "eigenvalue"), float("inf")),
+        (("multiple", "right_vectors", 1, 0), float("nan")),
+        (("multiple", "left_vectors", 0, 2), [float("nan"), 0.0]),
+    ])
+    def test_refused_with_field_path(self, path, value):
+        doc = json.loads(json.dumps(self.P3))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        text = json.dumps(doc)
+        assert "NaN" in text or "Infinity" in text
+        field = path[0] + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path[1:])
+        with pytest.raises(ProblemFormatError, match=rf"^{re.escape(field)}: expected a finite number"):
+            parse_problem(text)
+
+    def test_integer_past_float_range_refused(self):
+        # complex() would raise OverflowError, which is no polycond error
+        with pytest.raises(ProblemFormatError, match=r"^coefficients\[1\]\[0\]\[0\]: expected a finite"):
+            parse_problem(minimal_doc(coefficients=[[[-2.0]], [[10 ** 400]]]))
+        with pytest.raises(ProblemFormatError, match=r"^weights\[0\]: expected a finite"):
+            parse_problem(minimal_doc(weights=[-(10 ** 400), 1.0]))
+
+    def test_finite_pairs_and_integers_still_parse(self):
+        pf = parse_problem(minimal_doc(coefficients=[[[[-2, 0.5]]], [[1]]], weights=[1, 2.5]))
+        assert pf.poly.coeffs[0][0, 0] == complex(-2, 0.5)
+        assert pf.weights.weights == (1.0, 2.5)
 
 
 class TestRoundTrip:

@@ -212,6 +212,14 @@ class TestJordanTriple:
         with pytest.raises(InvalidTripleError):
             JordanBlock(eigenvalue=1.0, size=0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), complex(1.0, -float("inf"))])
+    def test_block_requires_finite_eigenvalue(self, value):
+        # a NaN block would otherwise reach the stacked-matrix SVD as a bare LinAlgError
+        with pytest.raises(InvalidTripleError, match="finite eigenvalue"):
+            JordanBlock(eigenvalue=value, size=1)
+        with pytest.raises(InvalidTripleError, match="finite eigenvalue"):
+            JordanTriple(np.eye(2), [(value, 1), (2.0, 1)], np.eye(2))
+
     def test_jordan_matrix_assembly(self):
         t = JordanTriple(
             X=np.array([[1.0, 0.0, 0.25, 0.5], [0.0, 1.0, 0.5, 1.0]]),
