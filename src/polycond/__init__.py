@@ -59,7 +59,6 @@ from .pseudospectra import (
     sublevel_component_count,
 )
 from .spectra import (
-    CompanionEigenPair,
     EigenvalueCluster,
     JordanBlock,
     JordanTriple,
@@ -82,10 +81,9 @@ __all__ = [
     # linearization
     "companion", "ef_factors", "linearization_residual",
     # spectra
-    "CompanionEigenPair", "EigenvalueCluster", "JordanBlock", "JordanTriple",
-    "Spectrum", "cluster", "companion_vectors", "default_cluster_tol",
-    "eig_vectors", "eigenproblem_cond", "eigenvalues", "nearest_eigenvalue",
-    "spectrum", "validate_jordan_triple",
+    "EigenvalueCluster", "JordanBlock", "JordanTriple", "Spectrum", "cluster",
+    "companion_vectors", "default_cluster_tol", "eig_vectors", "eigenproblem_cond",
+    "eigenvalues", "nearest_eigenvalue", "spectrum", "validate_jordan_triple",
     # condition
     "adjugate_norm", "cond_companion", "cond_eigvector_free", "cond_multiple",
     "cond_simple", "cond_via_companion", "min_gap_bound",

@@ -24,7 +24,7 @@ import numpy as np
 from .condition import _coupling, cond_eigvector_free
 from .core import MatrixPolynomial, WeightSet, spectral_norm
 from .errors import DegenerateProblemError, HypothesisViolationError
-from .spectra import JordanTriple, _check_triple_shape, eigenproblem_cond
+from .spectra import JordanTriple, _check_triple_shape, _svds_at, eigenproblem_cond
 
 __all__ = [
     "BoundReport",
@@ -85,7 +85,7 @@ def _derivative_frame(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
     x = _unit(x, "x")
     y = _unit(y, "y")
     Pp = poly.eval_derivative(lam)
-    s = poly._singular_values_at(lam, 1)
+    s = _svds_at(poly, lam).sp
     if s[-1] <= SINGULAR_RTOL * s[0]:
         raise HypothesisViolationError(
             f"P'(lam) is numerically singular at lam = {lam} "
@@ -102,7 +102,7 @@ def _derivative_frame(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
         raise HypothesisViolationError(
             f"y* P'(lam) is numerically parallel to x* at lam = {lam}; "
             "the defect construction has no direction to work in")
-    return (float(s[0] / s[-1]), float(poly._singular_values_at(lam)[0]), delta, row_norm, nu), Pp, u_row
+    return (float(s[0] / s[-1]), float(_svds_at(poly, lam).s[0]), delta, row_norm, nu), Pp, u_row
 
 
 def dist_mult_bound(poly: MatrixPolynomial, weights: WeightSet, lam: complex,

@@ -3,8 +3,8 @@
 Every subcommand is a thin adapter around one library call: it loads a
 problem file, runs the analysis, and prints a JSON result document on stdout
 carrying the input file hash and a full parameter echo.  Analysis failures,
-a result holding NaN or Infinity among them, print a structured error document
-on stderr and exit 1; usage errors exit 2.
+a result holding NaN or Infinity or a NumPy overflow among them, print one
+structured error document on stderr and exit 1; usage errors exit 2.
 Subcommands return library values and report objects as they are; one
 json.dumps hook, _jsonable, decides how each becomes JSON.
 """
@@ -17,6 +17,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -36,6 +37,7 @@ from .spectra import (default_cluster_tol, eig_vectors, eigenvalues, nearest_eig
                       spectrum, validate_jordan_triple, eigenproblem_cond)
 
 RESIDUAL_TOL = 1e-8
+_NON_FINITE = "the result holds NaN or Infinity, which JSON cannot carry"
 
 
 def _jsonable(obj):
@@ -423,14 +425,20 @@ def main(argv=None) -> int:
         if len(getattr(args, flag, None) or ()) > 2:
             parser.error(f"--{flag} takes one or two values")
     try:
-        ctx = _Context(args)
-        result = _DISPATCH[args.command](ctx, args)
+        # a NumPy overflow, here or in a grid worker thread, becomes the error document
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                ctx = _Context(args)
+                result = _DISPATCH[args.command](ctx, args)
+            except RuntimeWarning as exc:
+                raise PolycondError(f"{_NON_FINITE}: {exc}")
         doc = ctx.header(args.command, _param_echo(args))
         doc["result"] = result
         try:
             text = json.dumps(doc, indent=2, default=_jsonable, allow_nan=False)
         except ValueError as exc:   # NaN or +-inf: JSON has no literal for either
-            raise PolycondError(f"the result holds NaN or Infinity, which JSON cannot carry: {exc}")
+            raise PolycondError(f"{_NON_FINITE}: {exc}")
         print(text)
         return 0
     except (PolycondError, OSError, ValueError) as exc:

@@ -21,7 +21,7 @@ from .errors import (
     HypothesisViolationError,
     NotAnEigenvalueError,
 )
-from .spectra import CompanionEigenPair, Spectrum, companion_vectors
+from .spectra import Spectrum, _svds_at, companion_vectors
 
 __all__ = [
     "cond_simple",
@@ -36,6 +36,7 @@ __all__ = [
 # |y* P'(lam) x| below this multiple of ||P'(lam)|| ||x|| ||y|| means lam is
 # numerically defective and the simple-eigenvalue formulas do not apply.
 DEFECT_RTOL = 1e-14
+ADJUGATE_GAP = 1e6      # adjugate_norm needs s_{n-1} > ADJUGATE_GAP s_n: a simple zero
 
 
 def _coupling(Pp: np.ndarray, norm_pp: float, lam: complex, x: np.ndarray,
@@ -60,23 +61,21 @@ def cond_simple(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
     y = np.asarray(y, dtype=complex).reshape(-1)
     lam = complex(lam)
     Pp = poly.eval_derivative(lam)
-    delta = _coupling(Pp, poly._singular_values_at(lam, 1)[0], lam, x, y)
+    delta = _coupling(Pp, _svds_at(poly, lam).sp[0], lam, x, y)
     w = weights.eval(abs(lam))
     return w * float(np.linalg.norm(x)) * float(np.linalg.norm(y)) / abs(delta)
 
 
-def cond_companion(pair: CompanionEigenPair) -> float:
-    """Condition number of the eigenvalue in the companion matrix:
-    ||right|| ||left|| / |left* right|."""
-    chi, psi = pair.right, pair.left
-    nchi = float(np.linalg.norm(chi))
-    npsi = float(np.linalg.norm(psi))
-    coupling = abs(complex(psi.conj() @ chi))
-    if coupling <= DEFECT_RTOL * nchi * npsi:
+def cond_companion(right: np.ndarray, left: np.ndarray) -> float:
+    """Condition number of the eigenvalue in the companion matrix, from its
+    right and left eigenvectors: ||right|| ||left|| / |left* right|."""
+    n_right, n_left = float(np.linalg.norm(right)), float(np.linalg.norm(left))
+    coupling = abs(complex(left.conj() @ right))
+    if coupling <= DEFECT_RTOL * n_right * n_left:
         raise DefectiveEigenvalueError(
             f"|left* right| = {coupling:.3e} is numerically zero relative to "
-            f"||right|| ||left|| = {nchi * npsi:.3e}: defective eigenvalue")
-    return nchi * npsi / coupling
+            f"||right|| ||left|| = {n_right * n_left:.3e}: defective eigenvalue")
+    return n_right * n_left / coupling
 
 
 def cond_via_companion(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
@@ -84,11 +83,9 @@ def cond_via_companion(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
     """cond_simple recovered through the companion matrix:
     w(|lam|) / (||right|| ||left||) times the companion condition number."""
     weights.require_match(poly)
-    pair = companion_vectors(poly, lam, x, y)
-    k_comp = cond_companion(pair)
-    scale = weights.eval(abs(lam)) / (
-        float(np.linalg.norm(pair.right)) * float(np.linalg.norm(pair.left)))
-    return scale * k_comp
+    right, left = companion_vectors(poly, lam, x, y)
+    k = cond_companion(right, left)
+    return weights.eval(abs(lam)) / (float(np.linalg.norm(right)) * float(np.linalg.norm(left))) * k
 
 
 def cond_multiple(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
@@ -123,25 +120,26 @@ def cond_multiple(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
     return weights.eval(abs(lam)) * spectral_norm(Xh @ Yh)
 
 
-def adjugate_norm(M, gap: float = 1e6) -> float:
+def adjugate_norm(M) -> float:
     """Spectral norm of adj(M) for M with a simple zero singular value:
     the product of the n-1 largest singular values (1 for a 1x1 M).
 
-    The simple-zero assumption is enforced as s_{n-1} > gap * s_n; violations
-    raise with the observed singular-value gap.  On ill-scaled problems the
-    product can overflow to inf or underflow to 0.
+    The simple-zero assumption is enforced as s_{n-1} > ADJUGATE_GAP * s_n;
+    violations raise with the observed singular-value gap.  On ill-scaled
+    problems the product can overflow to inf or underflow to 0.
     """
-    return float(np.prod(_adjugate_factors(singular_values(M), gap)))
+    return float(np.prod(_adjugate_factors(singular_values(M))))
 
 
-def _adjugate_factors(s: np.ndarray, gap: float = 1e6) -> np.ndarray:
+def _adjugate_factors(s: np.ndarray) -> np.ndarray:
     """s_1..s_{n-1}, whose product is ||adj(M)||, from the descending singular
-    values s of M; raises unless s_{n-1} > gap * s_n (vacuous for n = 1)."""
-    if len(s) > 1 and not s[-2] > gap * s[-1]:
+    values s of M; raises unless s_{n-1} > ADJUGATE_GAP * s_n (vacuous for n = 1)."""
+    if len(s) > 1 and not s[-2] > ADJUGATE_GAP * s[-1]:
+        ratio = s[-2] / s[-1] if s[-1] > 0 else np.inf
         raise HypothesisViolationError(
             "adjugate norm needs a simple zero singular value: "
-            f"s_{len(s) - 1} = {s[-2]:.3e} vs gap * s_{len(s)} = {gap * s[-1]:.3e} "
-            f"(observed ratio {s[-2] / s[-1] if s[-1] > 0 else np.inf:.3e}, required > {gap:.1e})")
+            f"s_{len(s) - 1} = {s[-2]:.3e} vs gap * s_{len(s)} = {ADJUGATE_GAP * s[-1]:.3e} "
+            f"(observed ratio {ratio:.3e}, required > {ADJUGATE_GAP:.1e})")
     return s[:-1]
 
 
@@ -176,7 +174,7 @@ def cond_eigvector_free(poly: MatrixPolynomial, weights: WeightSet, i: int,
     weights.require_match(poly)
     _require_simple(spec, i)
     lam = complex(spec.eigenvalues[i])
-    log_adj = np.sum(np.log(_adjugate_factors(poly._singular_values_at(lam))))
+    log_adj = np.sum(np.log(_adjugate_factors(_svds_at(poly, lam).s)))
     log_num = np.log(weights.eval(abs(lam))) + log_adj
     log_den = poly.log_abs_det_leading + _log_gap_product(spec.eigenvalues, i)
     return float(np.exp(log_num - log_den))

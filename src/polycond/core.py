@@ -137,30 +137,6 @@ class MatrixPolynomial:
         partial sums E_m = A_m, E_r = A_r + z E_{r+1} on the way to P(z)."""
         return [_horner(self.coeffs[r:], z) for r in range(1, self.m + 1)]
 
-    def _singular_values_at(self, lam: complex, order: int = 0) -> np.ndarray:
-        """Singular values of P^(order)(lam), order 0 or 1, from _svd_at."""
-        return self._svd_at(lam, order)[0]
-
-    def _svd_at(self, lam: complex, order: int = 0) -> tuple[np.ndarray, ...]:
-        """Read-only (s,) of P'(lam) for order 1 and (s, x, y) of P(lam) from
-        one full SVD for order 0, x and y the singular vectors of s_min;
-        memoised in the instance __dict__ for the latest 2nm (lam, order) pairs."""
-        memo = self.__dict__.setdefault("_singular_memo", {})
-        key = (complex(lam), order)
-        entry = memo.get(key)
-        if entry is None:
-            if order:
-                entry = (singular_values(self.eval_derivative(key[0], order)),)
-            else:
-                U, s, Vh = np.linalg.svd(self.eval(key[0]))
-                entry = (s, Vh[-1].conj(), U[:, -1].copy())    # O(n) kept, not U
-            for a in entry:
-                a.flags.writeable = False
-            memo[key] = entry
-            if len(memo) > 2 * self.n * self.m:
-                del memo[next(iter(memo))]      # the oldest
-        return entry
-
     def norm_inf(self) -> float:
         """max_j of the spectral norm of A_j."""
         return max(self.coefficient_norms())

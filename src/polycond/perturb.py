@@ -26,7 +26,7 @@ from .errors import (
     InvalidPolynomialError,
     PolycondError,
 )
-from .spectra import eigenvalues
+from .spectra import _svds_at, eigenvalues
 
 __all__ = [
     "PerturbedPolynomial",
@@ -47,6 +47,7 @@ PAIRING_RTOL = 1e-5
 # second-smallest singular value below this multiple of the largest counts as
 # a rank drop of two or more
 RANK_DROP_RTOL = 1e-8
+MAX_ATTEMPTS = 8    # draws random_perturbation tries before it refuses
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,13 +150,12 @@ def perturbation_rng(seed: int, stream: int = 0, attempt: int = 0) -> np.random.
 
 
 def random_perturbation(poly: MatrixPolynomial, eps: float, weights: WeightSet,
-                        seed: int, stream: int = 0,
-                        max_attempts: int = 8) -> PerturbedPolynomial:
+                        seed: int, stream: int = 0) -> PerturbedPolynomial:
     """Draw deltas with ||Delta_j|| = eps * w_j exactly (zero where w_j = 0).
 
     Each delta is a complex Gaussian matrix rescaled to the admissible
     boundary.  Draws that leave the perturbed leading coefficient singular are
-    rejected and redrawn on a fresh attempt counter.
+    rejected and redrawn on a fresh attempt counter, at most MAX_ATTEMPTS times.
     """
     weights.require_match(poly)
     if not eps >= 0:
@@ -163,7 +163,7 @@ def random_perturbation(poly: MatrixPolynomial, eps: float, weights: WeightSet,
     n = poly.n
     targets = [eps * w for w in weights.weights]
     drawn = [j for j, t in enumerate(targets) if t != 0.0]
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         # in C order: re_0, im_0, re_1, im_1, ... over the drawn coefficients
         draws = perturbation_rng(seed, stream, attempt).standard_normal((len(drawn), 2, n, n))
         g = draws[:, 0] + 1j * draws[:, 1]
@@ -179,7 +179,7 @@ def random_perturbation(poly: MatrixPolynomial, eps: float, weights: WeightSet,
         except InvalidPolynomialError:
             continue
     raise DegenerateProblemError(
-        f"no materializable perturbation found in {max_attempts} attempts at "
+        f"no materializable perturbation found in {MAX_ATTEMPTS} attempts at "
         f"eps = {eps}; eps * w_m = {eps * weights.weights[-1]:.3e} likely "
         f"reaches the smallest singular value of the leading coefficient")
 
@@ -237,7 +237,7 @@ def defect_perturbation(poly: MatrixPolynomial, weights: WeightSet, lam: complex
     px = poly.eval(lam)
     rx = float(np.linalg.norm(px @ x))
     ry = float(np.linalg.norm(y.conj() @ px))
-    gate = 1e-8 * max(1.0, float(poly._singular_values_at(lam)[0]))
+    gate = 1e-8 * max(1.0, float(_svds_at(poly, lam).s[0]))
     # reject junk vectors before the derivative gates so the error names the
     # actual problem instead of a coupling artifact
     if rx > gate or ry > gate:
@@ -251,7 +251,7 @@ def defect_perturbation(poly: MatrixPolynomial, weights: WeightSet, lam: complex
     q_row -= (q_row @ x) * x.conj()
     q_norm = float(np.linalg.norm(q_row))
     # the bound ||P(lam)|| / s_min(P'(lam)) is never below ||Pt'(lam)^{-1} Pt(lam)||
-    if q_norm <= 1e-14 * max(1.0, norm_p / float(poly._singular_values_at(lam, 1)[-1])):
+    if q_norm <= 1e-14 * max(1.0, norm_p / float(_svds_at(poly, lam).sp[-1])):
         raise HypothesisViolationError(
             "the defect direction vanishes: the first row of "
             "Pt'(lam)^{-1} Pt(lam) has no off-diagonal part")

@@ -10,8 +10,10 @@ structurally from (x, y).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +30,6 @@ from .linearization import companion
 __all__ = [
     "EigenvalueCluster",
     "Spectrum",
-    "CompanionEigenPair",
     "JordanBlock",
     "JordanTriple",
     "eigenvalues",
@@ -86,17 +87,6 @@ class Spectrum:
 
     def is_simple(self, i: int) -> bool:
         return self.cluster_of(i).is_simple
-
-
-@dataclass(frozen=True, eq=False)
-class CompanionEigenPair:
-    """Right/left eigenvectors of the companion matrix synthesized from an
-    eigenpair (x, y) of P: right = [x; lam x; ...], left from the E-block
-    recurrence."""
-
-    eigenvalue: complex
-    right: np.ndarray
-    left: np.ndarray
 
 
 def eigenvalues(poly: MatrixPolynomial) -> np.ndarray:
@@ -171,6 +161,36 @@ def nearest_eigenvalue(values, lam: complex, tol: float | None = None) -> int:
     return i
 
 
+class _PointSVDs(NamedTuple):
+    """The read-only SVD data that the routes read at one point lam."""
+    s: np.ndarray       # singular values of P(lam), descending, from one full SVD
+    x: np.ndarray       # with y, the right and left singular vectors of s_min
+    y: np.ndarray
+    sp: np.ndarray      # singular values of P'(lam)
+
+
+# per polynomial, the _PointSVDs of its latest nm points, oldest first
+_SVD_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _svds_at(poly: MatrixPolynomial, lam: complex) -> _PointSVDs:
+    """The _PointSVDs of poly at lam, memoised for the latest nm points of
+    each polynomial (none for degree 0)."""
+    lam = complex(lam)
+    memo = _SVD_MEMO.setdefault(poly, {})
+    entry = memo.get(lam)
+    if entry is None:
+        U, s, Vh = np.linalg.svd(poly.eval(lam))
+        entry = _PointSVDs(s, Vh[-1].conj(), U[:, -1].copy(),     # O(n) kept, not U
+                           singular_values(poly.eval_derivative(lam)))
+        for a in entry:
+            a.flags.writeable = False
+        memo[lam] = entry
+        if len(memo) > poly.n * poly.m:
+            del memo[next(iter(memo))]      # the oldest
+    return entry
+
+
 def eig_vectors(poly: MatrixPolynomial, lam: complex, tol: float | None = None,
                 values: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Unit right/left eigenvectors of P at the eigenvalue nearest lam.
@@ -178,23 +198,23 @@ def eig_vectors(poly: MatrixPolynomial, lam: complex, tol: float | None = None,
     lam is snapped to the nearest computed eigenvalue within tol (default
     1e-3 * max(1, |lam|)); x and y are copies of the right/left singular
     vectors of s_min(P(lam0)) at the snapped eigenvalue lam0, from the SVD of
-    P(lam0) that poly memoises, so ||P(lam0) x|| = s_min(P(lam0)).
+    P(lam0) that _svds_at memoises, so ||P(lam0) x|| = s_min(P(lam0)).
     """
     vals = eigenvalues(poly) if values is None else np.asarray(values, dtype=complex)
-    _, x, y = poly._svd_at(complex(vals[nearest_eigenvalue(vals, lam, tol)]))
-    return x.copy(), y.copy()
+    pair = _svds_at(poly, vals[nearest_eigenvalue(vals, lam, tol)])
+    return pair.x.copy(), pair.y.copy()
 
 
 def companion_vectors(poly: MatrixPolynomial, lam: complex, x: np.ndarray,
-                      y: np.ndarray) -> CompanionEigenPair:
-    """Companion right vector [x; lam x; ...; lam^{m-1} x] and left vector
-    with blocks E_r(lam)* y; satisfies left* right = y* P'(lam) x."""
+                      y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(right, left) eigenvectors of the companion matrix synthesized from an
+    eigenpair (x, y) of P: right = [x; lam x; ...; lam^{m-1} x], left with
+    blocks E_r(lam)* y; they satisfy left* right = y* P'(lam) x."""
     lam = complex(lam)
     x = np.asarray(x, dtype=complex).reshape(-1)
     y = np.asarray(y, dtype=complex).reshape(-1)
-    right = np.concatenate([lam ** r * x for r in range(poly.m)])
-    left = np.concatenate([E.conj().T @ y for E in poly.e_blocks(lam)])
-    return CompanionEigenPair(eigenvalue=lam, right=right, left=left)
+    return (np.concatenate([lam ** r * x for r in range(poly.m)]),
+            np.concatenate([E.conj().T @ y for E in poly.e_blocks(lam)]))
 
 
 @dataclass(frozen=True)
@@ -273,13 +293,6 @@ class JordanTriple:
     @property
     def max_block_size(self) -> int:
         return max(b.size for b in self.blocks)
-
-    def max_block_size_at(self, lam: complex, tol: float = 1e-8) -> int:
-        """Largest block dimension among blocks with eigenvalue near lam."""
-        sizes = [b.size for b in self.blocks if abs(b.eigenvalue - lam) <= tol]
-        if not sizes:
-            raise NotAnEigenvalueError(f"no Jordan block with eigenvalue near {lam}")
-        return max(sizes)
 
     @cached_property
     def norm_product(self) -> float:

@@ -476,6 +476,22 @@ class TestNonFinite:
         assert err["type"] == "PolycondError"
         assert err["message"].startswith("the result holds NaN or Infinity, which JSON cannot carry")
 
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "elsner", P6, "--eps", "1e308", "--mu", "1e300", "0"),
+        # the overflow happens in the grid's worker thread
+        ("pseudo", P6, "--eps", "1e-3", "--box", "1e200", "2e200", "0", "1", "--resolution", "5"),
+    ], ids=["bounds-elsner", "pseudo-grid"])
+    def test_overflow_writes_one_error_document(self, argv):
+        # a separate process, where NumPy warnings print instead of raising
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run([sys.executable, "-m", "polycond.cli", *argv], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 1 and proc.stdout == ""
+        err = strict_loads(proc.stderr)["error"]     # the whole of stderr is one document
+        assert err["type"] == "PolycondError"
+        assert err["message"].startswith("the result holds NaN or Infinity, which JSON cannot carry")
+
     def test_strict_loads_refuses_constants(self):
         for text in ("NaN", "[Infinity]", '{"v": -Infinity}'):
             with pytest.raises(AssertionError, match="not JSON"):

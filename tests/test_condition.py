@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import polycond.condition
 from helpers import (
     companion_eig_conds,
     cofactor_adjugate,
@@ -78,8 +79,8 @@ class TestSimpleRoutes:
         sp = spectrum(poly)
         for _, lam, x, y in simple_eigenpairs(poly, sp):
             j = nearest_eigenvalue(vals, lam, tol=1e-8)
-            pair = companion_vectors(poly, lam, x, y)
-            assert cond_companion(pair) == pytest.approx(conds[j], rel=1e-8)
+            right, left = companion_vectors(poly, lam, x, y)
+            assert cond_companion(right, left) == pytest.approx(conds[j], rel=1e-8)
 
     def test_phase_scaling_invariance(self, p5):
         poly, w = p5.poly, p5.weights
@@ -161,11 +162,16 @@ class TestAdjugateNorm:
         with pytest.raises(HypothesisViolationError):
             adjugate_norm(np.zeros((2, 2)))
 
-    def test_gap_override(self):
-        M = np.diag([1.0, 1e-3])
-        with pytest.raises(HypothesisViolationError):
-            adjugate_norm(M)
-        assert adjugate_norm(M, gap=100.0) == pytest.approx(1.0)
+    def test_gap_override(self, monkeypatch):
+        # adjugate_norm takes no gap argument: s_1/s_2 must exceed the module
+        # constant ADJUGATE_GAP = 1e6
+        assert polycond.condition.ADJUGATE_GAP == 1e6
+        assert adjugate_norm(np.diag([1.0, 0.99e-6])) == 1.0
+        for s2 in (1.01e-6, 1e-3):
+            with pytest.raises(HypothesisViolationError, match=r"required > 1\.0e\+06"):
+                adjugate_norm(np.diag([1.0, s2]))
+        monkeypatch.setattr(polycond.condition, "ADJUGATE_GAP", 100.0)
+        assert adjugate_norm(np.diag([1.0, 1e-3])) == 1.0
 
     def test_matches_cofactor_oracle(self, rng):
         for n in (1, 2, 3, 4):

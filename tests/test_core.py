@@ -1,5 +1,7 @@
-"""Polynomial evaluation, derivatives, norms, the weight polynomial, and
-connected components."""
+"""Polynomial evaluation, derivatives, norms, the weight polynomial, the
+per-point SVD record, and connected components."""
+
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from polycond import (
     spectral_norm,
 )
 from polycond.core import _components
+from polycond.spectra import _SVD_MEMO, _svds_at
 
 
 class TestEval:
@@ -291,40 +294,40 @@ class TestSingularValues:
 
 
 class TestSingularValuesAt:
-    """The memoised SVD of P(lam) and singular values of P'(lam) that
-    eig_vectors, the condition number, the distance bounds and the defect
-    construction share: one full SVD per P(lam), values only for P'(lam)."""
+    """The spectra._svds_at record that eig_vectors, the condition routes, the
+    distance bounds and the defect construction share: one full SVD of P(lam)
+    and one values-only SVD of P'(lam) per point, kept for the latest nm points
+    outside the polynomial."""
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_bitwise_values_read_only_and_computed_once(self, name, monkeypatch, rng):
         coeffs = load_fixture(name).poly.coeffs
         poly = MatrixPolynomial(coeffs)     # a fresh memo
-        # 2 orders at 4 points fill no more than the smallest fixture memo (2nm = 8)
+        # 4 points fill no more than the smallest fixture memo (nm = 4)
         points = [0.0, -1.0] + list(rng.standard_normal(2) + 1j * rng.standard_normal(2))
         calls = []
         svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
-        got = {(z, order): poly._svd_at(z, order)
-               for _ in range(2) for z in points for order in (0, 1)}
-        assert len(calls) == 2 * len(points)    # the second pass is all hits
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *a, **k: calls.append(k.get("compute_uv", True)) or svd(*a, **k))
+        got = {z: _svds_at(poly, z) for _ in range(2) for z in points}
+        # per point one full SVD, then one values-only SVD; the second pass is all hits
+        assert calls == [True, False] * len(points)
         monkeypatch.undo()
-        for (z, order), entry in got.items():
-            s = entry[0]
-            if order == 0:
-                U, s_full, Vh = np.linalg.svd(poly.eval(z))
-                assert np.array_equal(s, s_full)
-                assert np.array_equal(entry[1], Vh[-1].conj())
-                assert np.array_equal(entry[2], U[:, -1])
-                # the pair holds O(n) numbers, not a view of U or Vh
-                assert entry[1].base is None and entry[2].base is None
-            else:
-                assert len(entry) == 1
-                assert np.array_equal(s, singular_values(poly.eval_derivative(z, order)))
-            want = singular_values(naive_derivative(coeffs, z, order))
-            assert np.allclose(s, want, rtol=1e-12, atol=1e-12 * max(1.0, want[0]))
+        for z, entry in got.items():
+            U, s, Vh = np.linalg.svd(poly.eval(z))
+            assert np.array_equal(entry.s, s)
+            assert np.array_equal(entry.x, Vh[-1].conj())
+            assert np.array_equal(entry.y, U[:, -1])
+            # the pair holds O(n) numbers, not a view of U or Vh
+            assert entry.x.base is None and entry.y.base is None
+            assert np.array_equal(entry.sp, singular_values(poly.eval_derivative(z)))
+            for order, sv in ((0, entry.s), (1, entry.sp)):
+                want = singular_values(naive_derivative(coeffs, z, order))
+                assert np.allclose(sv, want, rtol=1e-12, atol=1e-12 * max(1.0, want[0]))
             assert not any(a.flags.writeable for a in entry)
-            assert poly._svd_at(complex(z), order) is entry
-            assert poly._singular_values_at(complex(z), order) is s
+            with pytest.raises(AttributeError):
+                entry.s = s
+            assert _svds_at(poly, complex(z)) is entry
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_eig_vectors_returns_copies_of_the_stored_pair(self, name, monkeypatch):
@@ -335,34 +338,39 @@ class TestSingularValuesAt:
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
         for lam in vals:
             x, y = eig_vectors(poly, lam, values=vals)
-            _, xs, ys = poly._svd_at(complex(lam))
-            assert np.array_equal(x, xs) and np.array_equal(y, ys)
+            entry = _svds_at(poly, lam)
+            assert np.array_equal(x, entry.x) and np.array_equal(y, entry.y)
             assert x.flags.writeable and y.flags.writeable
-            assert not np.shares_memory(x, xs) and not np.shares_memory(y, ys)
-            # the singular values come with the pair: no second SVD of P(lam)
-            poly._singular_values_at(lam)
-        assert len(calls) == len(set(vals.tolist()))
+            assert not np.shares_memory(x, entry.x) and not np.shares_memory(y, entry.y)
+        # P(lam) and P'(lam) are decomposed once each per eigenvalue
+        assert len(calls) == 2 * len(set(vals.tolist()))
 
     @pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (3, 1)])
-    def test_holds_at_most_2nm_points_oldest_dropped_first(self, n, m, rng):
+    def test_holds_at_most_nm_points_oldest_dropped_first(self, n, m, rng):
         poly = MatrixPolynomial([rng.standard_normal((n, n)) + 3.0 * np.eye(n)
                                  for _ in range(m + 1)])
-        cap = 2 * n * m
+        cap = n * m
         keys = []
         for z in rng.standard_normal(3 * cap) + 1j * rng.standard_normal(3 * cap):
-            for order in (0, 1):
-                poly._singular_values_at(z, order)
-                keys.append((complex(z), order))
-                memo = poly.__dict__["_singular_memo"]
-                assert len(memo) <= cap
-        assert list(memo) == keys[-cap:]
+            _svds_at(poly, z)
+            keys.append(complex(z))
+            assert len(_SVD_MEMO[poly]) <= cap
+        assert list(_SVD_MEMO[poly]) == keys[-cap:]
+        # the memo does not keep its polynomial alive
+        ref = weakref.ref(poly)
+        del poly
+        assert ref() is None
 
     def test_degree_zero_keeps_nothing(self):
         poly = MatrixPolynomial([2.0 * np.eye(2)])
-        s, x, y = poly._svd_at(0.5)
-        assert np.array_equal(s, [2.0, 2.0]) and np.array_equal(poly._singular_values_at(0.5), s)
-        assert np.linalg.norm(x) == pytest.approx(1.0) and np.linalg.norm(y) == pytest.approx(1.0)
-        assert poly.__dict__["_singular_memo"] == {}
+        entry = _svds_at(poly, 0.5)
+        assert np.array_equal(entry.s, [2.0, 2.0]) and np.array_equal(entry.sp, [0.0, 0.0])
+        assert np.linalg.norm(entry.x) == pytest.approx(1.0)
+        assert np.linalg.norm(entry.y) == pytest.approx(1.0)
+        assert _SVD_MEMO[poly] == {}
+        # the polynomial holds its coefficients and their checks, no SVD state
+        assert set(vars(poly)) == {"coeffs", "leading_singular_values"}
+        assert not hasattr(poly, "_svd_at") and not hasattr(poly, "_singular_values_at")
 
 
 def smallest_node_labels(a, b, n):

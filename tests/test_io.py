@@ -10,9 +10,7 @@ from helpers import FIXTURES, load_fixture
 from polycond import (
     InvalidPolynomialError,
     ProblemFormatError,
-    companion_vectors,
     contours,
-    eig_vectors,
     grid_eval,
     parse_problem,
     random_perturbation,
@@ -226,8 +224,6 @@ RECORDS = {
     "MultipleEigenvalueData": lambda: _p3().multiple,
     "ProblemFile": _p3,
     "Spectrum": lambda: spectrum(_p3().poly),
-    "CompanionEigenPair": lambda: companion_vectors(
-        _p3().poly, -1.0, *eig_vectors(_p3().poly, -1.0)),
     "PseudoGrid": _grid,
     "ContourSet": lambda: contours(_grid(), 0.05),
 }

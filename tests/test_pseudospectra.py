@@ -11,7 +11,7 @@ from scipy import ndimage
 
 import polycond.core
 import polycond.pseudospectra
-from helpers import reference_contains, reference_contours
+from helpers import reference_contains, reference_contours, snap_vectors
 from polycond import (
     ContourSet,
     ContainmentError,
@@ -264,6 +264,20 @@ class TestContours:
         g = grid_eval(p5.poly, p5.weights, (3.996, 4.004, -0.004, 0.004), 201)
         c = contours(g, 1e-4)
         assert 0.9 <= fitted_radius(c, 4.0) / (k * 1e-4) <= 1.1
+
+    @pytest.mark.parametrize("name, target", [("p5", 4.0), ("p5", 2.0), ("p4", -1.0)])
+    def test_disc_radius_over_eps_tends_to_cond(self, request, name, target):
+        # the paper's growth rate: around a simple eigenvalue the eps-pseudospectral
+        # component is a disc of radius kappa eps + O(eps^2), so the fitted radius
+        # over kappa eps tends to 1 (kappa = 21.3, 7000 and 30.1 here)
+        pf = request.getfixturevalue(name)
+        lam, x, y = snap_vectors(pf.poly, target)
+        k = cond_simple(pf.poly, pf.weights, lam, x, y)
+        for eps in (1e-6, 1e-8):
+            h = 3 * k * eps
+            g = grid_eval(pf.poly, pf.weights,
+                          (lam.real - h, lam.real + h, lam.imag - h, lam.imag + h), 121)
+            assert fitted_radius(contours(g, eps), lam) / (k * eps) == pytest.approx(1.0, abs=1e-3)
 
     def test_component_count_bounded_by_distinct_eigenvalues(self, g6, g3):
         for eps in (1e-3, 1e-2, 0.05):
