@@ -1,8 +1,9 @@
 """Matrix polynomials P(lam) = sum_j A_j lam^j and perturbation weights.
 
-The polynomial is stored as the ordered coefficient list A_0..A_m with a
-nonsingular leading coefficient; the weight set w_0..w_m induces the scalar
-polynomial w(r) used to scale admissible perturbations.
+The polynomial is stored as one (m+1, n, n) stack of the coefficients
+A_0..A_m, in increasing degree, with a nonsingular leading coefficient;
+the weight set w_0..w_m induces the scalar polynomial w(r) used to scale
+admissible perturbations.
 """
 
 from __future__ import annotations
@@ -60,8 +61,43 @@ def spectral_norm(M) -> float:
 
 
 def _spectral_norms(mats) -> tuple[float, ...]:
-    """spectral_norm of each matrix, bitwise, from one stacked SVD."""
-    return tuple(np.linalg.svd(np.stack(mats), compute_uv=False)[:, 0].tolist())
+    """spectral_norm of each matrix of a stack (or sequence of equal-shaped
+    matrices), bitwise, from one stacked SVD."""
+    return tuple(np.linalg.svd(np.asarray(mats), compute_uv=False)[:, 0].tolist())
+
+
+def _singular_leading(s) -> bool:
+    """The leading-coefficient rule: A_m, with singular values s in
+    descending order, is numerically singular (zero, or s_min <=
+    LEADING_SINGULAR_RTOL s_max)."""
+    return s[0] == 0.0 or s[-1] <= LEADING_SINGULAR_RTOL * s[0]
+
+
+def _matrix_stack(mats, label: str, n: int | None = None) -> np.ndarray:
+    """mats as one new complex (k, n, n) stack, k >= 1, with every entry finite,
+    from one conversion and one finiteness check; n defaults to the size of
+    the first matrix.  InvalidPolynomialError names the first bad matrix as
+    label.format(j)."""
+    try:
+        stack = np.array(mats, dtype=complex)
+    except (TypeError, ValueError):     # ragged
+        stack = None
+    if stack is None or not (stack.ndim == 3 and len(stack) and stack.shape[1] == stack.shape[2]
+                             and n in (None, stack.shape[1])):
+        # not one stack: the matrix-by-matrix checks raise the error that names it
+        mats = [as_complex_matrix(A, name=label.format(j), square=True) for j, A in enumerate(mats)]
+        if not mats:
+            raise InvalidPolynomialError("a matrix polynomial needs at least one coefficient")
+        n = mats[0].shape[0] if n is None else n
+        for j, A in enumerate(mats):
+            if A.shape != (n, n):
+                raise InvalidPolynomialError(f"{label.format(j)} has shape {A.shape}, expected {(n, n)}")
+        stack = np.array(mats)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        raise InvalidPolynomialError(
+            f"{label.format(int(np.argmin(finite)))}: entries must be finite (no NaN/Inf)")
+    return stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,29 +111,30 @@ class MatrixPolynomial:
         taken from the list as given; a singular (or zero) A_m is a
         construction error, never a silent degree reduction.
 
+    coeff_stack is the read-only (m+1, n, n) complex array of A_0..A_m and
+    coeffs the tuple of its m+1 matrices (read-only views);
     leading_singular_values holds the read-only singular values of A_m in
-    descending order, kept from that check.
+    descending order, kept from the leading-coefficient check.
     """
 
     coeffs: tuple[np.ndarray, ...]
 
     def __init__(self, coeffs):
-        mats = [as_complex_matrix(A, name=f"coefficient A_{j}", square=True)
-                for j, A in enumerate(coeffs)]
-        if not mats:
-            raise InvalidPolynomialError("a matrix polynomial needs at least one coefficient")
-        n = mats[0].shape[0]
-        for j, A in enumerate(mats):
-            if A.shape != (n, n):
-                raise InvalidPolynomialError(
-                    f"coefficient A_{j} has shape {A.shape}, expected {(n, n)}")
-        s = singular_values(mats[-1])
-        if s[0] == 0.0 or s[-1] <= LEADING_SINGULAR_RTOL * s[0]:
+        stack = _matrix_stack(coeffs, "coefficient A_{}")
+        s = singular_values(stack[-1])
+        if _singular_leading(s):
             raise InvalidPolynomialError(
                 "leading coefficient is numerically singular "
                 f"(s_min={s[-1]:.3e}, s_max={s[0]:.3e})")
+        self._keep(stack, s)
+
+    def _keep(self, stack: np.ndarray, s: np.ndarray) -> None:
+        """Adopt a checked complex (m+1, n, n) stack and the singular values
+        of its last matrix, both made read-only; coeffs are views of the stack."""
+        stack.flags.writeable = False
         s.flags.writeable = False
-        object.__setattr__(self, "coeffs", tuple(mats))
+        object.__setattr__(self, "coeff_stack", stack)
+        object.__setattr__(self, "coeffs", tuple(stack))
         object.__setattr__(self, "leading_singular_values", s)
 
     @cached_property
@@ -143,7 +180,7 @@ class MatrixPolynomial:
 
     def coefficient_norms(self) -> tuple[float, ...]:
         """Spectral norm of each coefficient, in degree order."""
-        return _spectral_norms(self.coeffs)
+        return _spectral_norms(self.coeff_stack)
 
 
 @dataclass(frozen=True)

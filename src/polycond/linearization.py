@@ -20,8 +20,8 @@ from .errors import InvalidPolynomialError
 __all__ = ["companion", "ef_factors", "linearization_residual"]
 
 
-def _require_positive_degree(poly: MatrixPolynomial) -> None:
-    if poly.m < 1:
+def _require_positive_degree(m: int) -> None:
+    if m < 1:
         raise InvalidPolynomialError("companion linearization needs degree m >= 1")
 
 
@@ -32,16 +32,22 @@ def companion(poly: MatrixPolynomial) -> np.ndarray:
     -A_m^{-1} [A_0 ... A_{m-1}], computed by a single LU solve against A_m
     rather than an explicit inverse.
     """
-    _require_positive_degree(poly)
-    n, m = poly.n, poly.m
+    C = _companion(poly.coeff_stack)
+    C.flags.writeable = False
+    return C
+
+
+def _companion(stack: np.ndarray) -> np.ndarray:
+    """The block companion matrix of the coefficient stack A_0..A_m, writable.
+    [A_0 ... A_{m-1}] is the stack's first m matrices laid side by side: one
+    reshape of the (n, m, n) transposed view, then one solve against A_m."""
+    m, n = len(stack) - 1, stack.shape[1]
+    _require_positive_degree(m)
+    C = np.eye(n * m, k=n, dtype=complex)     # the shift blocks [0 I 0 ...]
     try:
-        bottom = -np.linalg.solve(poly.coeffs[-1], np.hstack(poly.coeffs[:-1]))
+        C[(m - 1) * n:, :] = -np.linalg.solve(stack[-1], stack[:-1].transpose(1, 0, 2).reshape(n, n * m))
     except np.linalg.LinAlgError as exc:  # construction gate makes this unreachable
         raise InvalidPolynomialError(f"leading-coefficient solve failed: {exc}") from exc
-    C = np.zeros((n * m, n * m), dtype=complex)
-    C[:n * (m - 1), n:] = np.eye(n * (m - 1))
-    C[(m - 1) * n:, :] = bottom
-    C.flags.writeable = False
     return C
 
 
@@ -53,7 +59,7 @@ def ef_factors(poly: MatrixPolynomial, z) -> tuple[np.ndarray, np.ndarray]:
     with det F(z) = 1 identically. z may be an array of points; each factor
     then has shape z.shape + (nm, nm).
     """
-    _require_positive_degree(poly)
+    _require_positive_degree(poly.m)
     n, m = poly.n, poly.m
     z = np.asarray(z, dtype=complex)
     E = np.zeros(z.shape + (m, n, m, n), dtype=complex)

@@ -14,19 +14,24 @@ every j.  Two constructions are provided:
 
 from __future__ import annotations
 
+import cmath
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bounds import _derivative_frame, _unit
-from .core import MatrixPolynomial, WeightSet, _spectral_norms, as_complex_matrix, singular_values
+from .core import (MatrixPolynomial, WeightSet, _matrix_stack, _singular_leading, _spectral_norms,
+                   singular_values)
 from .errors import (
     DegenerateProblemError,
     HypothesisViolationError,
     InvalidPolynomialError,
     PolycondError,
 )
-from .spectra import _svds_at, eigenvalues
+from .linearization import _companion
+from .spectra import _eigvals, _svds_at
 
 __all__ = [
     "PerturbedPolynomial",
@@ -69,19 +74,17 @@ class PerturbedPolynomial(MatrixPolynomial):
 
     def __init__(self, base: MatrixPolynomial, deltas, eps_used: float,
                  weights: WeightSet, certificates: tuple = ()):
-        n, m = base.n, base.m
+        m = base.m
         if len(deltas) != m + 1:
             raise InvalidPolynomialError(
                 f"expected {m + 1} deltas for degree {m}, got {len(deltas)}")
-        frozen = tuple(
-            as_complex_matrix(d, name=f"deltas[{j}]", square=True)
-            for j, d in enumerate(deltas))
-        for j, d in enumerate(frozen):
-            if d.shape != (n, n):
-                raise InvalidPolynomialError(
-                    f"deltas[{j}] has shape {d.shape}, expected {(n, n)}")
-        super().__init__(tuple(A + d for A, d in zip(base.coeffs, frozen)))
-        for name, value in (("base", base), ("deltas", frozen), ("eps_used", eps_used),
+        stack = _matrix_stack(deltas, "deltas[{}]", base.n)
+        super().__init__(base.coeff_stack + stack)
+        self._record(base, stack, eps_used, weights, certificates)
+
+    def _record(self, base, deltas, eps_used, weights, certificates):
+        deltas.flags.writeable = False
+        for name, value in (("base", base), ("deltas", tuple(deltas)), ("eps_used", eps_used),
                             ("weights", weights), ("certificates", certificates)):
             object.__setattr__(self, name, value)
 
@@ -116,9 +119,8 @@ def is_admissible(base: MatrixPolynomial, candidate, eps: float,
     if not eps >= 0:
         raise HypothesisViolationError(f"eps must be nonnegative, got {eps}")
     if isinstance(candidate, PerturbedPolynomial):
-        if candidate.base is not base and not all(
-                np.array_equal(a, b)
-                for a, b in zip(candidate.base.coeffs, base.coeffs)):
+        if candidate.base is not base and not np.array_equal(candidate.base.coeff_stack,
+                                                             base.coeff_stack):
             raise InvalidPolynomialError(
                 "the perturbation was built over a different base polynomial")
         deltas = candidate.deltas
@@ -127,8 +129,7 @@ def is_admissible(base: MatrixPolynomial, candidate, eps: float,
             raise InvalidPolynomialError(
                 f"cannot compare a polynomial with n={candidate.n}, m={candidate.m} "
                 f"against a base with n={base.n}, m={base.m}")
-        deltas = tuple(candidate.coeffs[j] - base.coeffs[j]
-                       for j in range(base.m + 1))
+        deltas = candidate.coeff_stack - base.coeff_stack
     norms = _spectral_norms(deltas)
     slack = tuple(eps * weights.weights[j] - norms[j] for j in range(base.m + 1))
     margin = tuple(tol * max(1.0, eps * weights.weights[j]) for j in range(base.m + 1))
@@ -156,31 +157,61 @@ def random_perturbation(poly: MatrixPolynomial, eps: float, weights: WeightSet,
     Each delta is a complex Gaussian matrix rescaled to the admissible
     boundary.  Draws that leave the perturbed leading coefficient singular are
     rejected and redrawn on a fresh attempt counter, at most MAX_ATTEMPTS times.
+    An infinite eps, or one whose eps * w_j overflows, is refused up front.
     """
+    deltas, coeffs, s = _draw(poly, eps, _boundary_targets(poly, eps, weights), seed, stream)
+    # the draw passed every check of PerturbedPolynomial.__init__ and took the
+    # SVD of the new leading coefficient: adopt it without a second pass
+    out = PerturbedPolynomial.__new__(PerturbedPolynomial)
+    out._keep(coeffs, s)
+    out._record(poly, deltas, float(eps), weights, ("leading-nonsingular",))
+    return out
+
+
+def _boundary_targets(poly: MatrixPolynomial, eps: float, weights: WeightSet) -> np.ndarray:
+    """The delta norms eps * w_j of a boundary draw, once eps and the weights
+    pass the checks that every draw relies on."""
     weights.require_match(poly)
     if not eps >= 0:
         raise HypothesisViolationError(f"eps must be nonnegative, got {eps}")
+    targets = [float(eps) * w for w in weights.weights]
+    for j, t in enumerate(targets):
+        if not math.isfinite(t):
+            raise HypothesisViolationError(
+                f"eps must be finite and eps * w_j must not overflow, got eps = {eps}, "
+                f"w_{j} = {weights.weights[j]}")
+    return np.array(targets)
+
+
+def _draw(poly: MatrixPolynomial, eps: float, targets: np.ndarray, seed: int, stream: int):
+    """The first accepted attempt of stream: (deltas, coefficients of P + Delta,
+    singular values of the latter's leading coefficient), the two stacks new.
+
+    An attempt is rejected, and the next attempt counter drawn, when a drawn
+    matrix has norm 0, when a sum is not finite (which covers the deltas: a
+    finite sum has finite terms) or when the leading rule finds the perturbed
+    leading coefficient singular: the checks PerturbedPolynomial's
+    construction makes."""
     n = poly.n
-    targets = [eps * w for w in weights.weights]
-    drawn = [j for j, t in enumerate(targets) if t != 0.0]
+    drawn = np.flatnonzero(targets)
     for attempt in range(MAX_ATTEMPTS):
         # in C order: re_0, im_0, re_1, im_1, ... over the drawn coefficients
         draws = perturbation_rng(seed, stream, attempt).standard_normal((len(drawn), 2, n, n))
         g = draws[:, 0] + 1j * draws[:, 1]
         ng = np.linalg.svd(g, compute_uv=False)[:, 0]
-        if (ng == 0.0).any():
+        if not ng.all():
             continue
-        deltas = [np.zeros((n, n), dtype=complex)] * len(targets)
-        for i, j in enumerate(drawn):
-            deltas[j] = (targets[j] / ng[i]) * g[i]
-        try:
-            return PerturbedPolynomial(base=poly, deltas=tuple(deltas), eps_used=float(eps),
-                                       weights=weights, certificates=("leading-nonsingular",))
-        except InvalidPolynomialError:
+        deltas = np.zeros(poly.coeff_stack.shape, dtype=complex)
+        deltas[drawn] = (targets[drawn] / ng)[:, np.newaxis, np.newaxis] * g
+        coeffs = poly.coeff_stack + deltas
+        if not np.isfinite(coeffs).all():
             continue
+        s = singular_values(coeffs[-1])
+        if not _singular_leading(s):
+            return deltas, coeffs, s
     raise DegenerateProblemError(
         f"no materializable perturbation found in {MAX_ATTEMPTS} attempts at "
-        f"eps = {eps}; eps * w_m = {eps * weights.weights[-1]:.3e} likely "
+        f"eps = {eps}; eps * w_m = {targets[-1]:.3e} likely "
         f"reaches the smallest singular value of the leading coefficient")
 
 
@@ -292,14 +323,22 @@ def eigenvalue_shift_samples(poly: MatrixPolynomial, weights: WeightSet,
                              eps: float, lam: complex, samples: int, seed: int,
                              stream_base: int = 0) -> np.ndarray:
     """Distance from lam to the nearest eigenvalue of each of `samples`
-    boundary perturbations, one independent stream per sample.
+    boundary perturbations, one independent stream per sample: sample i is
+    the first accepted attempt of stream stream_base + i, the polynomial that
+    random_perturbation(..., stream=stream_base + i) returns.
 
     The running maximum divided by eps estimates the condition number of lam
-    from below as eps -> 0.
+    from below as eps -> 0.  A NaN or infinite lam, and a samples that is not
+    a nonnegative integer, raise HypothesisViolationError.
     """
     lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise HypothesisViolationError(f"lam must be finite (no NaN/Inf), got {lam}")
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 0:
+        raise HypothesisViolationError(f"samples must be a nonnegative integer, got {samples!r}")
+    targets = _boundary_targets(poly, eps, weights)
     out = np.empty(samples, dtype=float)
     for i in range(samples):
-        vals = eigenvalues(random_perturbation(poly, eps, weights, seed, stream=stream_base + i))
-        out[i] = float(np.min(np.abs(vals - lam)))
+        coeffs = _draw(poly, eps, targets, seed, stream_base + i)[1]
+        out[i] = np.abs(_eigvals(_companion(coeffs)) - lam).min()
     return out

@@ -89,12 +89,17 @@ class Spectrum:
         return self.cluster_of(i).is_simple
 
 
-def eigenvalues(poly: MatrixPolynomial) -> np.ndarray:
-    """The nm eigenvalues of P in canonical order (re, im, |.|)."""
+def _eigvals(C: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the companion matrix C, in LAPACK's order."""
     try:
-        vals = np.linalg.eigvals(companion(poly))
+        return np.linalg.eigvals(C)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"companion eigensolve failed: {exc}") from exc
+
+
+def eigenvalues(poly: MatrixPolynomial) -> np.ndarray:
+    """The nm eigenvalues of P in canonical order (re, im, |.|)."""
+    vals = _eigvals(companion(poly))
     out = vals[_canonical_order(vals)]
     out.flags.writeable = False
     return out
@@ -209,10 +214,12 @@ def companion_vectors(poly: MatrixPolynomial, lam: complex, x: np.ndarray,
                       y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(right, left) eigenvectors of the companion matrix synthesized from an
     eigenpair (x, y) of P: right = [x; lam x; ...; lam^{m-1} x], left with
-    blocks E_r(lam)* y; they satisfy left* right = y* P'(lam) x."""
+    blocks E_r(lam)* y; they satisfy left* right = y* P'(lam) x.  The vectors
+    are taken as contiguous arrays, so the result depends on their values
+    only, not on their memory layout."""
     lam = complex(lam)
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    y = np.asarray(y, dtype=complex).reshape(-1)
+    x = np.ascontiguousarray(x, dtype=complex).reshape(-1)
+    y = np.ascontiguousarray(y, dtype=complex).reshape(-1)
     return (np.concatenate([lam ** r * x for r in range(poly.m)]),
             np.concatenate([E.conj().T @ y for E in poly.e_blocks(lam)]))
 

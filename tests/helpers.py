@@ -13,8 +13,9 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from polycond import (HypothesisViolationError, MatrixPolynomial, WeightSet, companion, load_problem,
-                      singular_values, spectral_norm)
+from polycond import (HypothesisViolationError, MatrixPolynomial, WeightSet, companion, eigenvalues,
+                      load_problem, perturbation_rng, random_perturbation, singular_values,
+                      spectral_norm)
 from polycond.spectra import NEAR_SPECTRUM_RTOL
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -184,6 +185,17 @@ def random_well_separated(
             continue
         return poly
     raise RuntimeError(f"no well-separated polynomial found for n={n}, m={m}")
+
+
+def spectral_problem(seed: int, stream: int, n: int, m: int) -> MatrixPolynomial:
+    """The benchmark's seeded (n, m) problem: complex Gaussian coefficients of
+    norm about 1 from perturbation_rng(seed, stream), the leading one shifted
+    by 3I."""
+    rng = perturbation_rng(seed, stream)
+    coeffs = [(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
+              for _ in range(m + 1)]
+    coeffs[-1] = coeffs[-1] + 3.0 * np.eye(n)
+    return MatrixPolynomial(coeffs)
 
 
 def unit_weights(poly: MatrixPolynomial) -> WeightSet:
@@ -408,3 +420,23 @@ def reference_contains(segments, z: complex) -> bool:
         if x_at > x:
             crossings += 1
     return crossings % 2 == 1
+
+
+def reference_companion(poly: MatrixPolynomial) -> np.ndarray:
+    """The companion matrix as first built: shift blocks np.eye(n(m-1)) set
+    into a zero matrix, and the bottom block row from one solve against
+    np.hstack of A_0..A_{m-1}."""
+    n, m = poly.n, poly.m
+    C = np.zeros((n * m, n * m), dtype=complex)
+    C[:n * (m - 1), n:] = np.eye(n * (m - 1))
+    C[(m - 1) * n:, :] = -np.linalg.solve(poly.coeffs[-1], np.hstack(poly.coeffs[:-1]))
+    return C
+
+
+def reference_shift_samples(poly, weights, eps, lam, samples, seed, stream_base=0) -> np.ndarray:
+    """eigenvalue_shift_samples one public call at a time: the distance from
+    lam to the nearest eigenvalue of random_perturbation(..., stream_base + i)."""
+    return np.array([
+        float(np.min(np.abs(eigenvalues(random_perturbation(
+            poly, eps, weights, seed, stream=stream_base + i)) - complex(lam))))
+        for i in range(samples)])

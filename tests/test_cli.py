@@ -411,6 +411,16 @@ class TestPerturb:
         q = random_perturbation(pf.poly, 0.01, pf.weights, seed=3, stream=2)
         assert res["delta_norms"] == list(is_admissible(pf.poly, q, 0.01, pf.weights).delta_norms)
 
+    def test_random_refuses_overflowing_eps(self, capsys):
+        # --eps inf is a usage error; a finite eps whose eps * w_1 overflows
+        # reaches the library, which refuses it before any draw instead of
+        # blaming the leading coefficient after MAX_ATTEMPTS of them
+        err = run_err(capsys, "perturb", "random", P6, "--eps", "1e308",
+                      "--weights", "0.1,10,1,0")
+        assert err["type"] == "HypothesisViolationError"
+        assert err["message"] == ("eps must be finite and eps * w_j must not overflow, "
+                                  "got eps = 1e+308, w_1 = 10.0")
+
     def test_defect_pairs_eigenvalue(self, capsys, tmp_path):
         out = tmp_path / "qd.json"
         res = run_ok(capsys, "perturb", "defect", P4, "--eig", "-1", "0",
@@ -432,10 +442,12 @@ class TestPerturb:
         ("perturb", "random", P4, "--eps", "0.01"),
     ])
     def test_out_builds_each_polynomial_once(self, capsys, monkeypatch, tmp_path, argv):
+        # every polynomial keeps its checked coefficient stack once, whether
+        # MatrixPolynomial.__init__ checked it or it is an accepted random draw
         builds = []
-        init = MatrixPolynomial.__init__
-        monkeypatch.setattr(MatrixPolynomial, "__init__",
-                            lambda self, coeffs: builds.append(1) or init(self, coeffs))
+        keep = MatrixPolynomial._keep
+        monkeypatch.setattr(MatrixPolynomial, "_keep",
+                            lambda self, *a: builds.append(1) or keep(self, *a))
         run_ok(capsys, *argv, "--out", tmp_path / "q.json")
         assert len(builds) == 2     # the problem file's and the perturbed one
 

@@ -184,6 +184,33 @@ class TestConstruction:
         with pytest.raises(ValueError):
             p5.poly.coeffs[0][0, 0] = 99.0
 
+    def test_one_stack_of_coefficients(self, p5):
+        # coeffs are read-only views of the one (m+1, n, n) stack, copied
+        # from the input once
+        poly = p5.poly
+        assert poly.coeff_stack.shape == (3, 2, 2) and poly.coeff_stack.dtype == complex
+        assert not poly.coeff_stack.flags.writeable
+        for j, A in enumerate(poly.coeffs):
+            assert A.base is poly.coeff_stack and np.array_equal(A, poly.coeff_stack[j])
+        given = np.stack([np.eye(2), 2 * np.eye(2)])
+        q = MatrixPolynomial(given)
+        given[0, 0, 0] = 7.0
+        assert q.coeffs[0][0, 0] == 1.0
+
+    @pytest.mark.parametrize("coeffs, message", [
+        ([np.eye(2), np.full((2, 2), np.nan), np.eye(2)], "coefficient A_1: entries must be finite"),
+        ([np.eye(2), np.eye(2), np.full((2, 2), np.inf)], "coefficient A_2: entries must be finite"),
+        ([np.ones(2), np.ones(2)], "coefficient A_0: expected a 2-D matrix, got ndim=1"),
+        ([np.ones((2, 3))], r"coefficient A_0: expected a square matrix, got shape \(2, 3\)"),
+        ([np.eye(3), np.eye(2)], r"coefficient A_1 has shape \(2, 2\), expected \(3, 3\)"),
+        ([np.eye(3), np.full((2, 2), np.nan)], "coefficient A_1: entries must be finite"),
+        ([], "needs at least one coefficient"),
+    ])
+    def test_refusal_names_the_coefficient(self, coeffs, message):
+        # one stacked check, with the messages of the matrix-by-matrix ones
+        with pytest.raises(InvalidPolynomialError, match=message):
+            MatrixPolynomial(coeffs)
+
     def test_degree_zero_allowed(self):
         p = MatrixPolynomial([np.eye(2)])
         assert p.m == 0
@@ -368,8 +395,9 @@ class TestSingularValuesAt:
         assert np.linalg.norm(entry.x) == pytest.approx(1.0)
         assert np.linalg.norm(entry.y) == pytest.approx(1.0)
         assert _SVD_MEMO[poly] == {}
-        # the polynomial holds its coefficients and their checks, no SVD state
-        assert set(vars(poly)) == {"coeffs", "leading_singular_values"}
+        # the polynomial holds its coefficients (the stack and its views) and
+        # their checks, no SVD state
+        assert set(vars(poly)) == {"coeff_stack", "coeffs", "leading_singular_values"}
         assert not hasattr(poly, "_svd_at") and not hasattr(poly, "_singular_values_at")
 
 

@@ -14,6 +14,8 @@ from helpers import (
     pair_max_distance,
     random_polynomial,
     random_well_separated,
+    reference_companion,
+    spectral_problem,
 )
 from polycond import (HypothesisViolationError, InvalidPolynomialError, MatrixPolynomial, companion,
                       ef_factors, linearization_residual)
@@ -61,6 +63,19 @@ class TestCompanion:
     def test_degree_zero_rejected(self):
         with pytest.raises(InvalidPolynomialError):
             companion(MatrixPolynomial([np.eye(2)]))
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_matches_hstack_construction_on_fixtures(self, name):
+        poly = load_fixture(name).poly
+        assert companion(poly).tobytes() == reference_companion(poly).tobytes()
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 4), (4, 2), (6, 3), (20, 3), (50, 4), (100, 4)])
+    def test_matches_hstack_construction_on_seeded_problems(self, n, m):
+        # the bottom block row solves against a reshape of the stack, not
+        # an hstack of the coefficients: the same matrix, bit for bit
+        for seed in (1, 2):
+            poly = spectral_problem(seed, 400, n, m)
+            assert companion(poly).tobytes() == reference_companion(poly).tobytes()
 
     def test_matches_determinant_root_oracle(self, rng):
         for _ in range(12):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import polycond.perturb
 from helpers import (FIXTURE_NAMES, frame_defect_perturbation, load_fixture, random_polynomial,
-                     random_unitary, simple_eigenpairs, snap_vectors)
+                     random_unitary, reference_shift_samples, simple_eigenpairs, snap_vectors,
+                     spectral_problem)
 from polycond import (
     DefectiveEigenvalueError,
     DegenerateProblemError,
@@ -33,6 +34,7 @@ from polycond import (
     min_gap_bound,
     perturbation_rng,
     random_perturbation,
+    singular_values,
     spectral_norm,
     spectrum,
 )
@@ -85,6 +87,13 @@ class TestIsAdmissible:
     def test_foreign_base_rejected(self, p5, p6):
         q = random_perturbation(p6.poly, 1e-3, p6.weights, seed=7)
         with pytest.raises(InvalidPolynomialError):
+            is_admissible(p5.poly, q, 1e-3, p5.weights)
+
+    def test_base_extending_the_base_rejected(self, p5):
+        # a base whose first coefficients are p5's is still another base
+        longer = MatrixPolynomial([*p5.poly.coeffs, np.eye(2)])
+        q = random_perturbation(longer, 1e-3, WeightSet([1.0] * 4), seed=0)
+        with pytest.raises(InvalidPolynomialError, match="different base polynomial"):
             is_admissible(p5.poly, q, 1e-3, p5.weights)
 
     def test_shape_mismatch_rejected(self, p4, p5):
@@ -153,6 +162,52 @@ class TestRandomPerturbation:
                 random_perturbation(p5.poly, eps, p5.weights, seed=0)
             with pytest.raises(HypothesisViolationError, match="eps must be nonnegative"):
                 eigenvalue_shift_samples(p5.poly, p5.weights, eps, 4.0, samples=2, seed=0)
+        # the shift samples' other arguments: a non-finite lam (which gave
+        # [nan ...] or [inf ...]) and a samples that is no nonnegative integer
+        for lam in (float("nan"), complex(4.0, float("inf")), float("-inf")):
+            with pytest.raises(HypothesisViolationError, match="lam must be finite"):
+                eigenvalue_shift_samples(p5.poly, p5.weights, 1e-3, lam, samples=2, seed=0)
+        for samples in (-1, True, False, 2.0, "2"):
+            with pytest.raises(HypothesisViolationError, match="samples must be a nonnegative integer"):
+                eigenvalue_shift_samples(p5.poly, p5.weights, 1e-3, 4.0, samples=samples, seed=0)
+        assert eigenvalue_shift_samples(p5.poly, p5.weights, 1e-3, 4.0, samples=np.int64(2),
+                                        seed=0).shape == (2,)
+        assert eigenvalue_shift_samples(p5.poly, p5.weights, 1e-3, 4.0, samples=0,
+                                        seed=0).shape == (0,)
+
+    def test_infinite_eps_refused_before_any_draw(self, p5, p6, monkeypatch):
+        # an infinite eps, or one whose eps * w_j overflows, used to spend
+        # MAX_ATTEMPTS draws and then blame the leading coefficient
+        attempts = []
+        rng = polycond.perturb.perturbation_rng
+        monkeypatch.setattr(polycond.perturb, "perturbation_rng",
+                            lambda *a: attempts.append(a) or rng(*a))
+        cases = ((p5.poly, float("inf"), p5.weights, "got eps = inf, w_0 = "),
+                 (p6.poly, float("inf"), p6.weights, "got eps = inf, w_0 = 0.1"),
+                 (p5.poly, 1e308, WeightSet([1.0, 10.0, 1.0]), "got eps = 1e+308, w_1 = 10.0"))
+        for poly, eps, w, detail in cases:
+            for call in (lambda: random_perturbation(poly, eps, w, seed=0),
+                         lambda: eigenvalue_shift_samples(poly, w, eps, 4.0, samples=2, seed=0)):
+                with pytest.raises(HypothesisViolationError,
+                                   match="eps must be finite and eps \\* w_j must not overflow, "
+                                         + detail.replace("+", "\\+")):
+                    call()
+        assert attempts == []
+
+    def test_draw_is_the_checked_construction(self):
+        # the accepted draw is adopted without a second conversion, check or
+        # SVD; it is the polynomial PerturbedPolynomial builds from its deltas
+        for name in FIXTURE_NAMES:
+            pf = load_fixture(name)
+            for stream in range(4):
+                q = random_perturbation(pf.poly, 1e-2, pf.weights, seed=2, stream=stream)
+                r = PerturbedPolynomial(base=pf.poly, deltas=q.deltas, eps_used=q.eps_used,
+                                        weights=q.weights, certificates=q.certificates)
+                assert q.coeff_stack.tobytes() == r.coeff_stack.tobytes()
+                assert q.leading_singular_values.tobytes() == r.leading_singular_values.tobytes()
+                assert np.array_equal(q.leading_singular_values, singular_values(q.coeffs[-1]))
+                for a in (q.coeff_stack, q.leading_singular_values, *q.coeffs, *q.deltas):
+                    assert not a.flags.writeable
 
     def test_materialized_spectrum_moves_continuously(self, p5):
         # tiny eps must keep the eigenvalues near {1, 2, 3, 4}
@@ -553,11 +608,7 @@ class TestSpectralCallCounts:
         # distance bounds at 8 eigenvalues, then one defect perturbation; the
         # full SVD of each P(lam) serves eig_vectors and the adjugate route
         n, m = 20, 3
-        rng = perturbation_rng(1, 400)
-        coeffs = [(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-                  / np.sqrt(2 * n) for _ in range(m + 1)]
-        coeffs[-1] = coeffs[-1] + 3.0 * np.eye(n)
-        poly = MatrixPolynomial(coeffs)
+        poly = spectral_problem(1, 400, n, m)
         w = WeightSet.from_coefficient_norms(poly)
         picks = perturbation_rng(1, 500).choice(n * m, 8, replace=False)
         calls = count_calls(monkeypatch, "eigvals", "svd")
@@ -603,3 +654,54 @@ class TestShiftSamples:
                                      seed=9, stream_base=2)
         b = eigenvalue_shift_samples(p5.poly, p5.weights, 1e-6, 4.0, samples=6, seed=9)
         assert np.allclose(a, b[2:])
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-2])
+    @pytest.mark.parametrize("name", ["p3", "p4", "p5", "p6"])
+    def test_matches_per_sample_reference(self, name, eps):
+        # sample i is random_perturbation's polynomial of stream
+        # stream_base + i, solved without the canonical sort: the same bits
+        pf = load_fixture(name)
+        for lam in (complex(eigenvalues(pf.poly)[0]), 0.5 - 0.25j):
+            got = eigenvalue_shift_samples(pf.poly, pf.weights, eps, lam, samples=16, seed=4,
+                                           stream_base=7)
+            want = reference_shift_samples(pf.poly, pf.weights, eps, lam, 16, 4, stream_base=7)
+            assert got.tobytes() == want.tobytes()
+
+    def test_matches_per_sample_reference_on_seeded_problem(self):
+        poly = spectral_problem(3, 400, 20, 3)
+        w = WeightSet.from_coefficient_norms(poly)
+        lam = complex(eigenvalues(poly)[11])
+        for eps in (1e-8, 1e-3):
+            got = eigenvalue_shift_samples(poly, w, eps, lam, samples=6, seed=5)
+            want = reference_shift_samples(poly, w, eps, lam, 6, 5)
+            assert got.tobytes() == want.tobytes()
+
+    def test_singular_first_attempt_redrawn(self, monkeypatch):
+        attempts = []
+
+        def rng(seed, stream=0, attempt=0):
+            attempts.append((stream, attempt))
+            return _ConstantDraws(-1.0 if attempt == 0 else 1.0)
+
+        monkeypatch.setattr(polycond.perturb, "perturbation_rng", rng)
+        poly, w = TestRedraw.problem()
+        got = eigenvalue_shift_samples(poly, w, 1.0, 0.0, samples=1, seed=0, stream_base=5)
+        assert attempts == [(5, 0), (5, 1)]
+        # attempt 1 draws 1 + 1j everywhere: Q(z) = 0.5 + (1 + 1j) / sqrt(2) + (2 + 2j) z
+        want = reference_shift_samples(poly, w, 1.0, 0.0, 1, 0, stream_base=5)
+        assert got.tobytes() == want.tobytes()
+        root = -(0.5 + (1 + 1j) / np.sqrt(2)) / (2 + 2j)
+        assert got[0] == pytest.approx(abs(root), rel=1e-15)
+
+    def test_call_counts(self, monkeypatch, p5, p6):
+        # an accepted draw takes 2 SVDs (the drawn norms, the perturbed
+        # leading coefficient) and no eigensolve; a shift sample adds 1
+        calls = count_calls(monkeypatch, "svd", "eigvals")
+        for pf in (p5, p6):
+            for stream in range(3):
+                random_perturbation(pf.poly, 1e-3, pf.weights, seed=1, stream=stream)
+                assert calls == {"svd": 2, "eigvals": 0}
+                calls.update(svd=0)
+            eigenvalue_shift_samples(pf.poly, pf.weights, 1e-3, 1.0, samples=5, seed=1)
+            assert calls == {"svd": 10, "eigvals": 5}
+            calls.update(svd=0, eigvals=0)

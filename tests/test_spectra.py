@@ -15,6 +15,7 @@ from helpers import (
     reference_jordan_matrix,
     reference_validate_jordan_triple,
     simple_eigenpairs,
+    spectral_problem,
 )
 from polycond import (
     HypothesisViolationError,
@@ -23,8 +24,10 @@ from polycond import (
     JordanTriple,
     MatrixPolynomial,
     NotAnEigenvalueError,
+    WeightSet,
     cluster,
     companion_vectors,
+    cond_via_companion,
     default_cluster_tol,
     eig_vectors,
     eigenproblem_cond,
@@ -205,6 +208,23 @@ class TestCompanionVectors:
                 lhs = left.conj() @ right
                 rhs = y.conj() @ poly.eval_derivative(lam, 1) @ x
                 assert abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1e-30)
+
+    def test_depends_on_values_not_layout(self):
+        # y as a strided column view of U and as a contiguous copy of it: the
+        # (50, 4) problem of the spectral benchmark, where E_r(lam)* @ y once
+        # differed in the last bits between the two
+        poly = spectral_problem(1, 401, 50, 4)
+        w = WeightSet.from_coefficient_norms(poly)
+        for lam in eigenvalues(poly)[::5]:
+            lam = complex(lam)
+            U, _, Vh = np.linalg.svd(poly.eval(lam))
+            x, y = Vh[-1].conj(), U[:, -1]
+            assert not y.flags.c_contiguous
+            for got, want in zip(companion_vectors(poly, lam, x, y),
+                                 companion_vectors(poly, lam, x, y.copy())):
+                assert got.tobytes() == want.tobytes(), lam
+            assert (cond_via_companion(poly, w, lam, x, y)
+                    == cond_via_companion(poly, w, lam, x, y.copy())), lam
 
 
 class TestJordanTriple:
