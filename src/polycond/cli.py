@@ -172,24 +172,24 @@ def cmd_bounds(ctx: _Context, args) -> dict:
 
 
 def _write_grid_csv(path: str, grid) -> None:
+    """One write per grid row: beyond the grid, memory is one row's text."""
     re = [repr(x) for x in grid.re_axis.tolist()]
     im = [repr(y) for y in grid.im_axis.tolist()]
-    lines = ["re,im,value"]
-    for y, row in zip(im, grid.values.tolist()):
-        lines += [f"{x},{y},{val!r}" for x, val in zip(re, row)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("re,im,value\n")
+        for y, row in zip(im, grid.values):
+            fh.write("".join([f"{x},{y},{val!r}\n" for x, val in zip(re, row.tolist())]))
 
 
 def _write_contour_csv(path: str, cs) -> None:
+    """One write per segment."""
     counters = {}
-    lines = ["component,seg,re1,im1,re2,im2"]
-    # a (k, 2) complex array viewed as floats is its re1, im1, re2, im2 rows
-    for lab, row in zip(cs.labels.tolist(), cs.segments.view(float).tolist()):
-        seg = counters[lab] = counters.get(lab, -1) + 1
-        lines.append(",".join(map(repr, [lab, seg, *row])))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("component,seg,re1,im1,re2,im2\n")
+        # a (k, 2) complex array viewed as floats is its re1, im1, re2, im2 rows
+        for lab, row in zip(cs.labels.tolist(), cs.segments.view(float).tolist()):
+            seg = counters[lab] = counters.get(lab, -1) + 1
+            fh.write(",".join(map(repr, [lab, seg, *row])) + "\n")
 
 
 def cmd_pseudo(ctx: _Context, args) -> dict:

@@ -157,8 +157,11 @@ def random_perturbation(poly: MatrixPolynomial, eps: float, weights: WeightSet,
     Each delta is a complex Gaussian matrix rescaled to the admissible
     boundary.  Draws that leave the perturbed leading coefficient singular are
     rejected and redrawn on a fresh attempt counter, at most MAX_ATTEMPTS times.
-    An infinite eps, or one whose eps * w_j overflows, is refused up front.
+    An infinite eps, or one whose eps * w_j overflows, and a seed or stream
+    that is not a nonnegative integer are refused up front.
     """
+    _require_nonnegative_int(seed, "seed")
+    _require_nonnegative_int(stream, "stream")
     deltas, coeffs, s = _draw(poly, eps, _boundary_targets(poly, eps, weights), seed, stream)
     # the draw passed every check of PerturbedPolynomial.__init__ and took the
     # SVD of the new leading coefficient: adopt it without a second pass
@@ -166,6 +169,14 @@ def random_perturbation(poly: MatrixPolynomial, eps: float, weights: WeightSet,
     out._keep(coeffs, s)
     out._record(poly, deltas, float(eps), weights, ("leading-nonsingular",))
     return out
+
+
+def _require_nonnegative_int(value, name: str) -> None:
+    """Refuse a value that is a bool, not an integer, or negative (a plain
+    int skips the slower ABC check)."""
+    if (type(value) is not int and (isinstance(value, bool)
+                                    or not isinstance(value, numbers.Integral))) or value < 0:
+        raise HypothesisViolationError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 def _boundary_targets(poly: MatrixPolynomial, eps: float, weights: WeightSet) -> np.ndarray:
@@ -328,14 +339,16 @@ def eigenvalue_shift_samples(poly: MatrixPolynomial, weights: WeightSet,
     random_perturbation(..., stream=stream_base + i) returns.
 
     The running maximum divided by eps estimates the condition number of lam
-    from below as eps -> 0.  A NaN or infinite lam, and a samples that is not
-    a nonnegative integer, raise HypothesisViolationError.
+    from below as eps -> 0.  A NaN or infinite lam, and a samples, seed or
+    stream_base that is not a nonnegative integer, raise
+    HypothesisViolationError.
     """
     lam = complex(lam)
     if not cmath.isfinite(lam):
         raise HypothesisViolationError(f"lam must be finite (no NaN/Inf), got {lam}")
-    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 0:
-        raise HypothesisViolationError(f"samples must be a nonnegative integer, got {samples!r}")
+    _require_nonnegative_int(samples, "samples")
+    _require_nonnegative_int(seed, "seed")
+    _require_nonnegative_int(stream_base, "stream_base")
     targets = _boundary_targets(poly, eps, weights)
     out = np.empty(samples, dtype=float)
     for i in range(samples):

@@ -190,8 +190,9 @@ def contours(grid: PseudoGrid, eps: float) -> ContourSet:
     re = grid.re_axis
     im = grid.im_axis
     nx, ny = grid.nx, grid.ny
-    inside = v <= eps
-    code = (inside[:-1, :-1].astype(np.intp)
+    # one byte per node and per code: 0-15, and 16 or 17 for a resolved saddle
+    inside = (v <= eps).view(np.uint8)
+    code = (inside[:-1, :-1]
             | (inside[:-1, 1:] << 1)
             | (inside[1:, 1:] << 2)
             | (inside[1:, :-1] << 3)).reshape(-1)

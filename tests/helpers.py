@@ -13,9 +13,9 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from polycond import (HypothesisViolationError, MatrixPolynomial, WeightSet, companion, eigenvalues,
-                      load_problem, perturbation_rng, random_perturbation, singular_values,
-                      spectral_norm)
+from polycond import (HypothesisViolationError, MatrixPolynomial, PseudoGrid, WeightSet, companion,
+                      eigenvalues, load_problem, perturbation_rng, random_perturbation,
+                      singular_values, spectral_norm)
 from polycond.spectra import NEAR_SPECTRUM_RTOL
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -309,6 +309,18 @@ _MS_SADDLES = {
     10: ((("left", "bottom"), ("right", "top")),
          (("bottom", "right"), ("top", "left"))),
 }
+
+
+def noisy_circle_grid(n: int = 401) -> PseudoGrid:
+    """|z| plus seeded noise of size 1e-2 on [-1, 1]^2 at n x n nodes, with
+    gfun = |z|: at eps = 0.5 a wobbly circle, small islands and saddle
+    cells, and no grid_eval run."""
+    z = np.linspace(-1.0, 1.0, n) + 1j * np.linspace(-1.0, 1.0, n)[:, np.newaxis]
+    values = np.abs(z) + 1e-2 * np.random.default_rng(22).standard_normal(z.shape)
+    values.flags.writeable = False
+    return PseudoGrid(re_min=-1.0, re_max=1.0, im_min=-1.0, im_max=1.0, nx=n, ny=n,
+                      values=values, weights=WeightSet([1.0]), poly_hash="synthetic",
+                      gfun=np.abs)
 
 
 def reference_contours(grid, eps):

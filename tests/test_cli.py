@@ -11,13 +11,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from polycond.bounds import BoundReport
-from polycond.cli import _jsonable, _sample_points, main
+from polycond.cli import _jsonable, _sample_points, _write_grid_csv, main
 from polycond.condition import cond_simple, min_gap_bound
 from polycond.core import MatrixPolynomial, spectral_norm
 from polycond.io import load_problem
@@ -26,7 +27,7 @@ from polycond.perturb import is_admissible, random_perturbation
 from polycond.pseudospectra import contours, grid_eval
 from polycond.spectra import eig_vectors, eigenvalues, nearest_eigenvalue, spectrum
 
-from helpers import FIXTURE_NAMES, FIXTURES
+from helpers import FIXTURE_NAMES, FIXTURES, noisy_circle_grid
 
 P3 = str(FIXTURES / "p3.json")
 P4 = str(FIXTURES / "p4.json")
@@ -347,6 +348,21 @@ class TestPseudo:
         want_grid, want_contour = per_node_csvs(grid, contours(grid, eps))
         assert gpath.read_bytes() == want_grid.encode()
         assert cpath.read_bytes() == want_contour.encode()
+
+    def test_grid_csv_memory_is_one_row(self, tmp_path):
+        # 160,802 lines of text: only a writer that holds one row at a time
+        # stays under 1 MiB
+        grid = noisy_circle_grid(401)
+        path = tmp_path / "grid.csv"
+        tracemalloc.start()
+        try:
+            _write_grid_csv(str(path), grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        with open(path, encoding="utf-8") as fh:
+            assert sum(1 for _ in fh) == 1 + 401 * 401
 
     def test_component_cut_by_box_reported_clipped(self, capsys):
         # the box's left edge 3.001 cuts the eps = 1e-4 component around 3

@@ -174,6 +174,23 @@ class TestRandomPerturbation:
                                         seed=0).shape == (2,)
         assert eigenvalue_shift_samples(p5.poly, p5.weights, 1e-3, 4.0, samples=0,
                                         seed=0).shape == (0,)
+        # a seed, stream or stream_base that is no nonnegative integer, refused
+        # before any draw (it leaked NumPy's ValueError or TypeError)
+        for bad in (-1, 1.5, True, "0"):
+            for name, call in (
+                    ("seed", lambda: random_perturbation(p5.poly, 1e-3, p5.weights, seed=bad)),
+                    ("stream", lambda: random_perturbation(p5.poly, 1e-3, p5.weights, seed=0,
+                                                           stream=bad)),
+                    ("seed", lambda: eigenvalue_shift_samples(p5.poly, p5.weights, 1e-3, 4.0,
+                                                              samples=2, seed=bad)),
+                    ("stream_base", lambda: eigenvalue_shift_samples(
+                        p5.poly, p5.weights, 1e-3, 4.0, samples=2, seed=0, stream_base=bad))):
+                with pytest.raises(HypothesisViolationError,
+                                   match=f"{name} must be a nonnegative integer, got {bad!r}"):
+                    call()
+        q = random_perturbation(p5.poly, 1e-3, p5.weights, seed=np.int64(3), stream=np.uint8(1))
+        r = random_perturbation(p5.poly, 1e-3, p5.weights, seed=3, stream=1)
+        assert q.coeff_stack.tobytes() == r.coeff_stack.tobytes()
 
     def test_infinite_eps_refused_before_any_draw(self, p5, p6, monkeypatch):
         # an infinite eps, or one whose eps * w_j overflows, used to spend

@@ -11,7 +11,7 @@ from scipy import ndimage
 
 import polycond.core
 import polycond.pseudospectra
-from helpers import reference_contains, reference_contours, snap_vectors
+from helpers import noisy_circle_grid, reference_contains, reference_contours, snap_vectors
 from polycond import (
     ContourSet,
     ContainmentError,
@@ -223,6 +223,19 @@ class TestContours:
         assert disc_deviation(c, 0.0, 0.5) <= 1e-3
         # against a wrong radius the deviation is the relative radius error
         assert disc_deviation(c, 0.0, 0.4) == pytest.approx(0.25, abs=0.01)
+
+    def test_memory_is_bytes_per_cell(self):
+        # one byte per node and per cell for the corner flags and case codes;
+        # an intp array of the 400^2 codes alone takes 1.22 MiB
+        grid = noisy_circle_grid(401)
+        tracemalloc.start()
+        try:
+            c = contours(grid, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+        assert c.n_components > 1 and len(c.segments) > 0
 
     def test_nonpositive_radius_rejected(self):
         c = contours(synthetic_circle_grid(), 0.5)
