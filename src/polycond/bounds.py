@@ -15,14 +15,13 @@ ingredients that produced it, so callers can audit rather than trust.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
-from .condition import _coupling, cond_eigvector_free
-from .core import MatrixPolynomial, WeightSet, spectral_norm
+from .condition import _coupling, _require_simple, cond_eigvector_free
+from .core import MatrixPolynomial, WeightSet, _finite_point, spectral_norm
 from .errors import DegenerateProblemError, HypothesisViolationError
 from .spectra import JordanTriple, _check_triple_shape, _svds_at, eigenproblem_cond
 
@@ -81,7 +80,7 @@ def _derivative_frame(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
     orthogonal to x*, whose norm is nu.
     """
     weights.require_match(poly)
-    lam = complex(lam)
+    lam = _finite_point(lam, "lam")
     x = _unit(x, "x")
     y = _unit(y, "y")
     Pp = poly.eval_derivative(lam)
@@ -135,6 +134,7 @@ def dist_mult_bound_adj(poly: MatrixPolynomial, weights: WeightSet, i: int,
     spec is a Spectrum containing the eigenvalue at index i; x, y are still
     needed for the direction term nu.
     """
+    _require_simple(spec, i)
     lam = complex(spec.eigenvalues[i])
     frame, *_ = _derivative_frame(poly, weights, lam, x, y)
     k = cond_eigvector_free(poly, weights, i, spec)
@@ -177,8 +177,7 @@ def elsner_bound(poly: MatrixPolynomial, weights: WeightSet, eps: float,
     weights.require_match(poly)
     if not eps >= 0:
         raise HypothesisViolationError(f"eps must be nonnegative, got {eps}")
-    if not cmath.isfinite(mu := complex(mu)):
-        raise HypothesisViolationError(f"mu must be finite, got {mu}")
+    mu = _finite_point(mu, "mu")
     mn = poly.m * poly.n
     if mn == 0:
         raise DegenerateProblemError("a degree-0 polynomial has no eigenvalues to bound")
@@ -221,8 +220,7 @@ def bauer_fike_bound(poly: MatrixPolynomial, weights: WeightSet, eps: float,
     _check_triple_shape(poly, triple)
     if not eps >= 0:
         raise HypothesisViolationError(f"eps must be nonnegative, got {eps}")
-    if not cmath.isfinite(mu := complex(mu)):
-        raise HypothesisViolationError(f"mu must be finite, got {mu}")
+    mu = _finite_point(mu, "mu")
     p = triple.max_block_size
     k = eigenproblem_cond(triple)
     w = weights.eval(abs(mu))

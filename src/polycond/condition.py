@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import MatrixPolynomial, WeightSet, singular_values, spectral_norm
+from .core import MatrixPolynomial, WeightSet, _finite_point, singular_values, spectral_norm
 from .errors import (
     DefectiveEigenvalueError,
     DegenerateProblemError,
@@ -59,7 +59,7 @@ def cond_simple(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
     weights.require_match(poly)
     x = np.asarray(x, dtype=complex).reshape(-1)
     y = np.asarray(y, dtype=complex).reshape(-1)
-    lam = complex(lam)
+    lam = _finite_point(lam, "lam")
     Pp = poly.eval_derivative(lam)
     delta = _coupling(Pp, _svds_at(poly, lam).sp[0], lam, x, y)
     w = weights.eval(abs(lam))
@@ -83,6 +83,7 @@ def cond_via_companion(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
     """cond_simple recovered through the companion matrix:
     w(|lam|) / (||right|| ||left||) times the companion condition number."""
     weights.require_match(poly)
+    lam = _finite_point(lam, "lam")
     right, left = companion_vectors(poly, lam, x, y)
     k = cond_companion(right, left)
     return weights.eval(abs(lam)) / (float(np.linalg.norm(right)) * float(np.linalg.norm(left))) * k
@@ -155,6 +156,13 @@ def _log_gap_product(values: np.ndarray, i: int) -> float:
 
 
 def _require_simple(spec: Spectrum, i: int) -> None:
+    """Refuse, with NotAnEigenvalueError, an index i outside 0..nm-1 of spec
+    or one whose eigenvalue sits in a cluster."""
+    nm = len(spec.eigenvalues)
+    if not 0 <= i < nm:
+        raise NotAnEigenvalueError(
+            f"eigenvalue index {i} is out of range for a spectrum of nm = {nm} "
+            f"eigenvalues (indices 0..{nm - 1})")
     if not spec.is_simple(i):
         c = spec.cluster_of(i)
         raise NotAnEigenvalueError(

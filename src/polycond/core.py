@@ -8,6 +8,7 @@ admissible perturbations.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import cached_property
 from math import perm
@@ -265,6 +266,15 @@ def _blocks(count: int, n: int) -> list[slice]:
     complex n x n matrices and at least one point, so a stack over points stays bounded."""
     step = max(1, _BLOCK_BYTES // (16 * n * n))
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+def _finite_point(z, name: str) -> complex:
+    """z as a Python complex; HypothesisViolationError naming it as name when
+    it is NaN or infinite."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise HypothesisViolationError(f"{name} must be finite (no NaN/Inf), got {z}")
+    return z
 
 
 def _finite_points(z) -> np.ndarray:

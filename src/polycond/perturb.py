@@ -14,7 +14,6 @@ every j.  Two constructions are provided:
 
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -22,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import _derivative_frame, _unit
-from .core import (MatrixPolynomial, WeightSet, _matrix_stack, _singular_leading, _spectral_norms,
-                   singular_values)
+from .core import (MatrixPolynomial, WeightSet, _blocks, _finite_point, _matrix_stack,
+                   _singular_leading, _spectral_norms, singular_values)
 from .errors import (
     DegenerateProblemError,
     HypothesisViolationError,
@@ -230,11 +229,15 @@ def _disc_count(poly: MatrixPolynomial, centre: complex, r: float):
     """Eigenvalues of poly in |z - centre| < r: (1/2 pi i) times the integral
     of tr(P^{-1} P') dz on the circle by the 16-node trapezoid rule, or None if
     a node solve is singular or the count is off an integer or its even-node
-    (8-node) sub-rule by more than 1e-2."""
+    (8-node) sub-rule by more than 1e-2.  The nodes are evaluated and solved
+    in the blocks of core._blocks (one block for n <= 64)."""
     dz = r * np.exp(2j * np.pi * np.arange(16) / 16)
     z = centre + dz
+    terms = np.empty(16, dtype=complex)
     try:
-        terms = dz * np.trace(np.linalg.solve(poly.eval(z), poly.eval_derivative(z)), axis1=1, axis2=2)
+        for b in _blocks(16, poly.n):
+            terms[b] = dz[b] * np.trace(np.linalg.solve(poly.eval(z[b]), poly.eval_derivative(z[b])),
+                                        axis1=1, axis2=2)
     except np.linalg.LinAlgError:
         return None
     full, half = np.mean(terms), np.mean(terms[::2])
@@ -272,7 +275,7 @@ def defect_perturbation(poly: MatrixPolynomial, weights: WeightSet, lam: complex
     granted when _disc_count refuses (an eigenvalue near the disc's circle);
     "rank-drop" when s_{n-1}(Q(lam)) <= RANK_DROP_RTOL s_1(Q(lam)).
     """
-    lam = complex(lam)
+    lam = _finite_point(lam, "lam")
     x = _unit(x, "x")
     y = _unit(y, "y")
     n = poly.n
@@ -343,9 +346,7 @@ def eigenvalue_shift_samples(poly: MatrixPolynomial, weights: WeightSet,
     stream_base that is not a nonnegative integer, raise
     HypothesisViolationError.
     """
-    lam = complex(lam)
-    if not cmath.isfinite(lam):
-        raise HypothesisViolationError(f"lam must be finite (no NaN/Inf), got {lam}")
+    lam = _finite_point(lam, "lam")
     _require_nonnegative_int(samples, "samples")
     _require_nonnegative_int(seed, "seed")
     _require_nonnegative_int(stream_base, "stream_base")

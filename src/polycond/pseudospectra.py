@@ -80,9 +80,14 @@ def boundedness_check(poly: MatrixPolynomial, weights: WeightSet, eps: float) ->
 
 
 def _g_batch(poly: MatrixPolynomial, weights: WeightSet, z: np.ndarray) -> np.ndarray:
-    """g at every entry of a complex array, SVDs batched."""
-    smin = np.linalg.svd(poly.eval(z), compute_uv=False)[..., -1]
-    return smin / weights.eval(np.abs(z))
+    """g at every entry of a complex array, SVDs batched over the blocks of
+    core._blocks of the flattened points."""
+    z = np.asarray(z, dtype=complex)
+    flat = z.reshape(-1)
+    smin = np.empty(flat.shape)
+    for b in _blocks(flat.size, poly.n):
+        smin[b] = np.linalg.svd(poly.eval(flat[b]), compute_uv=False)[:, -1]
+    return smin.reshape(z.shape) / weights.eval(np.abs(z))
 
 
 def grid_eval(poly: MatrixPolynomial, weights: WeightSet, box, resolution,

@@ -15,9 +15,13 @@ from polycond import (
     WeightSet,
     bauer_fike_bound,
     bound_comparator,
+    cond_simple,
+    cond_via_companion,
+    defect_perturbation,
     dist_mult_bound,
     dist_mult_bound_adj,
     eig_vectors,
+    eigenvalue_shift_samples,
     elsner_bound,
     nearest_eigenvalue,
     spectrum,
@@ -231,6 +235,28 @@ def test_triple_shape_one_rule(p5, p6, check):
         check(p5, p6.triple)
     assert str(exc.value) == ("triple of size 6 over C^2 does not match a "
                               "polynomial with n = 2, m = 2 (needs size 4)")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), complex(4.0, -float("inf"))],
+                         ids=["nan", "inf", "inf-imag"])
+@pytest.mark.parametrize("name, call", [
+    ("lam", lambda pf, v, x, y: cond_simple(pf.poly, pf.weights, v, x, y)),
+    ("lam", lambda pf, v, x, y: cond_via_companion(pf.poly, pf.weights, v, x, y)),
+    ("lam", lambda pf, v, x, y: dist_mult_bound(pf.poly, pf.weights, v, x, y)),
+    ("lam", lambda pf, v, x, y: defect_perturbation(pf.poly, pf.weights, v, x, y)),
+    ("lam", lambda pf, v, x, y: eigenvalue_shift_samples(pf.poly, pf.weights, 1e-3, v, 2, 0)),
+    ("mu", lambda pf, v, x, y: elsner_bound(pf.poly, pf.weights, 0.1, v)),
+], ids=["cond_simple", "cond_via_companion", "dist_mult_bound", "defect_perturbation",
+        "eigenvalue_shift_samples", "elsner_bound"])
+def test_non_finite_point_one_rule(p5, monkeypatch, name, call, value):
+    # a NaN lam gave LinAlgError (ValueError from cond_via_companion) and an
+    # infinite one a RuntimeWarning; each is refused before P is evaluated
+    x, y = eig_vectors(p5.poly, 4.0)
+    for attr in ("eval", "eval_derivative", "e_blocks"):
+        monkeypatch.setattr(MatrixPolynomial, attr, None)     # a call raises TypeError
+    with pytest.raises(HypothesisViolationError) as exc:
+        call(p5, value, x, y)
+    assert str(exc.value) == f"{name} must be finite (no NaN/Inf), got {complex(value)}"
 
 
 class TestComparator:

@@ -248,6 +248,22 @@ class TestEigvectorFree:
             with pytest.raises(NotAnEigenvalueError):
                 route(p3.poly, p3.weights, big.indices[0], sp)
 
+    def test_index_out_of_range_rejected(self, p5):
+        # 99 and -1 raised a bare IndexError, from spec.eigenvalues[i] in
+        # dist_mult_bound_adj before any check
+        sp = spectrum(p5.poly)
+        x, y = eig_vectors(p5.poly, 4.0)
+        for i in (99, -1, 4):
+            for route in (lambda: cond_eigvector_free(p5.poly, p5.weights, i, sp),
+                          lambda: min_gap_bound(p5.poly, p5.weights, i, sp),
+                          lambda: dist_mult_bound_adj(p5.poly, p5.weights, i, sp, x, y)):
+                with pytest.raises(NotAnEigenvalueError) as exc:
+                    route()
+                assert str(exc.value) == (f"eigenvalue index {i} is out of range for a spectrum "
+                                          "of nm = 4 eigenvalues (indices 0..3)")
+        with pytest.raises(IndexError):
+            sp.cluster_of(99)
+
 
 class TestMinGapBound:
     def test_ill_scaled_fixture_at_2(self, p5):

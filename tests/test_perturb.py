@@ -1,12 +1,14 @@
 """Admissible perturbations: random boundary draws and the defect construction."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polycond.core
 import polycond.perturb
 from helpers import (FIXTURE_NAMES, frame_defect_perturbation, load_fixture, random_polynomial,
                      random_unitary, reference_shift_samples, simple_eigenpairs, snap_vectors,
@@ -608,7 +610,8 @@ class TestDiscCount:
         assert _disc_count(poly, 0.0, 2.0) == 1
 
     def test_one_batched_evaluation(self, monkeypatch):
-        # P and P' at all 16 nodes in one call each
+        # P and P' at all 16 nodes in one call each per block of core._blocks:
+        # one block at n = 1, blocks of 6, 6 and 4 nodes at n = 100
         calls = []
         for name in ("eval", "eval_derivative"):
             def logged(self, *a, _f=getattr(MatrixPolynomial, name), _name=name, **k):
@@ -617,6 +620,38 @@ class TestDiscCount:
             monkeypatch.setattr(MatrixPolynomial, name, logged)
         assert _disc_count(MatrixPolynomial([[[-0.5]], [[1.0]]]), 0.0, 1.0) == 1
         assert sorted(calls) == ["eval", "eval_derivative"]
+        calls.clear()
+        # one root at 0.5 inside |z| < 1, the other 99 at 4 outside it
+        D = np.diag(np.r_[0.5, np.full(99, 4.0)])
+        assert _disc_count(MatrixPolynomial([-D, np.eye(100)]), 0.0, 1.0) == 1
+        assert sorted(calls) == ["eval"] * 3 + ["eval_derivative"] * 3
+
+    def test_block_size_bitwise_irrelevant(self, monkeypatch):
+        # one node per block counts as the single 16-node block does; a node
+        # on an eigenvalue (z_14) is refused in a block of its own as well
+        dz = 0.5 * np.exp(2j * np.pi * np.arange(16) / 16)
+        D = np.diag(np.linspace(5.0, 9.0, 4)).astype(complex)
+        D[1, 1] = (0.25 + dz)[14]
+        poly, c, rho, _ = planted(11, 4, 2)
+        cases = [(MatrixPolynomial([-D, np.eye(4)]), 0.25, r) for r in (0.2, 0.5, 2.0)]
+        cases += [(poly, c, rho * 20.0 ** (k - 0.5) * 1.5 ** 0.5) for k in range(4)]
+        want = [_disc_count(*case) for case in cases]
+        assert want == [0, None, 1, 0, 1, 2, 3]
+        monkeypatch.setattr(polycond.core, "_BLOCK_BYTES", 16 * 16)
+        assert len(polycond.core._blocks(16, 4)) == 16
+        assert [_disc_count(*case) for case in cases] == want
+
+    def test_memory_is_one_block(self):
+        # n = 200: one node per block; all 16 nodes' P(z), P'(z), the solve's
+        # copies and its output at once took 29 MiB
+        poly = spectral_problem(3, 600, 200, 2)
+        tracemalloc.start()
+        try:
+            _disc_count(poly, 0.0, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 class TestSpectralCallCounts:

@@ -132,6 +132,35 @@ class TestGridEval:
                 got = grid_eval(p3.poly, p3.weights, box, (23, 19), threads=threads)
                 assert np.array_equal(got.values, ref.values)
 
+    def test_gfun_block_size_bitwise_irrelevant(self, p3, monkeypatch):
+        # gfun on 1-D and 2-D arrays and at one point, 0 included: one node
+        # per block gives the bits of one block for all of them
+        grid = grid_eval(p3.poly, p3.weights, (-2.4, 0.0, -1.2, 0.0), 5)
+        rng = np.random.default_rng(3)
+        z = np.r_[rng.standard_normal(39) + 1j * rng.standard_normal(39), 0.0]
+        want = [grid.gfun(z), grid.gfun(z.reshape(5, 8)), grid.gfun(z[7]), grid.gfun(0.0)]
+        monkeypatch.setattr(polycond.core, "_BLOCK_BYTES", 16 * 9)
+        assert len(polycond.core._blocks(z.size, 3)) == z.size
+        got = [grid.gfun(z), grid.gfun(z.reshape(5, 8)), grid.gfun(z[7]), grid.gfun(0.0)]
+        assert [np.shape(g) for g in got] == [(40,), (5, 8), (), ()]
+        for g, w in zip(got, want):
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+    def test_gfun_memory_is_one_block(self):
+        # 2,000 points at n = 20: blocks of 163; the whole stack of P(z) and
+        # its SVD's copy took 12.5 MiB
+        rng = np.random.default_rng(20)
+        poly = MatrixPolynomial([rng.standard_normal((20, 20)) for _ in range(3)] + [np.eye(20)])
+        grid = grid_eval(poly, WeightSet([1.0] * 4), (-1.0, 1.0, -1.0, 1.0), 3)
+        z = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)
+        tracemalloc.start()
+        try:
+            grid.gfun(z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
     def test_pool_capped_at_blocks_and_cores(self, p3, monkeypatch):
         # a serial stand-in records each pool's size and starts no thread
         pools = []
