@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from .condition import _coupling, _require_simple, cond_eigvector_free
-from .core import MatrixPolynomial, WeightSet, _finite_point, spectral_norm
+from .core import MatrixPolynomial, WeightSet, _finite_point, _vector, spectral_norm
 from .errors import DegenerateProblemError, HypothesisViolationError
 from .spectra import JordanTriple, _check_triple_shape, _svds_at, eigenproblem_cond
 
@@ -63,8 +63,9 @@ class ComparatorReport:
     bauer_fike: BoundReport
 
 
-def _unit(v: np.ndarray, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=complex).reshape(-1)
+def _unit(v: np.ndarray, n: int, name: str) -> np.ndarray:
+    """v / ||v|| for a nonzero vector v of n entries."""
+    v = _vector(v, n, name)
     nv = np.linalg.norm(v)
     if nv == 0.0:
         raise HypothesisViolationError(f"{name} must be a nonzero vector")
@@ -81,8 +82,8 @@ def _derivative_frame(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
     """
     weights.require_match(poly)
     lam = _finite_point(lam, "lam")
-    x = _unit(x, "x")
-    y = _unit(y, "y")
+    x = _unit(x, poly.n, "x")
+    y = _unit(y, poly.n, "y")
     Pp = poly.eval_derivative(lam)
     s = _svds_at(poly, lam).sp
     if s[-1] <= SINGULAR_RTOL * s[0]:

@@ -29,7 +29,7 @@ from .condition import (_require_simple, cond_eigvector_free, cond_multiple, con
                         cond_via_companion, min_gap_bound)
 from .core import MatrixPolynomial, WeightSet, _blocks
 from .errors import HypothesisViolationError, PolycondError
-from .io import ProblemFile, parse_problem, serialize_problem
+from .io import ProblemFile, _problem_doc, parse_problem
 from .linearization import linearization_residual
 from .perturb import defect_perturbation, is_admissible, perturbation_rng, random_perturbation
 from .pseudospectra import boundedness_check, contours, grid_eval, sublevel_component_count
@@ -226,7 +226,9 @@ def _write_problem(path: str, poly: MatrixPolynomial, source: ProblemFile) -> No
     out = ProblemFile(poly=poly, weights=source.weights,
                       weights_derived=source.weights_derived)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_problem(out))
+        # streamed: the bytes of serialize_problem, never the whole text at once
+        json.dump(_problem_doc(out), fh, indent=2)
+        fh.write("\n")
 
 
 def cmd_perturb(ctx: _Context, args) -> dict:

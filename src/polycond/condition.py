@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import MatrixPolynomial, WeightSet, _finite_point, singular_values, spectral_norm
+from .core import (MatrixPolynomial, WeightSet, _finite_point, _vector, singular_values,
+                   spectral_norm)
 from .errors import (
     DefectiveEigenvalueError,
     DegenerateProblemError,
@@ -57,8 +58,8 @@ def cond_simple(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
     """Condition number of a simple eigenvalue from its unit eigenvectors:
     w(|lam|) ||x|| ||y|| / |y* P'(lam) x|."""
     weights.require_match(poly)
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    y = np.asarray(y, dtype=complex).reshape(-1)
+    x = _vector(x, poly.n, "x")
+    y = _vector(y, poly.n, "y")
     lam = _finite_point(lam, "lam")
     Pp = poly.eval_derivative(lam)
     delta = _coupling(Pp, _svds_at(poly, lam).sp[0], lam, x, y)
@@ -84,7 +85,7 @@ def cond_via_companion(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
     w(|lam|) / (||right|| ||left||) times the companion condition number."""
     weights.require_match(poly)
     lam = _finite_point(lam, "lam")
-    right, left = companion_vectors(poly, lam, x, y)
+    right, left = companion_vectors(poly, lam, _vector(x, poly.n, "x"), _vector(y, poly.n, "y"))
     k = cond_companion(right, left)
     return weights.eval(abs(lam)) / (float(np.linalg.norm(right)) * float(np.linalg.norm(left))) * k
 
@@ -127,8 +128,12 @@ def adjugate_norm(M) -> float:
 
     The simple-zero assumption is enforced as s_{n-1} > ADJUGATE_GAP * s_n;
     violations raise with the observed singular-value gap.  On ill-scaled
-    problems the product can overflow to inf or underflow to 0.
+    problems the product can overflow to inf or underflow to 0.  Anything but
+    a square 2-D matrix raises HypothesisViolationError.
     """
+    shape = np.shape(M)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise HypothesisViolationError(f"adjugate norm needs a square matrix, got shape {shape}")
     return float(np.prod(_adjugate_factors(singular_values(M))))
 
 

@@ -32,7 +32,10 @@ _BLOCK_BYTES = 2 ** 20      # see _blocks
 
 def as_complex_matrix(a, name: str = "matrix", square: bool = False) -> np.ndarray:
     """Validate and convert input to a read-only complex128 2-D array."""
-    M = np.asarray(a, dtype=complex)
+    try:
+        M = np.asarray(a, dtype=complex)
+    except (TypeError, ValueError) as exc:      # ragged, or an entry that is no number
+        raise InvalidPolynomialError(f"{name}: expected a matrix of numbers ({exc})") from None
     if M.ndim != 2:
         raise InvalidPolynomialError(f"{name}: expected a 2-D matrix, got ndim={M.ndim}")
     if square and M.shape[0] != M.shape[1]:
@@ -191,7 +194,10 @@ class WeightSet:
     weights: tuple[float, ...]
 
     def __init__(self, weights):
-        w = tuple(float(x) for x in weights)
+        try:
+            w = tuple(float(x) for x in weights)
+        except (TypeError, ValueError) as exc:
+            raise InvalidWeightsError(f"weights must be real numbers ({exc})") from None
         if not w:
             raise InvalidWeightsError("a weight set needs at least one weight")
         if any(not np.isfinite(x) for x in w):
@@ -230,7 +236,7 @@ class WeightSet:
         batch = isinstance(r, np.ndarray)
         x = np.asarray(r, dtype=float) if batch else float(r)
         if not ((x >= 0).all() if batch else x >= 0):     # NaN fails too
-            raise ValueError("the weight polynomial takes nonnegative arguments")
+            raise InvalidWeightsError("the weight polynomial takes nonnegative arguments")
         return _horner(_derivative_coeffs(self.weights, order), x)
 
 
@@ -275,6 +281,15 @@ def _finite_point(z, name: str) -> complex:
     if not cmath.isfinite(z):
         raise HypothesisViolationError(f"{name} must be finite (no NaN/Inf), got {z}")
     return z
+
+
+def _vector(v, n: int, name: str) -> np.ndarray:
+    """v flattened to a complex vector; HypothesisViolationError naming it as
+    name unless it has n entries."""
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    if v.size != n:
+        raise HypothesisViolationError(f"{name} must be a vector of n = {n} entries, got {v.size}")
+    return v
 
 
 def _finite_points(z) -> np.ndarray:

@@ -196,6 +196,13 @@ def _matrix_out(M: np.ndarray):
 def serialize_problem(pf: ProblemFile) -> str:
     """Inverse of parse_problem; derived weights are omitted so defaults stay
     defaults across a round trip."""
+    return json.dumps(_problem_doc(pf), indent=2) + "\n"
+
+
+def _problem_doc(pf: ProblemFile) -> dict:
+    """The JSON document of serialize_problem, before encoding; json.dump of
+    it with indent=2, then a newline, writes the same bytes without holding
+    the whole text."""
     doc = {
         "n": pf.poly.n,
         "m": pf.poly.m,
@@ -216,4 +223,4 @@ def serialize_problem(pf: ProblemFile) -> str:
             "right_vectors": _matrix_out(pf.multiple.right_vectors),
             "left_vectors": _matrix_out(pf.multiple.left_vectors),
         }
-    return json.dumps(doc, indent=2) + "\n"
+    return doc

@@ -276,8 +276,8 @@ def defect_perturbation(poly: MatrixPolynomial, weights: WeightSet, lam: complex
     "rank-drop" when s_{n-1}(Q(lam)) <= RANK_DROP_RTOL s_1(Q(lam)).
     """
     lam = _finite_point(lam, "lam")
-    x = _unit(x, "x")
-    y = _unit(y, "y")
+    x = _unit(x, poly.n, "x")
+    y = _unit(y, poly.n, "y")
     n = poly.n
     px = poly.eval(lam)
     rx = float(np.linalg.norm(px @ x))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -96,10 +97,11 @@ def grid_eval(poly: MatrixPolynomial, weights: WeightSet, box, resolution,
 
     resolution is (nx, ny) or a single int for both; the box edges must be
     finite.  Nodes are evaluated in row-major blocks of about 1 MiB of n x n
-    matrices (core._blocks), dealt to the threads; every node is
-    independent, so the result is identical for any thread count, and memory
-    beyond `values` is one block per thread at any resolution.  The pool has
-    at most one thread per block and per core.
+    matrices (core._blocks); each of min(threads, blocks, cores) workers, the
+    calling thread and threads - 1 pool threads at most, takes the next
+    unprocessed block until none is left.  Every node is independent, so the
+    result is identical for any thread count, and memory beyond `values` is
+    one block per worker at any resolution; threads=1 starts no thread.
     """
     weights.require_match(poly)
     re_min, re_max, im_min, im_max = (float(v) for v in box)
@@ -118,14 +120,28 @@ def grid_eval(poly: MatrixPolynomial, weights: WeightSet, box, resolution,
     values = np.empty((ny, nx), dtype=float)
     flat = values.reshape(-1)
 
-    def work(s):
-        iy, ix = np.divmod(np.arange(s.start, s.stop), nx)
-        flat[s] = _g_batch(poly, weights, re[ix] + 1j * im[iy])
-
     blocks = _blocks(flat.size, poly.n)
     workers = min(max(1, int(threads)), len(blocks), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(work, blocks))
+    todo, lock = iter(blocks), threading.Lock()
+
+    def work():
+        # take the next unprocessed block until none is left
+        while True:
+            with lock:
+                s = next(todo, None)
+            if s is None:
+                return
+            iy, ix = np.divmod(np.arange(s.start, s.stop), nx)
+            flat[s] = _g_batch(poly, weights, re[ix] + 1j * im[iy])
+
+    # the caller is one of the workers, so the pool starts workers - 1 threads
+    # (none for one worker); leaving it joins them, and result() re-raises
+    # an error from any of them
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+        others = [pool.submit(work) for _ in range(workers - 1)]
+        work()
+        for f in others:
+            f.result()
     values.flags.writeable = False
     return PseudoGrid(
         re_min=re_min, re_max=re_max, im_min=im_min, im_max=im_max,

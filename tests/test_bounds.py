@@ -259,6 +259,29 @@ def test_non_finite_point_one_rule(p5, monkeypatch, name, call, value):
     assert str(exc.value) == f"{name} must be finite (no NaN/Inf), got {complex(value)}"
 
 
+@pytest.mark.parametrize("which", ["x", "y"])
+@pytest.mark.parametrize("call", [
+    lambda pf, i, sp, x, y: cond_simple(pf.poly, pf.weights, sp.eigenvalues[i], x, y),
+    lambda pf, i, sp, x, y: cond_via_companion(pf.poly, pf.weights, sp.eigenvalues[i], x, y),
+    lambda pf, i, sp, x, y: dist_mult_bound(pf.poly, pf.weights, sp.eigenvalues[i], x, y),
+    lambda pf, i, sp, x, y: dist_mult_bound_adj(pf.poly, pf.weights, i, sp, x, y),
+    lambda pf, i, sp, x, y: defect_perturbation(pf.poly, pf.weights, sp.eigenvalues[i], x, y),
+], ids=["cond_simple", "cond_via_companion", "dist_mult_bound", "dist_mult_bound_adj",
+        "defect_perturbation"])
+def test_eigenvector_length_one_rule(p5, monkeypatch, call, which):
+    # a length-3 x or y on n = 2 leaked NumPy's matmul ValueError; it is
+    # refused before P is evaluated
+    sp = spectrum(p5.poly)
+    i = int(np.argmin(np.abs(sp.eigenvalues - 4.0)))
+    x, y = eig_vectors(p5.poly, sp.eigenvalues[i])
+    vectors = {"x": x, "y": y, which: np.ones(3)}
+    for attr in ("eval", "eval_derivative", "e_blocks"):
+        monkeypatch.setattr(MatrixPolynomial, attr, None)     # a call raises TypeError
+    with pytest.raises(HypothesisViolationError) as exc:
+        call(p5, i, sp, vectors["x"], vectors["y"])
+    assert str(exc.value) == f"{which} must be a vector of n = 2 entries, got 3"
+
+
 class TestComparator:
     def test_boundary_perturbation_selects_elsner(self, p6):
         rep = bound_comparator(p6.poly, p6.weights, 0.3, MU, p6.triple)

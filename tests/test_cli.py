@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 
 from polycond.bounds import BoundReport
-from polycond.cli import _jsonable, _sample_points, _write_grid_csv, main
+from polycond.cli import _jsonable, _sample_points, _write_grid_csv, _write_problem, main
 from polycond.condition import cond_simple, min_gap_bound
-from polycond.core import MatrixPolynomial, spectral_norm
-from polycond.io import load_problem
+from polycond.core import MatrixPolynomial, WeightSet, spectral_norm
+from polycond.io import ProblemFile, _problem_doc, load_problem, serialize_problem
 from polycond.linearization import linearization_residual
 from polycond.perturb import is_admissible, random_perturbation
 from polycond.pseudospectra import contours, grid_eval
@@ -467,6 +467,37 @@ class TestPerturb:
         run_ok(capsys, *argv, "--out", tmp_path / "q.json")
         assert len(builds) == 2     # the problem file's and the perturbed one
 
+    @pytest.mark.parametrize("argv", [
+        ("perturb", "defect", P4, "--eig", "-1", "0"),
+        ("perturb", "random", P6, "--eps", "0.01"),
+    ])
+    def test_out_is_serialize_problem(self, capsys, tmp_path, argv):
+        out = tmp_path / "q.json"
+        run_ok(capsys, *argv, "--out", out)
+        assert out.read_text() == serialize_problem(load_problem(str(out)))
+
+    def test_out_streams_the_document(self, tmp_path):
+        # the file is serialize_problem's text, encoded while it is written:
+        # the peak stays near the document's own, where the whole text and
+        # its pieces took 3.7 times as much
+        rng = np.random.default_rng(40)
+        coeffs = rng.standard_normal((3, 40, 40)) + 1j * rng.standard_normal((3, 40, 40))
+        coeffs[-1] += 10 * np.eye(40)
+        pf = ProblemFile(poly=MatrixPolynomial(coeffs), weights=WeightSet([1.0] * 3),
+                         weights_derived=False)
+        out = tmp_path / "q.json"
+        tracemalloc.start()
+        try:
+            _problem_doc(pf)
+            _, doc_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            _write_problem(str(out), pf.poly, pf)
+            _, write_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.read_text() == serialize_problem(pf)
+        assert write_peak < 1.5 * doc_peak
+
 
 def p3_with(tmp_path, edit):
     """A copy of p3 after edit(doc), written with Python's NaN/Infinity literals."""
@@ -506,9 +537,12 @@ class TestNonFinite:
 
     @pytest.mark.parametrize("argv", [
         ("bounds", "elsner", P6, "--eps", "1e308", "--mu", "1e300", "0"),
-        # the overflow happens in the grid's worker thread
+        # the overflow happens in the grid kernel, run by the calling thread
         ("pseudo", P6, "--eps", "1e-3", "--box", "1e200", "2e200", "0", "1", "--resolution", "5"),
-    ], ids=["bounds-elsner", "pseudo-grid"])
+        # two blocks of 16,384 nodes at n = 2, shared with a pool thread
+        ("pseudo", P6, "--eps", "1e-3", "--box", "1e200", "2e200", "0", "1", "--resolution", "129",
+         "--threads", "2"),
+    ], ids=["bounds-elsner", "pseudo-grid", "pseudo-grid-2-threads"])
     def test_overflow_writes_one_error_document(self, argv):
         # a separate process, where NumPy warnings print instead of raising
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))

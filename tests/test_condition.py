@@ -162,6 +162,17 @@ class TestAdjugateNorm:
         with pytest.raises(HypothesisViolationError):
             adjugate_norm(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("M, shape", [
+        (np.ones(3), (3,)),             # leaked LinAlgError
+        (np.ones((2, 3)), (2, 3)),      # returned a number
+        (np.ones((2, 2, 2)), (2, 2, 2)),
+        (5.0, ()),
+    ])
+    def test_non_square_refused(self, M, shape):
+        with pytest.raises(HypothesisViolationError) as err:
+            adjugate_norm(M)
+        assert str(err.value) == f"adjugate norm needs a square matrix, got shape {shape}"
+
     def test_gap_override(self, monkeypatch):
         # adjugate_norm takes no gap argument: s_1/s_2 must exceed the module
         # constant ADJUGATE_GAP = 1e6

@@ -15,6 +15,7 @@ from polycond import (
     InvalidPolynomialError,
     InvalidWeightsError,
     MatrixPolynomial,
+    PerturbedPolynomial,
     WeightSet,
     eig_vectors,
     eigenvalues,
@@ -205,11 +206,20 @@ class TestConstruction:
         ([np.eye(3), np.eye(2)], r"coefficient A_1 has shape \(2, 2\), expected \(3, 3\)"),
         ([np.eye(3), np.full((2, 2), np.nan)], "coefficient A_1: entries must be finite"),
         ([], "needs at least one coefficient"),
+        # these leaked NumPy's ValueError
+        ("x", r"coefficient A_0: expected a matrix of numbers \(complex\(\) arg is a malformed"),
+        ([np.eye(2), [[1, 2], [3]]], r"coefficient A_1: expected a matrix of numbers \(setting an"),
+        ([[["a", "b"], ["c", "d"]]], "coefficient A_0: expected a matrix of numbers"),
     ])
     def test_refusal_names_the_coefficient(self, coeffs, message):
         # one stacked check, with the messages of the matrix-by-matrix ones
         with pytest.raises(InvalidPolynomialError, match=message):
             MatrixPolynomial(coeffs)
+
+    def test_string_delta_refusal_names_it(self, p5):
+        zero = np.zeros((2, 2))
+        with pytest.raises(InvalidPolynomialError, match=r"deltas\[1\]: expected a matrix of numbers"):
+            PerturbedPolynomial(p5.poly, [zero, "x", zero], 0.0, p5.weights)
 
     def test_degree_zero_allowed(self):
         p = MatrixPolynomial([np.eye(2)])
@@ -258,6 +268,18 @@ class TestWeights:
             WeightSet([1.0, 2.0]).eval(0.5, -1)
         with pytest.raises(ValueError, match="nonnegative"):
             MatrixPolynomial([np.eye(2), np.eye(2)]).eval_derivative(0.5, -1)
+
+    @pytest.mark.parametrize("weights", ["abc", ["a", 1.0], 1.0, [1.0, 1j]])
+    def test_non_numbers_rejected(self, weights):
+        # these leaked float()'s ValueError or TypeError
+        with pytest.raises(InvalidWeightsError, match="weights must be real numbers"):
+            WeightSet(weights)
+
+    def test_negative_argument_rejected(self):
+        # a plain ValueError before; InvalidWeightsError is a ValueError too
+        for r in (-1, -1e-300, np.array([0.5, -1.0])):
+            with pytest.raises(InvalidWeightsError, match="takes nonnegative arguments"):
+                WeightSet([1.0, 1.0]).eval(r)
 
     def test_zero_w0_rejected(self):
         with pytest.raises(InvalidWeightsError):

@@ -1,7 +1,10 @@
 """Grid evaluation, level-set extraction, and disc comparison."""
 
 import dataclasses
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -162,21 +165,28 @@ class TestGridEval:
         assert peak < 2 * 2 ** 20
 
     def test_pool_capped_at_blocks_and_cores(self, p3, monkeypatch):
-        # a serial stand-in records each pool's size and starts no thread
-        pools = []
+        # a serial stand-in runs each submitted worker at once and starts no
+        # thread; the caller is a worker too, so each grid has one worker
+        # more than it submits
+        at_work = []
 
         class SerialPool:
             def __init__(self, max_workers):
-                pools.append(max_workers)
+                self.max_workers = max_workers
 
             def __enter__(self):
+                at_work.append(1)
                 return self
 
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def submit(self, fn):
+                at_work[-1] += 1
+                assert at_work[-1] - 1 <= self.max_workers
+                done = Future()
+                done.set_result(fn())
+                return done
 
         monkeypatch.setattr(polycond.pseudospectra, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(polycond.pseudospectra.os, "cpu_count", lambda: 4)
@@ -192,7 +202,87 @@ class TestGridEval:
             assert np.array_equal(got.values, ref.values)
         monkeypatch.setattr(polycond.pseudospectra.os, "cpu_count", lambda: None)
         grid_eval(p3.poly, p3.weights, box, (91, 83), threads=10 ** 6)
-        assert pools == [1, 2, 2, 2, 3, 4, 1]
+        assert at_work == [1, 2, 2, 2, 3, 4, 1]
+
+    @staticmethod
+    def _watch(monkeypatch, fail=lambda caller: False):
+        """Record, per block, whether the caller ran it and how many threads
+        were alive, and count the workers submitted to pools; a block raises
+        RuntimeError where fail(caller) is true."""
+        blocks, submitted = [], []
+        g_batch = polycond.pseudospectra._g_batch
+        caller = threading.get_ident()
+
+        def watched(poly, weights, z):
+            by_caller = threading.get_ident() == caller
+            blocks.append((by_caller, threading.active_count()))
+            if fail(by_caller):
+                raise RuntimeError("block failed")
+            return g_batch(poly, weights, z)
+
+        class CountingPool(ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                submitted.append(fn)
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(polycond.pseudospectra, "_g_batch", watched)
+        monkeypatch.setattr(polycond.pseudospectra, "ThreadPoolExecutor", CountingPool)
+        return blocks, submitted
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 10 ** 6])
+    def test_pool_threads_one_fewer_than_workers(self, p3, monkeypatch, threads):
+        # 76 blocks on 4 cores: min(threads, 76, 4) workers, the caller one of
+        # them, so threads=1 submits nothing and starts no thread
+        monkeypatch.setattr(polycond.core, "_BLOCK_BYTES", 16 * 9 * 100)
+        monkeypatch.setattr(polycond.pseudospectra.os, "cpu_count", lambda: 4)
+        ref = grid_eval(p3.poly, p3.weights, (-2.4, 0.0, -1.2, 0.0), (91, 83), threads=1)
+        blocks, submitted = self._watch(monkeypatch)
+        alive = threading.active_count()
+        got = grid_eval(p3.poly, p3.weights, (-2.4, 0.0, -1.2, 0.0), (91, 83), threads=threads)
+        assert np.array_equal(got.values, ref.values)
+        workers = min(threads, 4)
+        assert len(submitted) == workers - 1 and len(blocks) == 76
+        assert max(count for _, count in blocks) <= alive + workers - 1
+        assert threading.active_count() == alive
+
+    def test_every_block_once_under_contention(self, p3, monkeypatch):
+        # one node per block and more workers than cores, switching threads
+        # as often as the interpreter allows: each block is drawn exactly once
+        monkeypatch.setattr(polycond.core, "_BLOCK_BYTES", 16 * 9)
+        monkeypatch.setattr(polycond.pseudospectra.os, "cpu_count", lambda: 8)
+        box = (-2.4, 0.0, -1.2, 0.0)
+        ref = grid_eval(p3.poly, p3.weights, box, (23, 19), threads=1)
+        blocks, submitted = self._watch(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = grid_eval(p3.poly, p3.weights, box, (23, 19), threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(submitted) == 7 and len(blocks) == 23 * 19
+        assert np.array_equal(got.values, ref.values)
+
+    @pytest.mark.parametrize("where", ["caller", "pool"])
+    def test_block_error_propagates(self, p3, monkeypatch, where):
+        # the caller's first block waits until a pool thread has taken one,
+        # so a pool thread surely runs a block
+        pool_started = threading.Event()
+
+        def fail(caller):
+            if caller:
+                assert pool_started.wait(timeout=10)
+            else:
+                pool_started.set()
+            return caller == (where == "caller")
+
+        monkeypatch.setattr(polycond.core, "_BLOCK_BYTES", 16 * 9 * 100)
+        monkeypatch.setattr(polycond.pseudospectra.os, "cpu_count", lambda: 2)
+        blocks, _ = self._watch(monkeypatch, fail)
+        alive = threading.active_count()
+        with pytest.raises(RuntimeError, match="block failed"):
+            grid_eval(p3.poly, p3.weights, (-2.4, 0.0, -1.2, 0.0), (91, 83), threads=2)
+        assert {caller for caller, _ in blocks} == {True, False}
+        assert threading.active_count() == alive
 
     def test_memory_is_one_block_per_thread(self):
         # n = 6: blocks of 1820 nodes; the whole 201^2 stack of P(z) would
