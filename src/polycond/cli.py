@@ -6,7 +6,8 @@ carrying the input file hash and a full parameter echo.  Analysis failures,
 a result holding NaN or Infinity or a NumPy overflow among them, print one
 structured error document on stderr and exit 1; usage errors exit 2.
 Subcommands return library values and report objects as they are; one
-json.dumps hook, _jsonable, decides how each becomes JSON.
+json.dumps hook, _jsonable, decides how each becomes JSON.  Each command
+imports the layers it calls when it runs, so a call loads only its own.
 """
 
 from __future__ import annotations
@@ -18,23 +19,16 @@ import math
 import re
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, is_dataclass
 
 import numpy as np
 
 from . import __version__
-from .bounds import (BoundReport, ComparatorReport, bauer_fike_bound, bound_comparator,
-                     dist_mult_bound, dist_mult_bound_adj, elsner_bound)
-from .condition import (_require_simple, cond_eigvector_free, cond_multiple, cond_simple,
-                        cond_via_companion, min_gap_bound)
 from .core import MatrixPolynomial, WeightSet, _blocks
 from .errors import HypothesisViolationError, PolycondError
 from .io import ProblemFile, _problem_doc, parse_problem
-from .linearization import linearization_residual
-from .perturb import defect_perturbation, is_admissible, perturbation_rng, random_perturbation
-from .pseudospectra import boundedness_check, contours, grid_eval, sublevel_component_count
-from .spectra import (default_cluster_tol, eig_vectors, eigenvalues, nearest_eigenvalue,
-                      spectrum, validate_jordan_triple, eigenproblem_cond)
+from .spectra import (default_cluster_tol, eig_vectors, eigenproblem_cond, eigenvalues,
+                      nearest_eigenvalue, spectrum, validate_jordan_triple)
 
 RESIDUAL_TOL = 1e-8
 _NON_FINITE = "the result holds NaN or Infinity, which JSON cannot carry"
@@ -47,7 +41,7 @@ def _jsonable(obj):
         return [obj.real, obj.imag]
     if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
-    if isinstance(obj, (BoundReport, ComparatorReport)):
+    if is_dataclass(obj):       # a report: BoundReport, ComparatorReport
         return asdict(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -90,6 +84,8 @@ def _snap(ctx: _Context, args):
     """Resolve the --eig argument to a computed eigenvalue, its index, the
     spectrum and the eigenvalue's unit right/left eigenvectors; an eigenvalue
     in a cluster is refused before any eigenvector is computed."""
+    from .condition import _require_simple
+
     target = complex(*args.eig)
     sp = spectrum(ctx.poly)
     idx = nearest_eigenvalue(sp.eigenvalues, target, tol=args.tol)
@@ -113,6 +109,8 @@ def cmd_eig(ctx: _Context, args) -> dict:
 
 
 def cmd_cond(ctx: _Context, args) -> dict:
+    from .condition import cond_eigvector_free, cond_simple, cond_via_companion, min_gap_bound
+
     lam, idx, sp, x, y = _snap(ctx, args)
     k5 = cond_simple(ctx.poly, ctx.weights, lam, x, y)
     k8 = cond_via_companion(ctx.poly, ctx.weights, lam, x, y)
@@ -129,6 +127,8 @@ def cmd_cond(ctx: _Context, args) -> dict:
 
 
 def cmd_multi_cond(ctx: _Context, args) -> dict:
+    from .condition import cond_multiple
+
     data = ctx.problem.multiple
     if data is None:
         raise HypothesisViolationError(
@@ -144,6 +144,8 @@ def cmd_multi_cond(ctx: _Context, args) -> dict:
 
 
 def cmd_dist(ctx: _Context, args) -> dict:
+    from .bounds import dist_mult_bound, dist_mult_bound_adj
+
     lam, idx, sp, x, y = _snap(ctx, args)
     direct = dist_mult_bound(ctx.poly, ctx.weights, lam, x, y)
     adj = dist_mult_bound_adj(ctx.poly, ctx.weights, idx, sp, x, y)
@@ -156,6 +158,8 @@ def cmd_dist(ctx: _Context, args) -> dict:
 
 
 def cmd_bounds(ctx: _Context, args) -> dict:
+    from .bounds import bauer_fike_bound, bound_comparator, elsner_bound
+
     mu = complex(*args.mu)
     out = {"mu": mu, "eps": args.eps}
     if args.bound == "elsner":
@@ -193,6 +197,8 @@ def _write_contour_csv(path: str, cs) -> None:
 
 
 def cmd_pseudo(ctx: _Context, args) -> dict:
+    from .pseudospectra import boundedness_check, contours, grid_eval, sublevel_component_count
+
     # grid_eval reads a single int as nx = ny
     resolution = args.resolution if len(args.resolution) == 2 else args.resolution[0]
     grid = grid_eval(ctx.poly, ctx.weights, tuple(args.box), resolution,
@@ -232,6 +238,9 @@ def _write_problem(path: str, poly: MatrixPolynomial, source: ProblemFile) -> No
 
 
 def cmd_perturb(ctx: _Context, args) -> dict:
+    from .bounds import dist_mult_bound
+    from .perturb import defect_perturbation, is_admissible, random_perturbation
+
     if args.kind == "defect":
         lam, _, _, x, y = _snap(ctx, args)
         q = defect_perturbation(ctx.poly, ctx.weights, lam, x, y)
@@ -262,6 +271,8 @@ def cmd_perturb(ctx: _Context, args) -> dict:
 
 
 def _sample_points(poly: MatrixPolynomial, count: int, seed: int) -> np.ndarray:
+    from .perturb import perturbation_rng
+
     rng = perturbation_rng(seed, stream=0)
     scale = 1.0 + float(np.max(np.abs(eigenvalues(poly))))
     return scale * (rng.standard_normal(count) + 1j * rng.standard_normal(count))
@@ -269,6 +280,8 @@ def _sample_points(poly: MatrixPolynomial, count: int, seed: int) -> np.ndarray:
 
 def cmd_verify(ctx: _Context, args) -> dict:
     if args.check == "linearization":
+        from .linearization import linearization_residual
+
         pts = _sample_points(ctx.poly, args.points, args.seed)
         s = ctx.poly.leading_singular_values
         residual = linearization_residual(ctx.poly, pts)

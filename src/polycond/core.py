@@ -9,6 +9,7 @@ admissible perturbations.
 from __future__ import annotations
 
 import cmath
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from math import perm
@@ -89,6 +90,9 @@ def _matrix_stack(mats, label: str, n: int | None = None) -> np.ndarray:
     if stack is None or not (stack.ndim == 3 and len(stack) and stack.shape[1] == stack.shape[2]
                              and n in (None, stack.shape[1])):
         # not one stack: the matrix-by-matrix checks raise the error that names it
+        if not np.iterable(mats):
+            raise InvalidPolynomialError(
+                f"a matrix polynomial needs a sequence of coefficient matrices, got {mats!r}")
         mats = [as_complex_matrix(A, name=label.format(j), square=True) for j, A in enumerate(mats)]
         if not mats:
             raise InvalidPolynomialError("a matrix polynomial needs at least one coefficient")
@@ -245,8 +249,10 @@ def _derivative_coeffs(coeffs, order: int):
     for j >= order, and one zero coefficient above the degree (C - C is +0)."""
     if order == 0:
         return coeffs
+    if type(order) is not int and not isinstance(order, numbers.Integral):
+        raise HypothesisViolationError(f"derivative order must be an integer, got {order!r}")
     if order < 0:
-        raise ValueError("derivative order must be nonnegative")
+        raise HypothesisViolationError(f"derivative order must be nonnegative, got {order}")
     return [perm(j, order) * C for j, C in enumerate(coeffs) if j >= order] or [coeffs[-1] - coeffs[-1]]
 
 

@@ -109,19 +109,24 @@ def grid_eval(poly: MatrixPolynomial, weights: WeightSet, box, resolution,
         raise HypothesisViolationError(f"empty bounding box {box}")
     if np.isinf([re_min, re_max, im_min, im_max]).any():
         raise HypothesisViolationError(f"box edges must be finite, got {box}")
-    if np.isscalar(resolution):
-        nx = ny = int(resolution)
-    else:
-        nx, ny = (int(v) for v in resolution)
+    try:
+        nx, ny = (int(resolution),) * 2 if np.isscalar(resolution) else map(int, resolution)
+    except (TypeError, ValueError, OverflowError):
+        raise HypothesisViolationError(
+            f"resolution must be an integer or a pair of integers, got {resolution!r}") from None
     if nx < 1 or ny < 1:
         raise HypothesisViolationError(f"resolution must be positive, got {(nx, ny)}")
+    try:
+        threads = int(threads)
+    except (TypeError, ValueError, OverflowError):
+        raise HypothesisViolationError(f"threads must be an integer, got {threads!r}") from None
     re = np.linspace(re_min, re_max, nx)
     im = np.linspace(im_min, im_max, ny)
     values = np.empty((ny, nx), dtype=float)
     flat = values.reshape(-1)
 
     blocks = _blocks(flat.size, poly.n)
-    workers = min(max(1, int(threads)), len(blocks), os.cpu_count() or 1)
+    workers = min(max(1, threads), len(blocks), os.cpu_count() or 1)
     todo, lock = iter(blocks), threading.Lock()
 
     def work():

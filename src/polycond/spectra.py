@@ -110,8 +110,12 @@ def cluster(values, tol: float) -> tuple[EigenvalueCluster, ...]:
 
     Cluster centers are means; clusters are ordered canonically by center.
     """
-    if not tol > 0:
-        raise ValueError("clustering tolerance must be positive")
+    try:
+        positive = tol > 0      # False for NaN
+    except TypeError:           # not a number
+        positive = False
+    if not positive:
+        raise HypothesisViolationError(f"clustering tolerance must be positive, got {tol!r}")
     v = np.asarray(values, dtype=complex)
     k = len(v)
     # |v_i - v_j| <= tol implies the real parts are within 2 tol: sort on the

@@ -681,10 +681,11 @@ class TestUsageErrors:
         assert f"argument {flag}: expected {what}" in capsys.readouterr().err
 
     def test_zero_pseudo_eps_evaluates_no_grid(self, capsys, monkeypatch):
-        import polycond.cli
+        import polycond.pseudospectra
 
         calls = []
-        monkeypatch.setattr(polycond.cli, "grid_eval", lambda *a, **k: calls.append(1))
+        # cmd_pseudo imports grid_eval from its module when it runs
+        monkeypatch.setattr(polycond.pseudospectra, "grid_eval", lambda *a, **k: calls.append(1))
         with pytest.raises(SystemExit) as exc:
             main(["pseudo", P3, "--eps", "0", "--box", "0.85", "1.15", "-0.15", "0.15",
                   "--resolution", "401"])
@@ -821,3 +822,65 @@ def test_import_loads_no_scipy():
                          text=True, check=True).stdout.splitlines()
     assert Path(out[0]).resolve().parent == src / "polycond"
     assert out[1] == "[]"
+
+
+def loaded_after(code):
+    """The polycond submodules and concurrent.futures that a fresh interpreter
+    has loaded after running code (with src on its path)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code += ("\nimport json, sys; print(json.dumps(sorted(m for m in sys.modules "
+             "if m.startswith('polycond.') or m == 'concurrent.futures')))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    return set(json.loads(out[-1]))
+
+
+def test_import_polycond_loads_no_submodule():
+    assert loaded_after("import polycond") == set()
+
+
+# what a command loads beyond the core, errors, io, spectra and linearization
+# modules that every command needs
+LAYERS = {"polycond.condition", "polycond.bounds", "polycond.perturb",
+          "polycond.pseudospectra", "concurrent.futures"}
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["eig", P5], set()),
+    (["cond", P5, "--eig", "4"], {"polycond.condition"}),
+    (["pseudo", P3, "--eps", "1e-4", "--box", "0.85", "1.15", "-0.15", "0.15",
+      "--resolution", "11"], {"polycond.pseudospectra", "concurrent.futures"}),
+])
+def test_subcommand_loads_only_its_layers(argv, layers):
+    code = ("import contextlib, io\nfrom polycond.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0")
+    assert loaded_after(code) & LAYERS == layers
+
+
+def test_module_run_of_eig_loads_no_other_layer():
+    # python -m polycond.cli, as the benchmark runs it; -X importtime lists
+    # every module imported, one per stderr line, name last
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "polycond.cli", "eig", P5],
+                          env=env, capture_output=True, text=True, check=True)
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "polycond.spectra" in imported and not imported & LAYERS
+
+
+def test_public_names_resolve_lazily():
+    import polycond
+
+    assert len(set(polycond.__all__)) == len(polycond.__all__) == 68
+    for name in polycond.__all__[1:]:
+        obj = getattr(polycond, name)
+        # the object its home module defines, not a re-export
+        assert obj.__module__ == f"polycond.{polycond._HOME[name]}"
+        assert getattr(sys.modules[obj.__module__], name) is obj
+    assert set(polycond.__all__) <= set(dir(polycond))
+    star = {}
+    exec("from polycond import *", star)
+    assert set(polycond.__all__) <= set(star)
+    with pytest.raises(AttributeError):
+        polycond.nope

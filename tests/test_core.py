@@ -12,6 +12,7 @@ from scipy.sparse.csgraph import connected_components
 
 from helpers import FIXTURE_NAMES, load_fixture, naive_derivative, naive_eval, naive_weight, svd2_closed_form
 from polycond import (
+    HypothesisViolationError,
     InvalidPolynomialError,
     InvalidWeightsError,
     MatrixPolynomial,
@@ -210,6 +211,9 @@ class TestConstruction:
         ("x", r"coefficient A_0: expected a matrix of numbers \(complex\(\) arg is a malformed"),
         ([np.eye(2), [[1, 2], [3]]], r"coefficient A_1: expected a matrix of numbers \(setting an"),
         ([[["a", "b"], ["c", "d"]]], "coefficient A_0: expected a matrix of numbers"),
+        # these leaked a TypeError from enumerate
+        (5, "needs a sequence of coefficient matrices, got 5"),
+        (None, "needs a sequence of coefficient matrices, got None"),
     ])
     def test_refusal_names_the_coefficient(self, coeffs, message):
         # one stacked check, with the messages of the matrix-by-matrix ones
@@ -264,10 +268,25 @@ class TestWeights:
                     assert w.eval(r, order) == pytest.approx(want, rel=1e-12)
 
     def test_negative_order_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(HypothesisViolationError, match="derivative order must be nonnegative"):
             WeightSet([1.0, 2.0]).eval(0.5, -1)
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(HypothesisViolationError, match="derivative order must be nonnegative"):
             MatrixPolynomial([np.eye(2), np.eye(2)]).eval_derivative(0.5, -1)
+
+    @pytest.mark.parametrize("order", [1.5, 1.0, "1", None])
+    def test_non_integer_order_rejected(self, order):
+        # 1.5 leaked math.perm's TypeError
+        with pytest.raises(HypothesisViolationError, match="derivative order must be an integer"):
+            WeightSet([1.0, 2.0]).eval(0.5, order)
+        with pytest.raises(HypothesisViolationError, match="derivative order must be an integer"):
+            MatrixPolynomial([np.eye(2), np.eye(2)]).eval_derivative(0.5, order)
+
+    def test_integer_like_order_accepted(self, p5):
+        # a NumPy integer and a bool are integers: bitwise the int order
+        for order, same in ((np.int64(2), 2), (True, 1)):
+            assert p5.weights.eval(0.5, order) == p5.weights.eval(0.5, same)
+            assert np.array_equal(p5.poly.eval_derivative(0.5, order),
+                                  p5.poly.eval_derivative(0.5, same))
 
     @pytest.mark.parametrize("weights", ["abc", ["a", 1.0], 1.0, [1.0, 1j]])
     def test_non_numbers_rejected(self, weights):

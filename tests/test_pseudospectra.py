@@ -318,6 +318,22 @@ class TestGridEval:
         with pytest.raises(HypothesisViolationError):
             grid_eval(p5.poly, p5.weights, (0, 1, 0, 1), 0)
 
+    @pytest.mark.parametrize("resolution", ["a", ("a", 5), (5, 5, 5), None, np.inf, (5, np.nan)])
+    def test_non_integer_resolution_rejected(self, p5, resolution):
+        # "a" leaked int()'s ValueError
+        with pytest.raises(HypothesisViolationError, match="resolution must be an integer"):
+            grid_eval(p5.poly, p5.weights, (0, 1, 0, 1), resolution)
+
+    @pytest.mark.parametrize("threads", ["a", None, 1j, np.inf, np.nan])
+    def test_non_integer_threads_rejected(self, p5, threads):
+        with pytest.raises(HypothesisViolationError, match="threads must be an integer"):
+            grid_eval(p5.poly, p5.weights, (0, 1, 0, 1), 5, threads=threads)
+
+    def test_integer_like_resolution_and_threads_accepted(self, p5):
+        want = grid_eval(p5.poly, p5.weights, (0, 1, 0, 1), (5, 4), threads=2)
+        got = grid_eval(p5.poly, p5.weights, (0, 1, 0, 1), ("5", np.int64(4)), threads="2")
+        assert (got.nx, got.ny) == (5, 4) and np.array_equal(got.values, want.values)
+
     def test_compared_by_identity(self, p3):
         a = grid_eval(p3.poly, p3.weights, (0, 1, 0, 1), 5)
         b = grid_eval(p3.poly, p3.weights, (0, 1, 0, 1), 5)

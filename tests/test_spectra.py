@@ -120,12 +120,13 @@ class TestCluster:
     def test_empty_input(self):
         assert cluster([], tol=1e-6) == ()
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan")])
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), "a"])
     def test_nonpositive_or_nan_tol_rejected(self, tol, p6):
-        # a NaN tolerance would otherwise split every multiple eigenvalue
-        with pytest.raises(ValueError, match="positive"):
+        # a NaN tolerance would otherwise split every multiple eigenvalue;
+        # polycond's own error, not a plain ValueError
+        with pytest.raises(HypothesisViolationError, match="clustering tolerance must be positive"):
             cluster([1.0, 1.0, 2.0], tol)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(HypothesisViolationError, match="clustering tolerance must be positive"):
             spectrum(p6.poly, cluster_tol=tol)
 
     def test_default_tol_scales_with_radius(self):
