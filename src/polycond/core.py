@@ -79,33 +79,21 @@ def _singular_leading(s) -> bool:
 
 
 def _matrix_stack(mats, label: str, n: int | None = None) -> np.ndarray:
-    """mats as one new complex (k, n, n) stack, k >= 1, with every entry finite,
-    from one conversion and one finiteness check; n defaults to the size of
-    the first matrix.  InvalidPolynomialError names the first bad matrix as
-    label.format(j)."""
-    try:
-        stack = np.array(mats, dtype=complex)
-    except (TypeError, ValueError):     # ragged
-        stack = None
-    if stack is None or not (stack.ndim == 3 and len(stack) and stack.shape[1] == stack.shape[2]
-                             and n in (None, stack.shape[1])):
-        # not one stack: the matrix-by-matrix checks raise the error that names it
-        if not np.iterable(mats):
-            raise InvalidPolynomialError(
-                f"a matrix polynomial needs a sequence of coefficient matrices, got {mats!r}")
-        mats = [as_complex_matrix(A, name=label.format(j), square=True) for j, A in enumerate(mats)]
-        if not mats:
-            raise InvalidPolynomialError("a matrix polynomial needs at least one coefficient")
-        n = mats[0].shape[0] if n is None else n
-        for j, A in enumerate(mats):
-            if A.shape != (n, n):
-                raise InvalidPolynomialError(f"{label.format(j)} has shape {A.shape}, expected {(n, n)}")
-        stack = np.array(mats)
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    if not finite.all():
+    """mats as one new complex (k, n, n) stack, k >= 1, with every entry finite:
+    each matrix converted and checked once, in order, by as_complex_matrix; n
+    defaults to the size of the first matrix.  InvalidPolynomialError names the
+    first bad matrix as label.format(j)."""
+    if not np.iterable(mats):
         raise InvalidPolynomialError(
-            f"{label.format(int(np.argmin(finite)))}: entries must be finite (no NaN/Inf)")
-    return stack
+            f"a matrix polynomial needs a sequence of coefficient matrices, got {mats!r}")
+    mats = [as_complex_matrix(A, name=label.format(j), square=True) for j, A in enumerate(mats)]
+    if not mats:
+        raise InvalidPolynomialError("a matrix polynomial needs at least one coefficient")
+    n = mats[0].shape[0] if n is None else n
+    for j, A in enumerate(mats):
+        if A.shape != (n, n):
+            raise InvalidPolynomialError(f"{label.format(j)} has shape {A.shape}, expected {(n, n)}")
+    return np.array(mats)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,22 +116,25 @@ class MatrixPolynomial:
     coeffs: tuple[np.ndarray, ...]
 
     def __init__(self, coeffs):
-        stack = _matrix_stack(coeffs, "coefficient A_{}")
-        s = singular_values(stack[-1])
-        if _singular_leading(s):
-            raise InvalidPolynomialError(
-                "leading coefficient is numerically singular "
-                f"(s_min={s[-1]:.3e}, s_max={s[0]:.3e})")
-        self._keep(stack, s)
+        self._adopt(_matrix_stack(coeffs, "coefficient A_{}"))
 
-    def _keep(self, stack: np.ndarray, s: np.ndarray) -> None:
-        """Adopt a checked complex (m+1, n, n) stack and the singular values
-        of its last matrix, both made read-only; coeffs are views of the stack."""
+    def _adopt(self, stack: np.ndarray, s: np.ndarray | None = None, **fields):
+        """The one construction step of every polynomial: adopt a new, checked
+        complex (m+1, n, n) stack and s, the singular values of its last matrix
+        (taken and put to the leading rule here when None), both made read-only,
+        and set the other fields, a subclass's too.  Returns self."""
+        if s is None:
+            s = singular_values(stack[-1])
+            if _singular_leading(s):
+                raise InvalidPolynomialError(
+                    "leading coefficient is numerically singular "
+                    f"(s_min={s[-1]:.3e}, s_max={s[0]:.3e})")
         stack.flags.writeable = False
         s.flags.writeable = False
-        object.__setattr__(self, "coeff_stack", stack)
-        object.__setattr__(self, "coeffs", tuple(stack))
-        object.__setattr__(self, "leading_singular_values", s)
+        fields.update(coeff_stack=stack, coeffs=tuple(stack), leading_singular_values=s)
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        return self
 
     @cached_property
     def log_abs_det_leading(self) -> float:
@@ -287,6 +278,15 @@ def _finite_point(z, name: str) -> complex:
     if not cmath.isfinite(z):
         raise HypothesisViolationError(f"{name} must be finite (no NaN/Inf), got {z}")
     return z
+
+
+def _require_nonnegative_ints(**values) -> None:
+    """Refuse, by its name, the first of values that is a bool, not an integer,
+    or negative (a plain int skips the slower ABC check)."""
+    for name, value in values.items():
+        if (type(value) is not int and (isinstance(value, bool)
+                                        or not isinstance(value, numbers.Integral))) or value < 0:
+            raise HypothesisViolationError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 def _vector(v, n: int, name: str) -> np.ndarray:

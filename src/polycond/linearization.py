@@ -57,11 +57,11 @@ def ef_factors(poly: MatrixPolynomial, z) -> tuple[np.ndarray, np.ndarray]:
     E has blocks E_1(z)..E_m(z) in its first block row and -I on the block
     subdiagonal, so |det E(z)| = |det A_m|; F is unit block lower-triangular
     with det F(z) = 1 identically. z may be an array of points; each factor
-    then has shape z.shape + (nm, nm).
+    then has shape z.shape + (nm, nm).  A NaN or infinite point is refused.
     """
     _require_positive_degree(poly.m)
     n, m = poly.n, poly.m
-    z = np.asarray(z, dtype=complex)
+    z = _finite_points(z)
     E = np.zeros(z.shape + (m, n, m, n), dtype=complex)
     E[..., 0, :, :, :] = np.stack(poly.e_blocks(z), axis=-2)
     E[..., range(1, m), :, range(m - 1), :] = -np.eye(n)

@@ -15,14 +15,14 @@ every j.  Two constructions are provided:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bounds import _derivative_frame, _unit
-from .core import (MatrixPolynomial, WeightSet, _blocks, _finite_point, _matrix_stack,
-                   _singular_leading, _spectral_norms, singular_values)
+from .core import (MatrixPolynomial, WeightSet, _blocks, _derivative_coeffs, _finite_point,
+                   _horner, _matrix_stack, _require_nonnegative_ints, _singular_leading,
+                   _spectral_norms, singular_values)
 from .errors import (
     DegenerateProblemError,
     HypothesisViolationError,
@@ -73,19 +73,9 @@ class PerturbedPolynomial(MatrixPolynomial):
 
     def __init__(self, base: MatrixPolynomial, deltas, eps_used: float,
                  weights: WeightSet, certificates: tuple = ()):
-        m = base.m
-        if len(deltas) != m + 1:
-            raise InvalidPolynomialError(
-                f"expected {m + 1} deltas for degree {m}, got {len(deltas)}")
-        stack = _matrix_stack(deltas, "deltas[{}]", base.n)
-        super().__init__(base.coeff_stack + stack)
-        self._record(base, stack, eps_used, weights, certificates)
-
-    def _record(self, base, deltas, eps_used, weights, certificates):
-        deltas.flags.writeable = False
-        for name, value in (("base", base), ("deltas", tuple(deltas)), ("eps_used", eps_used),
-                            ("weights", weights), ("certificates", certificates)):
-            object.__setattr__(self, name, value)
+        deltas, coeffs = _perturbed_stacks(base, deltas)
+        self._adopt(coeffs, base=base, deltas=tuple(deltas), eps_used=eps_used,
+                    weights=weights, certificates=certificates)
 
     @property
     def delta_norms(self) -> tuple:
@@ -143,8 +133,10 @@ def perturbation_rng(seed: int, stream: int = 0, attempt: int = 0) -> np.random.
 
     (seed, stream) addresses an independent sequence, so parallel sweeps can
     partition work by stream without coordination; attempt separates redraws
-    after a rejected draw (a singular perturbed leading coefficient).
+    after a rejected draw (a singular perturbed leading coefficient).  Each of
+    them must be a nonnegative integer (HypothesisViolationError).
     """
+    _require_nonnegative_ints(seed=seed, stream=stream, attempt=attempt)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, attempt))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -157,25 +149,29 @@ def random_perturbation(poly: MatrixPolynomial, eps: float, weights: WeightSet,
     boundary.  Draws that leave the perturbed leading coefficient singular are
     rejected and redrawn on a fresh attempt counter, at most MAX_ATTEMPTS times.
     An infinite eps, or one whose eps * w_j overflows, and a seed or stream
-    that is not a nonnegative integer are refused up front.
+    that is not a nonnegative integer are refused before any draw.
     """
-    _require_nonnegative_int(seed, "seed")
-    _require_nonnegative_int(stream, "stream")
     deltas, coeffs, s = _draw(poly, eps, _boundary_targets(poly, eps, weights), seed, stream)
-    # the draw passed every check of PerturbedPolynomial.__init__ and took the
-    # SVD of the new leading coefficient: adopt it without a second pass
-    out = PerturbedPolynomial.__new__(PerturbedPolynomial)
-    out._keep(coeffs, s)
-    out._record(poly, deltas, float(eps), weights, ("leading-nonsingular",))
-    return out
+    # the draw passed every check of PerturbedPolynomial's construction and
+    # took the SVD of the new leading coefficient: adopt it without a second pass
+    return PerturbedPolynomial.__new__(PerturbedPolynomial)._adopt(
+        coeffs, s, base=poly, deltas=tuple(deltas), eps_used=float(eps), weights=weights,
+        certificates=("leading-nonsingular",))
 
 
-def _require_nonnegative_int(value, name: str) -> None:
-    """Refuse a value that is a bool, not an integer, or negative (a plain
-    int skips the slower ABC check)."""
-    if (type(value) is not int and (isinstance(value, bool)
-                                    or not isinstance(value, numbers.Integral))) or value < 0:
-        raise HypothesisViolationError(f"{name} must be a nonnegative integer, got {value!r}")
+def _perturbed_stacks(base: MatrixPolynomial, deltas):
+    """(deltas, coefficients of base + deltas), new checked stacks, the first
+    read-only: PerturbedPolynomial's checks before the leading rule's."""
+    m = base.m
+    try:
+        count = len(deltas)
+    except TypeError:
+        count = f"{deltas!r}, which is not a sequence"
+    if count != m + 1:
+        raise InvalidPolynomialError(f"expected {m + 1} deltas for degree {m}, got {count}")
+    deltas = _matrix_stack(deltas, "deltas[{}]", base.n)
+    deltas.flags.writeable = False
+    return deltas, _matrix_stack(base.coeff_stack + deltas, "coefficient A_{}")
 
 
 def _boundary_targets(poly: MatrixPolynomial, eps: float, weights: WeightSet) -> np.ndarray:
@@ -195,7 +191,7 @@ def _boundary_targets(poly: MatrixPolynomial, eps: float, weights: WeightSet) ->
 
 def _draw(poly: MatrixPolynomial, eps: float, targets: np.ndarray, seed: int, stream: int):
     """The first accepted attempt of stream: (deltas, coefficients of P + Delta,
-    singular values of the latter's leading coefficient), the two stacks new.
+    singular values of the latter's leading coefficient), new stacks, deltas read-only.
 
     An attempt is rejected, and the next attempt counter drawn, when a drawn
     matrix has norm 0, when a sum is not finite (which covers the deltas: a
@@ -218,6 +214,7 @@ def _draw(poly: MatrixPolynomial, eps: float, targets: np.ndarray, seed: int, st
             continue
         s = singular_values(coeffs[-1])
         if not _singular_leading(s):
+            deltas.flags.writeable = False
             return deltas, coeffs, s
     raise DegenerateProblemError(
         f"no materializable perturbation found in {MAX_ATTEMPTS} attempts at "
@@ -225,18 +222,19 @@ def _draw(poly: MatrixPolynomial, eps: float, targets: np.ndarray, seed: int, st
         f"reaches the smallest singular value of the leading coefficient")
 
 
-def _disc_count(poly: MatrixPolynomial, centre: complex, r: float):
-    """Eigenvalues of poly in |z - centre| < r: (1/2 pi i) times the integral
-    of tr(P^{-1} P') dz on the circle by the 16-node trapezoid rule, or None if
-    a node solve is singular or the count is off an integer or its even-node
-    (8-node) sub-rule by more than 1e-2.  The nodes are evaluated and solved
-    in the blocks of core._blocks (one block for n <= 64)."""
+def _disc_count(coeffs: np.ndarray, centre: complex, r: float):
+    """Eigenvalues in |z - centre| < r of P with coefficient stack coeffs: (1/2 pi i)
+    times the integral of tr(P^{-1} P') dz on the circle by the 16-node trapezoid
+    rule, or None if a node solve is singular or the count is off an integer or
+    its even-node (8-node) sub-rule by more than 1e-2.  The nodes are evaluated
+    and solved in the blocks of core._blocks (one block for n <= 64)."""
     dz = r * np.exp(2j * np.pi * np.arange(16) / 16)
     z = centre + dz
+    dcoeffs = _derivative_coeffs(coeffs, 1)
     terms = np.empty(16, dtype=complex)
     try:
-        for b in _blocks(16, poly.n):
-            terms[b] = dz[b] * np.trace(np.linalg.solve(poly.eval(z[b]), poly.eval_derivative(z[b])),
+        for b in _blocks(16, coeffs.shape[1]):
+            terms[b] = dz[b] * np.trace(np.linalg.solve(_horner(coeffs, z[b]), _horner(dcoeffs, z[b])),
                                         axis1=1, axis2=2)
     except np.linalg.LinAlgError:
         return None
@@ -310,14 +308,13 @@ def defect_perturbation(poly: MatrixPolynomial, weights: WeightSet, lam: complex
         deltas = [(lam.conjugate() / abs(lam)) ** j * (weights.weights[j] / w_at) * Dhat
                   for j in range(poly.m + 1)]
 
-    out = PerturbedPolynomial(base=poly, deltas=tuple(deltas),
-                              eps_used=float(eps_used), weights=weights)
+    deltas, coeffs = _perturbed_stacks(poly, deltas)
     certs = []
     r = PAIRING_RTOL * max(1.0, abs(lam))
-    count = _disc_count(out, lam, r)
+    count = _disc_count(coeffs, lam, r)
     if (count or 0) >= 2:
         certs.append("eigenvalue-pairing")
-    s = singular_values(out.eval(lam))
+    s = singular_values(coeffs[0] if lam == 0 else _horner(coeffs, lam))     # Q(lam), exact at 0
     if n >= 2 and (s[0] == 0.0 or s[-2] <= RANK_DROP_RTOL * s[0]):
         certs.append("rank-drop")
     if not certs:
@@ -327,10 +324,9 @@ def defect_perturbation(poly: MatrixPolynomial, weights: WeightSet, lam: complex
             f"within {r:.3e} is {'refused' if count is None else count} "
             f"and the rank drop check found s_{n - 1}/s_1 = "
             f"{s[-2] / s[0] if n >= 2 and s[0] else 0.0:.3e}")
-    # the certificates come from checks on the built polynomial, so they are
-    # set in place after construction
-    object.__setattr__(out, "certificates", tuple(certs))
-    return out
+    return PerturbedPolynomial.__new__(PerturbedPolynomial)._adopt(
+        coeffs, base=poly, deltas=tuple(deltas), eps_used=float(eps_used),
+        weights=weights, certificates=tuple(certs))
 
 
 def eigenvalue_shift_samples(poly: MatrixPolynomial, weights: WeightSet,
@@ -347,9 +343,7 @@ def eigenvalue_shift_samples(poly: MatrixPolynomial, weights: WeightSet,
     HypothesisViolationError.
     """
     lam = _finite_point(lam, "lam")
-    _require_nonnegative_int(samples, "samples")
-    _require_nonnegative_int(seed, "seed")
-    _require_nonnegative_int(stream_base, "stream_base")
+    _require_nonnegative_ints(samples=samples, seed=seed, stream_base=stream_base)
     targets = _boundary_targets(poly, eps, weights)
     out = np.empty(samples, dtype=float)
     for i in range(samples):

@@ -10,6 +10,7 @@ structurally from (x, y).
 
 from __future__ import annotations
 
+import threading
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -178,25 +179,29 @@ class _PointSVDs(NamedTuple):
     sp: np.ndarray      # singular values of P'(lam)
 
 
-# per polynomial, the _PointSVDs of its latest nm points, oldest first
+# per polynomial, the _PointSVDs of its latest nm points, oldest first; every
+# read, insert and eviction holds the lock, and no SVD is taken under it
 _SVD_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_SVD_LOCK = threading.Lock()
 
 
 def _svds_at(poly: MatrixPolynomial, lam: complex) -> _PointSVDs:
     """The _PointSVDs of poly at lam, memoised for the latest nm points of
-    each polynomial (none for degree 0)."""
+    each polynomial (none for degree 0); safe to call from several threads."""
     lam = complex(lam)
-    memo = _SVD_MEMO.setdefault(poly, {})
-    entry = memo.get(lam)
+    with _SVD_LOCK:
+        entry = _SVD_MEMO.get(poly, {}).get(lam)
     if entry is None:
         U, s, Vh = np.linalg.svd(poly.eval(lam))
         entry = _PointSVDs(s, Vh[-1].conj(), U[:, -1].copy(),     # O(n) kept, not U
                            singular_values(poly.eval_derivative(lam)))
         for a in entry:
             a.flags.writeable = False
-        memo[lam] = entry
-        if len(memo) > poly.n * poly.m:
-            del memo[next(iter(memo))]      # the oldest
+        with _SVD_LOCK:
+            memo = _SVD_MEMO.setdefault(poly, {})
+            memo[lam] = entry
+            if len(memo) > poly.n * poly.m:
+                del memo[next(iter(memo))]      # the oldest
     return entry
 
 

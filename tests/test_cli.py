@@ -458,12 +458,12 @@ class TestPerturb:
         ("perturb", "random", P4, "--eps", "0.01"),
     ])
     def test_out_builds_each_polynomial_once(self, capsys, monkeypatch, tmp_path, argv):
-        # every polynomial keeps its checked coefficient stack once, whether
-        # MatrixPolynomial.__init__ checked it or it is an accepted random draw
+        # every polynomial adopts its checked coefficient stack once, whether
+        # its constructor checked it or it is an accepted random draw
         builds = []
-        keep = MatrixPolynomial._keep
-        monkeypatch.setattr(MatrixPolynomial, "_keep",
-                            lambda self, *a: builds.append(1) or keep(self, *a))
+        adopt = MatrixPolynomial._adopt
+        monkeypatch.setattr(MatrixPolynomial, "_adopt",
+                            lambda self, *a, **k: builds.append(1) or adopt(self, *a, **k))
         run_ok(capsys, *argv, "--out", tmp_path / "q.json")
         assert len(builds) == 2     # the problem file's and the perturbed one
 

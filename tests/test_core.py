@@ -1,6 +1,8 @@
 """Polynomial evaluation, derivatives, norms, the weight polynomial, the
 per-point SVD record, and connected components."""
 
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -428,6 +430,40 @@ class TestSingularValuesAt:
         ref = weakref.ref(poly)
         del poly
         assert ref() is None
+
+    def test_threads_share_one_memo(self, p5):
+        # 4 threads over 64 points of one polynomial, switching threads as
+        # often as CPython allows: an unlocked read, insert and eviction raised
+        # KeyError or "dictionary changed size during iteration" here
+        points = [complex(k % 8, k // 8) + 0.5j for k in range(64)]
+        want = [_svds_at(MatrixPolynomial(p5.poly.coeffs), z) for z in points]
+        poly = MatrixPolynomial(p5.poly.coeffs)
+        got, errors = [[None] * len(points) for _ in range(4)], []
+
+        def run(k):
+            try:
+                for _ in range(3):
+                    for i in range(len(points)):
+                        got[k][i] = _svds_at(poly, points[(i + 16 * k) % len(points)])
+            except Exception as exc:        # collected: the test names it below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        for k in range(4):
+            for i, entry in enumerate(got[k]):
+                ref = want[(i + 16 * k) % len(points)]
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(entry, ref))
+        assert len(_SVD_MEMO[poly]) <= poly.n * poly.m
 
     def test_degree_zero_keeps_nothing(self):
         poly = MatrixPolynomial([2.0 * np.eye(2)])

@@ -213,9 +213,11 @@ class TestStackedPoints:
         assert len(calls) == 1
 
     def test_nonfinite_points_rejected(self, p6):
-        for z in (np.nan, complex(0.0, np.inf), [2.0, np.nan]):
-            with pytest.raises(HypothesisViolationError, match="must be finite"):
-                linearization_residual(p6.poly, z)
+        # ef_factors at an infinite point warned "invalid value encountered"
+        for z in (np.nan, complex(0.0, np.inf), [2.0, np.nan], np.inf):
+            for call in (linearization_residual, ef_factors):
+                with pytest.raises(HypothesisViolationError, match="must be finite"):
+                    call(p6.poly, z)
 
 
 class TestEigenvalueUnitaryInvariance:

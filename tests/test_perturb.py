@@ -315,6 +315,14 @@ class TestPerturbedPolynomial:
             PerturbedPolynomial(base=p5.poly, deltas=(np.zeros((2, 2)),),
                                 eps_used=0.0, weights=p5.weights)
 
+    def test_non_sequence_deltas_rejected(self, p5):
+        # 5 and None leaked len()'s TypeError
+        for bad, got in ((5, "5, which is not a sequence"), (None, "None, which is not a sequence"),
+                         ((), "0")):
+            with pytest.raises(InvalidPolynomialError,
+                               match=f"^expected 3 deltas for degree 2, got {got}$"):
+                PerturbedPolynomial(p5.poly, bad, 0.0, p5.weights)
+
     def test_wrong_delta_shape_rejected(self, p5):
         deltas = (np.zeros((3, 3)),) * 3
         with pytest.raises(InvalidPolynomialError):
@@ -423,16 +431,18 @@ class TestDefectPerturbation:
             assert got == pytest.approx(base, rel=1e-10)
 
     def test_certified_polynomial_is_the_materialized_one(self, p4, pz, monkeypatch):
+        # one polynomial is built, and its record is complete when it is
         builds = []
-        init = MatrixPolynomial.__init__
-        monkeypatch.setattr(MatrixPolynomial, "__init__",
-                            lambda self, coeffs: builds.append(1) or init(self, coeffs))
+        adopt = MatrixPolynomial._adopt
+        monkeypatch.setattr(MatrixPolynomial, "_adopt",
+                            lambda self, *a, **k: builds.append(k["certificates"])
+                            or adopt(self, *a, **k))
         for pf, target in ((p4, -1.0), (p4, 0.25 - 3.8971j), (pz, 0.0)):
             poly, w = pf.poly, pf.weights
             lam, x, y = snap_vectors(poly, target)
             builds.clear()
             q = defect_perturbation(poly, w, lam, x, y)
-            assert len(builds) == 1
+            assert builds == [q.certificates] and q.certificates
             assert q.materialize() is q
             for A, B, D in zip(q.coeffs, poly.coeffs, q.deltas):
                 assert np.array_equal(A, B + D)
@@ -477,7 +487,7 @@ class TestDefectPerturbation:
             r = PAIRING_RTOL * max(1.0, abs(lam))
             near = int(np.sum(np.abs(eigenvalues(q) - lam) < r))
             assert ("eigenvalue-pairing" in q.certificates) == (near >= 2)
-            assert _disc_count(q, lam, r) in (near, None)
+            assert _disc_count(q.coeff_stack, lam, r) in (near, None)
 
     def test_refused_count_is_reported(self, monkeypatch, p4):
         # with the count refused and no rank drop, the error names the disc
@@ -580,51 +590,54 @@ class TestDiscCount:
         for k in range(min(3, n * m) + 1):
             r = rho * 20.0 ** (k - 0.5) * 1.5 ** 0.5
             assert int(np.sum(np.abs(vals - c) < r)) == k
-            assert _disc_count(poly, c, r) == k
+            assert _disc_count(poly.coeff_stack, c, r) == k
         # a circle through an eigenvalue, to within 1e-3 r, gives no count
         for v in vals:
             r = abs(v - c) * (1.0 + rng.uniform(-1e-3, 1e-3))
-            assert _disc_count(poly, c, r) is None, (v, r)
+            assert _disc_count(poly.coeff_stack, c, r) is None, (v, r)
 
     def test_aliased_integer_refused_by_sub_rule(self):
         # one root at a = 0.5^(1/16) on the unit circle's node ray: the 16-node
         # rule reads 1 / (1 - a^16) = 2 exactly, the 8-node one 3.41
         a = 0.5 ** (1 / 16)
         poly = MatrixPolynomial([[[-a]], [[1.0]]])
-        assert _disc_count(poly, 0.0, 1.0) is None
-        assert _disc_count(poly, 0.0, 4.0) == 1
+        assert _disc_count(poly.coeff_stack, 0.0, 1.0) is None
+        assert _disc_count(poly.coeff_stack, 0.0, 4.0) == 1
 
     def test_agreeing_non_integral_rules_refused(self):
         # roots a and a e^(i pi / 8), a^16 = 0.3: both rules read 2 / 0.7
         a = 0.3 ** (1 / 16)
         b = a * np.exp(1j * np.pi / 8)
         poly = MatrixPolynomial([[[a * b]], [[-(a + b)]], [[1.0]]])
-        assert _disc_count(poly, 0.0, 1.0) is None
-        assert _disc_count(poly, 0.0, 4.0) == 2
+        assert _disc_count(poly.coeff_stack, 0.0, 1.0) is None
+        assert _disc_count(poly.coeff_stack, 0.0, 4.0) == 2
 
     def test_singular_node_refused(self):
         # P(z) = z - 1 vanishes at the node z = c + r of the circle |z| = 1
         poly = MatrixPolynomial([[[-1.0]], [[1.0]]])
-        assert _disc_count(poly, 0.0, 1.0) is None
-        assert _disc_count(poly, 0.0, 0.5) == 0
-        assert _disc_count(poly, 0.0, 2.0) == 1
+        assert _disc_count(poly.coeff_stack, 0.0, 1.0) is None
+        assert _disc_count(poly.coeff_stack, 0.0, 0.5) == 0
+        assert _disc_count(poly.coeff_stack, 0.0, 2.0) == 1
 
     def test_one_batched_evaluation(self, monkeypatch):
-        # P and P' at all 16 nodes in one call each per block of core._blocks:
-        # one block at n = 1, blocks of 6, 6 and 4 nodes at n = 100
+        # P and P' at all 16 nodes in one Horner call each per block of
+        # core._blocks: one block at n = 1, blocks of 6, 6 and 4 nodes at n = 100
         calls = []
-        for name in ("eval", "eval_derivative"):
-            def logged(self, *a, _f=getattr(MatrixPolynomial, name), _name=name, **k):
-                calls.append(_name)
-                return _f(self, *a, **k)
-            monkeypatch.setattr(MatrixPolynomial, name, logged)
-        assert _disc_count(MatrixPolynomial([[[-0.5]], [[1.0]]]), 0.0, 1.0) == 1
-        assert sorted(calls) == ["eval", "eval_derivative"]
+
+        def logged(coeffs, z):
+            calls.append(("P" if len(coeffs) == 2 else "P'", np.shape(z)))
+            return horner(coeffs, z)
+
+        horner = polycond.perturb._horner
+        monkeypatch.setattr(polycond.perturb, "_horner", logged)
+        assert _disc_count(MatrixPolynomial([[[-0.5]], [[1.0]]]).coeff_stack, 0.0, 1.0) == 1
+        assert sorted(calls) == [("P", (16,)), ("P'", (16,))]
         calls.clear()
         # one root at 0.5 inside |z| < 1, the other 99 at 4 outside it
         D = np.diag(np.r_[0.5, np.full(99, 4.0)])
-        assert _disc_count(MatrixPolynomial([-D, np.eye(100)]), 0.0, 1.0) == 1
-        assert sorted(calls) == ["eval"] * 3 + ["eval_derivative"] * 3
+        assert _disc_count(MatrixPolynomial([-D, np.eye(100)]).coeff_stack, 0.0, 1.0) == 1
+        assert sorted(calls) == sorted([("P", (6,)), ("P", (6,)), ("P", (4,)),
+                                        ("P'", (6,)), ("P'", (6,)), ("P'", (4,))])
 
     def test_block_size_bitwise_irrelevant(self, monkeypatch):
         # one node per block counts as the single 16-node block does; a node
@@ -633,8 +646,8 @@ class TestDiscCount:
         D = np.diag(np.linspace(5.0, 9.0, 4)).astype(complex)
         D[1, 1] = (0.25 + dz)[14]
         poly, c, rho, _ = planted(11, 4, 2)
-        cases = [(MatrixPolynomial([-D, np.eye(4)]), 0.25, r) for r in (0.2, 0.5, 2.0)]
-        cases += [(poly, c, rho * 20.0 ** (k - 0.5) * 1.5 ** 0.5) for k in range(4)]
+        cases = [(MatrixPolynomial([-D, np.eye(4)]).coeff_stack, 0.25, r) for r in (0.2, 0.5, 2.0)]
+        cases += [(poly.coeff_stack, c, rho * 20.0 ** (k - 0.5) * 1.5 ** 0.5) for k in range(4)]
         want = [_disc_count(*case) for case in cases]
         assert want == [0, None, 1, 0, 1, 2, 3]
         monkeypatch.setattr(polycond.core, "_BLOCK_BYTES", 16 * 16)
@@ -647,7 +660,7 @@ class TestDiscCount:
         poly = spectral_problem(3, 600, 200, 2)
         tracemalloc.start()
         try:
-            _disc_count(poly, 0.0, 1.0)
+            _disc_count(poly.coeff_stack, 0.0, 1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -691,6 +704,17 @@ class TestRng:
         a = perturbation_rng(123, stream=4, attempt=0).standard_normal(5)
         b = perturbation_rng(123, stream=4, attempt=1).standard_normal(5)
         assert not np.array_equal(a, b)
+
+    def test_bad_arguments_refused(self):
+        # a negative seed leaked NumPy's ValueError, a NaN one a TypeError
+        for args, name, bad in (((-1,), "seed", -1), ((float("nan"),), "seed", float("nan")),
+                                ((0, -2), "stream", -2), ((0, 0, 1.5), "attempt", 1.5),
+                                ((True,), "seed", True), ((0, "1"), "stream", "1")):
+            with pytest.raises(HypothesisViolationError,
+                               match=f"^{name} must be a nonnegative integer, got {bad!r}$"):
+                perturbation_rng(*args)
+        a = perturbation_rng(np.int64(3), np.uint8(1), np.int32(2)).standard_normal(3)
+        assert np.array_equal(a, perturbation_rng(3, 1, 2).standard_normal(3))
 
 
 class TestShiftSamples:
