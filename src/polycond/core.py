@@ -28,7 +28,7 @@ __all__ = [
 
 # Leading coefficient counts as singular below this relative threshold.
 LEADING_SINGULAR_RTOL = 1e-12
-_BLOCK_BYTES = 2 ** 20      # see _blocks
+_BLOCK_BYTES = 2 ** 18      # see _blocks
 
 
 def as_complex_matrix(a, name: str = "matrix", square: bool = False) -> np.ndarray:
@@ -125,6 +125,10 @@ class MatrixPolynomial:
         and set the other fields, a subclass's too.  Returns self."""
         if s is None:
             s = singular_values(stack[-1])
+            if not np.isfinite(s[0]):
+                raise InvalidPolynomialError(
+                    "leading coefficient overflows: its spectral norm is not finite "
+                    f"(s_max={s[0]:.3e})")
             if _singular_leading(s):
                 raise InvalidPolynomialError(
                     "leading coefficient is numerically singular "
@@ -273,8 +277,11 @@ def _blocks(count: int, n: int) -> list[slice]:
 
 def _finite_point(z, name: str) -> complex:
     """z as a Python complex; HypothesisViolationError naming it as name when
-    it is NaN or infinite."""
-    z = complex(z)
+    it is no number (complex() refuses it), NaN or infinite."""
+    try:
+        z = complex(z)
+    except (TypeError, ValueError, OverflowError):
+        raise HypothesisViolationError(f"{name} must be a finite number, got {z!r}") from None
     if not cmath.isfinite(z):
         raise HypothesisViolationError(f"{name} must be finite (no NaN/Inf), got {z}")
     return z

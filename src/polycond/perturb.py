@@ -171,7 +171,9 @@ def _perturbed_stacks(base: MatrixPolynomial, deltas):
         raise InvalidPolynomialError(f"expected {m + 1} deltas for degree {m}, got {count}")
     deltas = _matrix_stack(deltas, "deltas[{}]", base.n)
     deltas.flags.writeable = False
-    return deltas, _matrix_stack(base.coeff_stack + deltas, "coefficient A_{}")
+    with np.errstate(over="ignore"):        # an overflowing sum is refused as not finite
+        total = base.coeff_stack + deltas
+    return deltas, _matrix_stack(total, "coefficient A_{}")
 
 
 def _boundary_targets(poly: MatrixPolynomial, eps: float, weights: WeightSet) -> np.ndarray:
@@ -227,7 +229,7 @@ def _disc_count(coeffs: np.ndarray, centre: complex, r: float):
     times the integral of tr(P^{-1} P') dz on the circle by the 16-node trapezoid
     rule, or None if a node solve is singular or the count is off an integer or
     its even-node (8-node) sub-rule by more than 1e-2.  The nodes are evaluated
-    and solved in the blocks of core._blocks (one block for n <= 64)."""
+    and solved in the blocks of core._blocks (one block for n <= 32)."""
     dz = r * np.exp(2j * np.pi * np.arange(16) / 16)
     z = centre + dz
     dcoeffs = _derivative_coeffs(coeffs, 1)

@@ -96,7 +96,7 @@ def grid_eval(poly: MatrixPolynomial, weights: WeightSet, box, resolution,
     """Evaluate g on box = (re_min, re_max, im_min, im_max).
 
     resolution is (nx, ny) or a single int for both; the box edges must be
-    finite.  Nodes are evaluated in row-major blocks of about 1 MiB of n x n
+    finite.  Nodes are evaluated in row-major blocks of about 256 KiB of n x n
     matrices (core._blocks); each of min(threads, blocks, cores) workers, the
     calling thread and threads - 1 pool threads at most, takes the next
     unprocessed block until none is left.  Every node is independent, so the
@@ -316,15 +316,18 @@ def fitted_radius(contour: ContourSet, center: complex) -> float:
 def sublevel_component_count(grid: PseudoGrid, eps: float) -> int:
     """Number of 4-connected components of {g <= eps} on the grid.
 
-    Each row run of the mask is a node; runs that share a column in adjacent
-    rows are joined by an edge.
+    Each row run of the mask is a node.  Two runs in adjacent rows overlap in
+    one interval, a run of the columns masked in both rows, and are joined by
+    one edge at its first column.
     """
     if not eps > 0:
         raise HypothesisViolationError(f"eps must be positive, got {eps}")
     mask = grid.values <= eps
     starts = mask.copy()
     starts[:, 1:] &= ~mask[:, :-1]
-    run = np.cumsum(starts).reshape(mask.shape) - 1     # run id where mask
+    run = np.cumsum(starts, dtype=np.min_scalar_type(mask.size)).reshape(mask.shape)
+    run -= 1        # run id where mask; the wrap where no run has started is never read
     both = mask[:-1] & mask[1:]
+    both[:, 1:] &= ~both[:, :-1]
     n = int(starts.sum())
     return int(np.count_nonzero(_components(run[:-1][both], run[1:][both], n) == np.arange(n)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import simple_eigenpairs, unit_weights
+from helpers import load_fixture, simple_eigenpairs, unit_weights
 from polycond import (
     DegenerateProblemError,
     HypothesisViolationError,
@@ -22,7 +22,9 @@ from polycond import (
     dist_mult_bound_adj,
     eig_vectors,
     eigenvalue_shift_samples,
+    eigenvalues,
     elsner_bound,
+    grid_eval,
     nearest_eigenvalue,
     spectrum,
     validate_jordan_triple,
@@ -237,8 +239,9 @@ def test_triple_shape_one_rule(p5, p6, check):
                               "polynomial with n = 2, m = 2 (needs size 4)")
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), complex(4.0, -float("inf"))],
-                         ids=["nan", "inf", "inf-imag"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), complex(4.0, -float("inf")),
+                                   "a", 10 ** 400, [1, 2, 3]],
+                         ids=["nan", "inf", "inf-imag", "str", "int-overflow", "list"])
 @pytest.mark.parametrize("name, call", [
     ("lam", lambda pf, v, x, y: cond_simple(pf.poly, pf.weights, v, x, y)),
     ("lam", lambda pf, v, x, y: cond_via_companion(pf.poly, pf.weights, v, x, y)),
@@ -249,14 +252,19 @@ def test_triple_shape_one_rule(p5, p6, check):
 ], ids=["cond_simple", "cond_via_companion", "dist_mult_bound", "defect_perturbation",
         "eigenvalue_shift_samples", "elsner_bound"])
 def test_non_finite_point_one_rule(p5, monkeypatch, name, call, value):
-    # a NaN lam gave LinAlgError (ValueError from cond_via_companion) and an
-    # infinite one a RuntimeWarning; each is refused before P is evaluated
+    # a NaN lam gave LinAlgError (ValueError from cond_via_companion), an
+    # infinite one a RuntimeWarning, and a string, an int beyond the float
+    # range or a list complex()'s ValueError, OverflowError or TypeError; each
+    # is refused before P is evaluated
     x, y = eig_vectors(p5.poly, 4.0)
     for attr in ("eval", "eval_derivative", "e_blocks"):
         monkeypatch.setattr(MatrixPolynomial, attr, None)     # a call raises TypeError
     with pytest.raises(HypothesisViolationError) as exc:
         call(p5, value, x, y)
-    assert str(exc.value) == f"{name} must be finite (no NaN/Inf), got {complex(value)}"
+    if isinstance(value, (float, complex)):
+        assert str(exc.value) == f"{name} must be finite (no NaN/Inf), got {complex(value)}"
+    else:
+        assert str(exc.value) == f"{name} must be a finite number, got {value!r}"
 
 
 @pytest.mark.parametrize("which", ["x", "y"])
@@ -280,6 +288,33 @@ def test_eigenvector_length_one_rule(p5, monkeypatch, call, which):
     with pytest.raises(HypothesisViolationError) as exc:
         call(p5, i, sp, vectors["x"], vectors["y"])
     assert str(exc.value) == f"{which} must be a vector of n = 2 entries, got 3"
+
+
+@pytest.mark.parametrize("name, eps", [
+    pytest.param("p6_perturbed", 0.3, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 16: the Elsner-type bound's ||P(mu)||^(1 - 1/(mn)) fails "
+               "where ||P(mu)|| < 1 and m >= 2 (4 of 97 nodes, ratio 1.145)")),
+    ("p6", 0.3), ("p3", 0.3), ("p4", 0.3), ("p5", 0.1), ("pz_zero_eig", 0.3),
+])
+def test_bounds_hold_on_pseudospectrum_grid(name, eps):
+    # every node with g <= eps is an eigenvalue of an eps-admissible
+    # perturbation, so its distance to the spectrum is within each bound; a
+    # 41^2 grid on a box centred at the mean eigenvalue, of half-width 1.5
+    # times the larger spread of the spectrum's real and imaginary parts
+    pf = load_fixture(name)
+    lam = eigenvalues(pf.poly)
+    c = lam.mean()
+    h = 1.5 * max(np.ptp(lam.real), np.ptp(lam.imag))
+    grid = grid_eval(pf.poly, pf.weights, (c.real - h, c.real + h, c.imag - h, c.imag + h), 41)
+    nodes = (grid.re_axis + 1j * grid.im_axis[:, np.newaxis])[grid.values <= eps]
+    assert nodes.size > 0
+    for z in nodes:
+        dist = np.min(np.abs(lam - z))
+        assert dist <= elsner_bound(pf.poly, pf.weights, eps, z).value * (1 + 1e-9), z
+        if pf.triple is not None:
+            bf = bauer_fike_bound(pf.poly, pf.weights, eps, z, pf.triple).value
+            assert dist <= bf * (1 + 1e-9), z
 
 
 class TestComparator:

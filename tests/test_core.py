@@ -161,6 +161,19 @@ class TestConstruction:
         with pytest.raises(InvalidPolynomialError):
             MatrixPolynomial([np.eye(2), Am])
 
+    def test_overflowing_leading_coefficient_refused_by_name(self):
+        # condition number 1, but both singular values overflow to inf, which
+        # the singular rule read as "numerically singular"
+        Am = [[1.5e308, 1.5e308], [-1.5e308, 1.5e308]]
+        with pytest.raises(InvalidPolynomialError) as exc:
+            MatrixPolynomial([np.eye(2), Am])
+        assert str(exc.value) == ("leading coefficient overflows: its spectral norm "
+                                  "is not finite (s_max=inf)")
+        # the singular rule's message is unchanged
+        with pytest.raises(InvalidPolynomialError,
+                           match=r"^leading coefficient is numerically singular \(s_min="):
+            MatrixPolynomial([np.eye(2), np.diag([1.0, 1e-15])])
+
     def test_nonfinite_entries_rejected(self):
         bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
         with pytest.raises(InvalidPolynomialError):

@@ -323,6 +323,14 @@ class TestPerturbedPolynomial:
                                match=f"^expected 3 deltas for degree 2, got {got}$"):
                 PerturbedPolynomial(p5.poly, bad, 0.0, p5.weights)
 
+    def test_overflowing_sum_refused_without_warning(self):
+        # A_1 + Delta_1 = 2e308 overflows; NumPy's RuntimeWarning (an error
+        # under pytest's filters) came before the refusal
+        base = MatrixPolynomial([[[1.0]], [[1e308]]])
+        with pytest.raises(InvalidPolynomialError,
+                           match=r"^coefficient A_1: entries must be finite \(no NaN/Inf\)$"):
+            PerturbedPolynomial(base, [[[0.0]], [[1e308]]], 0.0, WeightSet([1.0, 1.0]))
+
     def test_wrong_delta_shape_rejected(self, p5):
         deltas = (np.zeros((3, 3)),) * 3
         with pytest.raises(InvalidPolynomialError):
@@ -621,7 +629,7 @@ class TestDiscCount:
 
     def test_one_batched_evaluation(self, monkeypatch):
         # P and P' at all 16 nodes in one Horner call each per block of
-        # core._blocks: one block at n = 1, blocks of 6, 6 and 4 nodes at n = 100
+        # core._blocks: one block at n = 1, blocks of 6, 6 and 4 nodes at n = 50
         calls = []
 
         def logged(coeffs, z):
@@ -633,9 +641,9 @@ class TestDiscCount:
         assert _disc_count(MatrixPolynomial([[[-0.5]], [[1.0]]]).coeff_stack, 0.0, 1.0) == 1
         assert sorted(calls) == [("P", (16,)), ("P'", (16,))]
         calls.clear()
-        # one root at 0.5 inside |z| < 1, the other 99 at 4 outside it
-        D = np.diag(np.r_[0.5, np.full(99, 4.0)])
-        assert _disc_count(MatrixPolynomial([-D, np.eye(100)]).coeff_stack, 0.0, 1.0) == 1
+        # one root at 0.5 inside |z| < 1, the other 49 at 4 outside it
+        D = np.diag(np.r_[0.5, np.full(49, 4.0)])
+        assert _disc_count(MatrixPolynomial([-D, np.eye(50)]).coeff_stack, 0.0, 1.0) == 1
         assert sorted(calls) == sorted([("P", (6,)), ("P", (6,)), ("P", (4,)),
                                         ("P'", (6,)), ("P'", (6,)), ("P'", (4,))])
 

@@ -111,7 +111,7 @@ class TestGridEval:
         assert np.abs(b.values[::2, ::2] - a.values).max() <= 1e-13 * scale
 
     def test_thread_count_bitwise_irrelevant(self, p3):
-        # 91 x 83 = 7553 nodes: one full block of 7281 (n = 3) and a partial one
+        # 91 x 83 = 7553 nodes: four full blocks of 1820 (n = 3) and a partial one
         box = (-2.4, 0.0, -1.2, 0.0)
         a = grid_eval(p3.poly, p3.weights, box, (91, 83), threads=1)
         for threads in (2, 3, 7):
@@ -191,17 +191,19 @@ class TestGridEval:
         monkeypatch.setattr(polycond.pseudospectra, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(polycond.pseudospectra.os, "cpu_count", lambda: 4)
         box = (-2.4, 0.0, -1.2, 0.0)
-        ref = grid_eval(p3.poly, p3.weights, box, (91, 83), threads=1)
-        # two blocks at n = 3, then 76 blocks of 100 nodes
+        ref = grid_eval(p3.poly, p3.weights, box, (61, 47), threads=1)
+        # 2,867 nodes: two blocks at n = 3 (1,820 and 1,047), then 29 blocks
+        # of 100 nodes
+        assert len(polycond.core._blocks(ref.values.size, 3)) == 2
         for threads in (2, 3, 10 ** 6):
-            got = grid_eval(p3.poly, p3.weights, box, (91, 83), threads=threads)
+            got = grid_eval(p3.poly, p3.weights, box, (61, 47), threads=threads)
             assert np.array_equal(got.values, ref.values)
         monkeypatch.setattr(polycond.core, "_BLOCK_BYTES", 16 * 9 * 100)
         for threads in (3, 10 ** 6):
-            got = grid_eval(p3.poly, p3.weights, box, (91, 83), threads=threads)
+            got = grid_eval(p3.poly, p3.weights, box, (61, 47), threads=threads)
             assert np.array_equal(got.values, ref.values)
         monkeypatch.setattr(polycond.pseudospectra.os, "cpu_count", lambda: None)
-        grid_eval(p3.poly, p3.weights, box, (91, 83), threads=10 ** 6)
+        grid_eval(p3.poly, p3.weights, box, (61, 47), threads=10 ** 6)
         assert at_work == [1, 2, 2, 2, 3, 4, 1]
 
     @staticmethod
@@ -672,3 +674,18 @@ class TestSublevelComponentCount:
             for eps in np.quantile(g.values[g.values > 0], [0.0, 0.01, 0.05, 0.2, 0.5, 0.8, 1.0]):
                 want = ndimage.label(g.values <= eps)[1]
                 assert sublevel_component_count(g, eps) == want
+
+    def test_memory_is_bytes_per_node(self):
+        # run ids in the smallest integer type that holds the node count and
+        # one edge per overlap of two runs; int64 ids and an edge per shared
+        # column took 3.10 MiB at eps = 0.5 and 8.65 MiB at eps = 1.2
+        grid = noisy_circle_grid(401)
+        for eps, want in ((0.5, 199), (1.2, 120)):
+            tracemalloc.start()
+            try:
+                count = sublevel_component_count(grid, eps)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2 ** 20
+            assert count == want == ndimage.label(grid.values <= eps)[1]
