@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from .condition import _coupling, _require_simple, cond_eigvector_free
-from .core import MatrixPolynomial, WeightSet, _finite_point, _vector, spectral_norm
+from .core import MatrixPolynomial, WeightSet, _finite_point, _require_eps, _vector, spectral_norm
 from .errors import DegenerateProblemError, HypothesisViolationError
 from .spectra import JordanTriple, _check_triple_shape, _svds_at, eigenproblem_cond
 
@@ -176,8 +176,7 @@ def elsner_bound(poly: MatrixPolynomial, weights: WeightSet, eps: float,
     eps, mu) alone; pass hypothesis_verified=True when the caller knows it.
     """
     weights.require_match(poly)
-    if not eps >= 0:
-        raise HypothesisViolationError(f"eps must be nonnegative, got {eps}")
+    _require_eps(eps)
     mu = _finite_point(mu, "mu")
     mn = poly.m * poly.n
     if mn == 0:
@@ -219,8 +218,7 @@ def bauer_fike_bound(poly: MatrixPolynomial, weights: WeightSet, eps: float,
     """
     weights.require_match(poly)
     _check_triple_shape(poly, triple)
-    if not eps >= 0:
-        raise HypothesisViolationError(f"eps must be nonnegative, got {eps}")
+    _require_eps(eps)
     mu = _finite_point(mu, "mu")
     p = triple.max_block_size
     k = eigenproblem_cond(triple)

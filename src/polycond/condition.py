@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (MatrixPolynomial, WeightSet, _finite_point, _vector, singular_values,
+from .core import (MatrixPolynomial, WeightSet, _finite_point, _is_int, _vector, singular_values,
                    spectral_norm)
 from .errors import (
     DefectiveEigenvalueError,
@@ -161,8 +161,10 @@ def _log_gap_product(values: np.ndarray, i: int) -> float:
 
 
 def _require_simple(spec: Spectrum, i: int) -> None:
-    """Refuse, with NotAnEigenvalueError, an index i outside 0..nm-1 of spec
-    or one whose eigenvalue sits in a cluster."""
+    """Refuse, with NotAnEigenvalueError, an index i that is no integer
+    (_is_int), one outside 0..nm-1 of spec or one whose eigenvalue sits in a cluster."""
+    if not _is_int(i):
+        raise NotAnEigenvalueError(f"eigenvalue index must be an integer, got {i!r}")
     nm = len(spec.eigenvalues)
     if not 0 <= i < nm:
         raise NotAnEigenvalueError(

@@ -287,13 +287,25 @@ def _finite_point(z, name: str) -> complex:
     return z
 
 
+def _is_int(value) -> bool:     # no bool; a plain int skips the slower ABC check
+    return type(value) is int or not isinstance(value, bool) and isinstance(value, numbers.Integral)
+
+
 def _require_nonnegative_ints(**values) -> None:
-    """Refuse, by its name, the first of values that is a bool, not an integer,
-    or negative (a plain int skips the slower ABC check)."""
+    """Refuse, by its name, the first of values that is no integer (_is_int) or is negative."""
     for name, value in values.items():
-        if (type(value) is not int and (isinstance(value, bool)
-                                        or not isinstance(value, numbers.Integral))) or value < 0:
+        if not _is_int(value) or value < 0:
             raise HypothesisViolationError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
+def _require_eps(eps) -> None:
+    """Refuse an eps that is negative or NaN, or no real number a float holds."""
+    try:
+        if eps >= 0 and eps + 0.0 >= 0:     # + 0.0 overflows for 10**400
+            return
+    except (TypeError, OverflowError):      # a string, a list, None, a complex
+        raise HypothesisViolationError(f"eps must be a real number, got {eps!r}") from None
+    raise HypothesisViolationError(f"eps must be nonnegative, got {eps}")
 
 
 def _vector(v, n: int, name: str) -> np.ndarray:
@@ -306,8 +318,11 @@ def _vector(v, n: int, name: str) -> np.ndarray:
 
 
 def _finite_points(z) -> np.ndarray:
-    """z as a complex array; HypothesisViolationError for a NaN or infinite point."""
-    z = np.asarray(z, dtype=complex)
+    """z as a complex array; HypothesisViolationError unless it holds only finite numbers."""
+    try:
+        z = np.asarray(z, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        raise HypothesisViolationError(f"points must be finite numbers, got {z!r}") from None
     if not np.isfinite(z).all():
         raise HypothesisViolationError("points must be finite (no NaN/Inf)")
     return z

@@ -6,7 +6,7 @@ every j.  Two constructions are provided:
 
 - defect_perturbation builds the smallest-known admissible perturbation that
   turns a given simple eigenvalue into a multiple one, and certifies the
-  result numerically.
+  double eigenvalue by a contour count.
 - random_perturbation draws deltas uniformly on the admissible boundary
   (||Delta_j|| = eps * w_j exactly) from a counter-based generator, so sweeps
   are reproducible and partitionable across streams.
@@ -21,8 +21,8 @@ import numpy as np
 
 from .bounds import _derivative_frame, _unit
 from .core import (MatrixPolynomial, WeightSet, _blocks, _derivative_coeffs, _finite_point,
-                   _horner, _matrix_stack, _require_nonnegative_ints, _singular_leading,
-                   _spectral_norms, singular_values)
+                   _horner, _matrix_stack, _require_eps, _require_nonnegative_ints,
+                   _singular_leading, _spectral_norms, singular_values)
 from .errors import (
     DegenerateProblemError,
     HypothesisViolationError,
@@ -48,9 +48,6 @@ __all__ = [
 # splits like the square root of the backward error, so anything much tighter
 # than 1e-5 rejects correct constructions when coefficient norms are in the tens
 PAIRING_RTOL = 1e-5
-# second-smallest singular value below this multiple of the largest counts as
-# a rank drop of two or more
-RANK_DROP_RTOL = 1e-8
 MAX_ATTEMPTS = 8    # draws random_perturbation tries before it refuses
 
 
@@ -105,8 +102,7 @@ def is_admissible(base: MatrixPolynomial, candidate, eps: float,
     differences).  Comparisons carry a slack of tol * max(1, eps * w_j).
     """
     weights.require_match(base)
-    if not eps >= 0:
-        raise HypothesisViolationError(f"eps must be nonnegative, got {eps}")
+    _require_eps(eps)
     if isinstance(candidate, PerturbedPolynomial):
         if candidate.base is not base and not np.array_equal(candidate.base.coeff_stack,
                                                              base.coeff_stack):
@@ -180,8 +176,7 @@ def _boundary_targets(poly: MatrixPolynomial, eps: float, weights: WeightSet) ->
     """The delta norms eps * w_j of a boundary draw, once eps and the weights
     pass the checks that every draw relies on."""
     weights.require_match(poly)
-    if not eps >= 0:
-        raise HypothesisViolationError(f"eps must be nonnegative, got {eps}")
+    _require_eps(eps)
     targets = [float(eps) * w for w in weights.weights]
     for j, t in enumerate(targets):
         if not math.isfinite(t):
@@ -268,17 +263,15 @@ def defect_perturbation(poly: MatrixPolynomial, weights: WeightSet, lam: complex
     needs no SVD, and never exceeds dist_mult_bound: ||P'(lam) u|| <=
     ||P'(lam)|| nu and ||q|| <= ||P'(lam)^{-1}|| ||P(lam)|| give eps_used <=
     c(P'(lam)) ||P(lam)|| |delta| / (nu w(|lam|)) = c(P'(lam)) ||P(lam)|| /
-    (k(P, lam) nu).  The result carries certificates naming the multiplicity
-    checks that passed:
-    "eigenvalue-pairing" when a contour count (no eigensolve) finds two or
-    more perturbed eigenvalues within PAIRING_RTOL max(1, |lam|) of lam, not
-    granted when _disc_count refuses (an eigenvalue near the disc's circle);
-    "rank-drop" when s_{n-1}(Q(lam)) <= RANK_DROP_RTOL s_1(Q(lam)).
+    (k(P, lam) nu).  Its one certificate, "eigenvalue-pairing", is a contour
+    count (no eigensolve) of two or more perturbed eigenvalues within
+    PAIRING_RTOL max(1, |lam|) of lam, else PolycondError.  No rank test could
+    certify instead: Q(lam) keeps rank n - 1, since Q(lam) x = 0 and y* P'(lam)
+    u = nu^2 != 0 puts P'(lam) u outside the range of P(lam).
     """
     lam = _finite_point(lam, "lam")
     x = _unit(x, poly.n, "x")
     y = _unit(y, poly.n, "y")
-    n = poly.n
     px = poly.eval(lam)
     rx = float(np.linalg.norm(px @ x))
     ry = float(np.linalg.norm(y.conj() @ px))
@@ -305,30 +298,22 @@ def defect_perturbation(poly: MatrixPolynomial, weights: WeightSet, lam: complex
     eps_used = abs(delta) * float(np.linalg.norm(pu)) * q_norm / (nu ** 2 * w_at)
     Dhat = (delta / nu ** 2) * np.outer(pu, q_row)
     if lam == 0:
-        deltas = [Dhat] + [np.zeros((n, n), dtype=complex)] * poly.m
+        deltas = [Dhat] + [np.zeros_like(Dhat)] * poly.m
     else:
         deltas = [(lam.conjugate() / abs(lam)) ** j * (weights.weights[j] / w_at) * Dhat
                   for j in range(poly.m + 1)]
 
     deltas, coeffs = _perturbed_stacks(poly, deltas)
-    certs = []
     r = PAIRING_RTOL * max(1.0, abs(lam))
     count = _disc_count(coeffs, lam, r)
-    if (count or 0) >= 2:
-        certs.append("eigenvalue-pairing")
-    s = singular_values(coeffs[0] if lam == 0 else _horner(coeffs, lam))     # Q(lam), exact at 0
-    if n >= 2 and (s[0] == 0.0 or s[-2] <= RANK_DROP_RTOL * s[0]):
-        certs.append("rank-drop")
-    if not certs:
+    if (count or 0) < 2:
         raise PolycondError(
             "the constructed perturbation failed to certify a multiple "
             f"eigenvalue at {lam}: the contour count of perturbed eigenvalues "
-            f"within {r:.3e} is {'refused' if count is None else count} "
-            f"and the rank drop check found s_{n - 1}/s_1 = "
-            f"{s[-2] / s[0] if n >= 2 and s[0] else 0.0:.3e}")
+            f"within {r:.3e} is {'refused' if count is None else count}")
     return PerturbedPolynomial.__new__(PerturbedPolynomial)._adopt(
         coeffs, base=poly, deltas=tuple(deltas), eps_used=float(eps_used),
-        weights=weights, certificates=tuple(certs))
+        weights=weights, certificates=("eigenvalue-pairing",))
 
 
 def eigenvalue_shift_samples(poly: MatrixPolynomial, weights: WeightSet,

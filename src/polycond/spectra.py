@@ -10,6 +10,7 @@ structurally from (x, y).
 
 from __future__ import annotations
 
+import numbers
 import threading
 import weakref
 from dataclasses import dataclass
@@ -162,6 +163,8 @@ def nearest_eigenvalue(values, lam: complex, tol: float | None = None) -> int:
     lam = complex(lam)
     if tol is None:
         tol = SNAP_RTOL * max(1.0, abs(lam))
+    elif not isinstance(tol, numbers.Real):
+        raise HypothesisViolationError(f"tol must be a real number, got {tol!r}")
     i = int(np.argmin(np.abs(v - lam)))
     gap = abs(v[i] - lam)
     if not gap <= tol:
@@ -343,7 +346,9 @@ def validate_jordan_triple(poly: MatrixPolynomial, triple: JordanTriple,
     taken in blocks (core._blocks), two SVD calls each.
     """
     _check_triple_shape(poly, triple)
-    z = _finite_points(np.fromiter(samples, dtype=complex))
+    z = _finite_points(list(samples))
+    if z.ndim != 1:
+        raise HypothesisViolationError(f"samples must be a sequence of points, got {samples!r}")
     if not len(z):
         raise HypothesisViolationError(
             "no sample points given; the validation needs at least one")

@@ -25,7 +25,9 @@ from polycond import (
     eigenvalues,
     elsner_bound,
     grid_eval,
+    is_admissible,
     nearest_eigenvalue,
+    random_perturbation,
     spectrum,
     validate_jordan_triple,
 )
@@ -237,6 +239,28 @@ def test_triple_shape_one_rule(p5, p6, check):
         check(p5, p6.triple)
     assert str(exc.value) == ("triple of size 6 over C^2 does not match a "
                               "polynomial with n = 2, m = 2 (needs size 4)")
+
+
+@pytest.mark.parametrize("eps", ["a", 10 ** 400, [0.1], None],
+                         ids=["str", "int-overflow", "list", "none"])
+@pytest.mark.parametrize("call", [
+    lambda pf, eps: elsner_bound(pf.poly, pf.weights, eps, MU),
+    lambda pf, eps: bauer_fike_bound(pf.poly, pf.weights, eps, MU, pf.triple),
+    lambda pf, eps: is_admissible(pf.poly, pf.poly, eps, pf.weights),
+    lambda pf, eps: random_perturbation(pf.poly, eps, pf.weights, seed=0),
+    lambda pf, eps: eigenvalue_shift_samples(pf.poly, pf.weights, eps, MU, 2, 0),
+], ids=["elsner_bound", "bauer_fike_bound", "is_admissible", "random_perturbation",
+        "eigenvalue_shift_samples"])
+def test_eps_that_is_no_real_number_rejected(p6, call, eps):
+    # each leaked the TypeError of eps >= 0 or eps * w_j, or float()'s
+    # OverflowError; one check in core refuses them by name
+    with pytest.raises(HypothesisViolationError) as exc:
+        call(p6, eps)
+    assert str(exc.value) == f"eps must be a real number, got {eps!r}"
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(HypothesisViolationError) as exc:
+            call(p6, bad)
+        assert str(exc.value) == f"eps must be nonnegative, got {bad}"
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), complex(4.0, -float("inf")),

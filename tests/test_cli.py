@@ -447,11 +447,10 @@ class TestPerturb:
         gaps = np.sort(np.abs(eigenvalues(q.poly) + 1.0))
         assert gaps[1] <= 1e-5
 
-    def test_defect_takes_seven_svds(self, capsys, monkeypatch):
-        # dist's four, the perturbed leading coefficient's check, the
-        # rank-drop certificate's SVD of Q(lam) and one stacked SVD for the
-        # printed delta norms
-        assert count_svds(capsys, monkeypatch, "perturb", "defect", P4, "--eig", "-1", "0") == 7
+    def test_defect_takes_six_svds(self, capsys, monkeypatch):
+        # dist's four, the perturbed leading coefficient's check and one
+        # stacked SVD for the printed delta norms; the certificate takes none
+        assert count_svds(capsys, monkeypatch, "perturb", "defect", P4, "--eig", "-1", "0") == 6
 
     @pytest.mark.parametrize("argv", [
         ("perturb", "defect", P4, "--eig", "-1", "0"),

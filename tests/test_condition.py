@@ -275,6 +275,23 @@ class TestEigvectorFree:
         with pytest.raises(IndexError):
             sp.cluster_of(99)
 
+    @pytest.mark.parametrize("i", [1.5, True, 2.0], ids=["float", "bool", "integral-float"])
+    @pytest.mark.parametrize("route", [
+        lambda pf, i, sp, x, y: cond_eigvector_free(pf.poly, pf.weights, i, sp),
+        lambda pf, i, sp, x, y: min_gap_bound(pf.poly, pf.weights, i, sp),
+        lambda pf, i, sp, x, y: dist_mult_bound_adj(pf.poly, pf.weights, i, sp, x, y),
+    ], ids=["cond_eigvector_free", "min_gap_bound", "dist_mult_bound_adj"])
+    def test_non_integer_index_rejected(self, p5, route, i):
+        # 1.5 raised a bare IndexError from the spectrum's array; a bool
+        # passed as the index 0 or 1
+        sp = spectrum(p5.poly)
+        x, y = eig_vectors(p5.poly, 4.0)
+        with pytest.raises(NotAnEigenvalueError) as exc:
+            route(p5, i, sp, x, y)
+        assert str(exc.value) == f"eigenvalue index must be an integer, got {i!r}"
+        j = nearest_eigenvalue(sp.eigenvalues, 4.0)
+        assert route(p5, np.int64(j), sp, x, y) == route(p5, j, sp, x, y)
+
 
 class TestMinGapBound:
     def test_ill_scaled_fixture_at_2(self, p5):

@@ -18,7 +18,7 @@ from helpers import (
     spectral_problem,
 )
 from polycond import (HypothesisViolationError, InvalidPolynomialError, MatrixPolynomial, companion,
-                      ef_factors, linearization_residual)
+                      ef_factors, linearization_residual, validate_jordan_triple)
 
 
 def leading_cond(poly) -> float:
@@ -213,11 +213,27 @@ class TestStackedPoints:
         assert len(calls) == 1
 
     def test_nonfinite_points_rejected(self, p6):
-        # ef_factors at an infinite point warned "invalid value encountered"
+        # ef_factors at an infinite point warned "invalid value encountered";
+        # a string, an int beyond the float range and a ragged list raised
+        # complex()'s or NumPy's ValueError or OverflowError
         for z in (np.nan, complex(0.0, np.inf), [2.0, np.nan], np.inf):
             for call in (linearization_residual, ef_factors):
                 with pytest.raises(HypothesisViolationError, match="must be finite"):
                     call(p6.poly, z)
+        for z in ("a", 10 ** 400, [1, [2, 3]]):
+            for call in (linearization_residual, ef_factors):
+                with pytest.raises(HypothesisViolationError) as exc:
+                    call(p6.poly, z)
+                assert str(exc.value) == f"points must be finite numbers, got {z!r}"
+        # the samples of validate_jordan_triple pass the same check; a nested
+        # list is no sequence of points
+        for s in (["a"], [10 ** 400]):
+            with pytest.raises(HypothesisViolationError) as exc:
+                validate_jordan_triple(p6.poly, p6.triple, s)
+            assert str(exc.value) == f"points must be finite numbers, got {s!r}"
+        with pytest.raises(HypothesisViolationError, match=r"samples must be a sequence of points, "
+                                                           r"got \[\[1, 2\]\]"):
+            validate_jordan_triple(p6.poly, p6.triple, [[1, 2]])
 
 
 class TestEigenvalueUnitaryInvariance:

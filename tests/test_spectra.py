@@ -151,6 +151,19 @@ class TestNearestEigenvalue:
                 nearest_eigenvalue(vals, 4.01, tol=tol)
         assert vals[nearest_eigenvalue(vals, 4.01, tol=0.1)] == pytest.approx(4.0, abs=1e-6)
 
+    @pytest.mark.parametrize("snap", [
+        lambda poly, tol: nearest_eigenvalue(eigenvalues(poly), 4.01, tol=tol),
+        lambda poly, tol: eig_vectors(poly, 4.01, tol=tol),
+    ], ids=["nearest_eigenvalue", "eig_vectors"])
+    def test_tol_that_is_no_real_number_rejected(self, p5, snap):
+        # a string raised NumPy's UFuncTypeError from the distance comparison
+        for tol in ("a", 1e-3j, [0.1]):
+            with pytest.raises(HypothesisViolationError) as exc:
+                snap(p5.poly, tol)
+            assert str(exc.value) == f"tol must be a real number, got {tol!r}"
+        with pytest.raises(NotAnEigenvalueError):
+            snap(p5.poly, float("nan"))
+
 
 class TestEigVectors:
     def test_diagonal_linear(self):
