@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from .condition import _coupling, _require_simple, cond_eigvector_free
-from .core import MatrixPolynomial, WeightSet, _finite_point, _require_eps, _vector, spectral_norm
+from .core import MatrixPolynomial, WeightSet, _finite_point, _require_real, _vector, spectral_norm
 from .errors import DegenerateProblemError, HypothesisViolationError
 from .spectra import JordanTriple, _check_triple_shape, _svds_at, eigenproblem_cond
 
@@ -170,13 +170,16 @@ def elsner_bound(poly: MatrixPolynomial, weights: WeightSet, eps: float,
     """Distance from mu to the spectrum of P, valid whenever mu is an
     eigenvalue of some polynomial within weighted distance eps of P:
 
-        (eps w(|mu|) / |det A_m|)^(1/(mn)) ||P(mu)||^(1 - 1/(mn)).
+        (eps w(|mu|) ||P(mu)||^(n-1) / |det A_m|)^(1/(mn)).
 
-    The mu-is-a-perturbed-eigenvalue hypothesis cannot be checked from (P,
-    eps, mu) alone; pass hypothesis_verified=True when the caller knows it.
+    Such a mu has s_min(P(mu)) <= eps w(|mu|), and det P(mu) = det A_m
+    prod_j (mu - lam_j) with |det P(mu)| <= s_min(P(mu)) ||P(mu)||^(n-1), so
+    dist(mu, spectrum)^(mn) is at most the mn-th power of the bound.  The
+    mu-is-a-perturbed-eigenvalue hypothesis cannot be checked from (P, eps,
+    mu) alone; pass hypothesis_verified=True when the caller knows it.
     """
     weights.require_match(poly)
-    _require_eps(eps)
+    _require_real(eps, "eps")
     mu = _finite_point(mu, "mu")
     mn = poly.m * poly.n
     if mn == 0:
@@ -184,13 +187,13 @@ def elsner_bound(poly: MatrixPolynomial, weights: WeightSet, eps: float,
     w = weights.eval(abs(mu))
     norm_p = spectral_norm(poly.eval(mu))
     logdet = poly.log_abs_det_leading
-    if eps * w == 0.0 or (norm_p == 0.0 and mn > 1):
+    if eps * w == 0.0 or (norm_p == 0.0 and poly.n > 1):
         value = 0.0
     else:
-        log_val = (np.log(eps * w) - logdet) / mn
-        if mn > 1:
-            log_val += (1.0 - 1.0 / mn) * np.log(norm_p)
-        value = float(np.exp(log_val))
+        log_val = np.log(eps * w) - logdet
+        if poly.n > 1:
+            log_val += (poly.n - 1) * np.log(norm_p)
+        value = float(np.exp(log_val / mn))
     return BoundReport(
         value=value,
         ingredients={
@@ -218,7 +221,7 @@ def bauer_fike_bound(poly: MatrixPolynomial, weights: WeightSet, eps: float,
     """
     weights.require_match(poly)
     _check_triple_shape(poly, triple)
-    _require_eps(eps)
+    _require_real(eps, "eps")
     mu = _finite_point(mu, "mu")
     p = triple.max_block_size
     k = eigenproblem_cond(triple)
@@ -252,7 +255,7 @@ def bound_comparator(poly: MatrixPolynomial, weights: WeightSet, eps: float,
         Omega = |det A_m| (p k)^(mn)     (eps w)^(mn - 1)      if theta >= 1,
         Omega = |det A_m| (p k)^(mn/p)   (eps w)^(mn/p - 1)    otherwise,
 
-    and the elsner bound is tighter exactly when ||P(mu)|| < Omega^(1/(mn-1)).
+    and the elsner bound is tighter exactly when ||P(mu)||^(n-1) < Omega.
     """
     weights.require_match(poly)
     _check_triple_shape(poly, triple)
@@ -279,8 +282,10 @@ def bound_comparator(poly: MatrixPolynomial, weights: WeightSet, eps: float,
             log_omega = logdet + (mn / p) * np.log(p * k) + (mn / p - 1.0) * np.log(ew)
         omega = float(np.exp(log_omega))
         norm_p = el.ingredients["poly_norm_at_mu"]
-        if norm_p == 0.0:
-            tighter = True
+        if poly.n == 1:
+            tighter = bool(0.0 < log_omega)
+        elif norm_p == 0.0:
+            tighter = True      # the elsner bound is 0
         else:
-            tighter = bool(np.log(norm_p) < log_omega / (mn - 1))
+            tighter = bool((poly.n - 1) * np.log(norm_p) < log_omega)
     return ComparatorReport(omega=omega, elsner_tighter=tighter, elsner=el, bauer_fike=bf)

@@ -238,10 +238,11 @@ def _write_problem(path: str, poly: MatrixPolynomial, source: ProblemFile) -> No
 
 
 def cmd_perturb(ctx: _Context, args) -> dict:
-    from .bounds import dist_mult_bound
     from .perturb import defect_perturbation, is_admissible, random_perturbation
 
     if args.kind == "defect":
+        from .bounds import dist_mult_bound
+
         lam, _, _, x, y = _snap(ctx, args)
         q = defect_perturbation(ctx.poly, ctx.weights, lam, x, y)
         bound = dist_mult_bound(ctx.poly, ctx.weights, lam, x, y)

@@ -298,14 +298,17 @@ def _require_nonnegative_ints(**values) -> None:
             raise HypothesisViolationError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
-def _require_eps(eps) -> None:
-    """Refuse an eps that is negative or NaN, or no real number a float holds."""
+def _require_real(value, name: str, positive: bool = False) -> None:
+    """Refuse, naming it as name, a value that is negative (or zero, when
+    positive) or NaN, or that is no real number a float holds."""
     try:
-        if eps >= 0 and eps + 0.0 >= 0:     # + 0.0 overflows for 10**400
+        # + 0.0 overflows for 10**400
+        if (value > 0 if positive else value >= 0) and value + 0.0 >= 0:
             return
     except (TypeError, OverflowError):      # a string, a list, None, a complex
-        raise HypothesisViolationError(f"eps must be a real number, got {eps!r}") from None
-    raise HypothesisViolationError(f"eps must be nonnegative, got {eps}")
+        raise HypothesisViolationError(f"{name} must be a real number, got {value!r}") from None
+    raise HypothesisViolationError(
+        f"{name} must be {'positive' if positive else 'nonnegative'}, got {value}")
 
 
 def _vector(v, n: int, name: str) -> np.ndarray:

@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import _derivative_frame, _unit
 from .core import (MatrixPolynomial, WeightSet, _blocks, _derivative_coeffs, _finite_point,
-                   _horner, _matrix_stack, _require_eps, _require_nonnegative_ints,
+                   _horner, _matrix_stack, _require_nonnegative_ints, _require_real,
                    _singular_leading, _spectral_norms, singular_values)
 from .errors import (
     DegenerateProblemError,
@@ -102,7 +101,7 @@ def is_admissible(base: MatrixPolynomial, candidate, eps: float,
     differences).  Comparisons carry a slack of tol * max(1, eps * w_j).
     """
     weights.require_match(base)
-    _require_eps(eps)
+    _require_real(eps, "eps")
     if isinstance(candidate, PerturbedPolynomial):
         if candidate.base is not base and not np.array_equal(candidate.base.coeff_stack,
                                                              base.coeff_stack):
@@ -176,7 +175,7 @@ def _boundary_targets(poly: MatrixPolynomial, eps: float, weights: WeightSet) ->
     """The delta norms eps * w_j of a boundary draw, once eps and the weights
     pass the checks that every draw relies on."""
     weights.require_match(poly)
-    _require_eps(eps)
+    _require_real(eps, "eps")
     targets = [float(eps) * w for w in weights.weights]
     for j, t in enumerate(targets):
         if not math.isfinite(t):
@@ -269,6 +268,8 @@ def defect_perturbation(poly: MatrixPolynomial, weights: WeightSet, lam: complex
     certify instead: Q(lam) keeps rank n - 1, since Q(lam) x = 0 and y* P'(lam)
     u = nu^2 != 0 puts P'(lam) u outside the range of P(lam).
     """
+    from .bounds import _derivative_frame, _unit    # only here: the draws load no bounds layer
+
     lam = _finite_point(lam, "lam")
     x = _unit(x, poly.n, "x")
     y = _unit(y, poly.n, "y")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MatrixPolynomial, WeightSet, _blocks, _components
+from .core import MatrixPolynomial, WeightSet, _blocks, _components, _finite_point, _require_real
 from .errors import ContainmentError, HypothesisViolationError
 
 __all__ = [
@@ -48,9 +48,11 @@ class PseudoGrid:
     """g sampled on a rectangular grid.
 
     values[iy, ix] = g(re[ix] + i im[iy]); flattened storage is row-major with
-    the real axis fastest.  gfun re-evaluates g off-grid at an array of points
-    (saddle resolution) and returns the array of values.  Instances compare
-    by identity (compare the values with np.array_equal).
+    the real axis fastest.  im_axis is exactly antisymmetric on a box with
+    im_min == -im_max (_im_axis), so a real polynomial's values there are
+    symmetric, values == values[::-1].  gfun re-evaluates g off-grid at an
+    array of points (saddle resolution) and returns the array of values.
+    Instances compare by identity (compare the values with np.array_equal).
     """
 
     re_min: float
@@ -70,13 +72,26 @@ class PseudoGrid:
 
     @property
     def im_axis(self) -> np.ndarray:
-        return np.linspace(self.im_min, self.im_max, self.ny)
+        return _im_axis(self.im_min, self.im_max, self.ny)
+
+
+def _im_axis(lo: float, hi: float, n: int) -> np.ndarray:
+    """np.linspace(lo, hi, n), made exactly antisymmetric when lo == -hi: the
+    upper half is the negated lower half, and an odd middle node is 0.0."""
+    axis = np.linspace(lo, hi, n)
+    if lo == -hi:
+        half = n // 2
+        axis[n - half:] = -axis[:half][::-1]
+        if n % 2:
+            axis[half] = 0.0
+    return axis
 
 
 def boundedness_check(poly: MatrixPolynomial, weights: WeightSet, eps: float) -> bool:
     """True iff eps * w_m < s_min(A_m) strictly, which certifies that the
     eps-pseudospectrum is bounded."""
     weights.require_match(poly)
+    _require_real(eps, "eps")
     return bool(eps * weights.weights[-1] < poly.leading_singular_values[-1])
 
 
@@ -102,9 +117,18 @@ def grid_eval(poly: MatrixPolynomial, weights: WeightSet, box, resolution,
     unprocessed block until none is left.  Every node is independent, so the
     result is identical for any thread count, and memory beyond `values` is
     one block per worker at any resolution; threads=1 starts no thread.
+
+    For a polynomial with real coefficients, g(conj z) = g(z).  On a box with
+    im_min == -im_max, whose imaginary nodes are exactly antisymmetric
+    (_im_axis), only rows 0..ceil(ny/2)-1 are evaluated, and row ny-1-k is
+    copied from row k: the same bits as evaluating it.
     """
     weights.require_match(poly)
-    re_min, re_max, im_min, im_max = (float(v) for v in box)
+    try:
+        re_min, re_max, im_min, im_max = (float(v) for v in box)
+    except (TypeError, ValueError, OverflowError):
+        raise HypothesisViolationError("box must be four real numbers "
+                                       f"(re_min, re_max, im_min, im_max), got {box!r}") from None
     if not (re_min <= re_max and im_min <= im_max):     # a NaN edge too
         raise HypothesisViolationError(f"empty bounding box {box}")
     if np.isinf([re_min, re_max, im_min, im_max]).any():
@@ -121,9 +145,11 @@ def grid_eval(poly: MatrixPolynomial, weights: WeightSet, box, resolution,
     except (TypeError, ValueError, OverflowError):
         raise HypothesisViolationError(f"threads must be an integer, got {threads!r}") from None
     re = np.linspace(re_min, re_max, nx)
-    im = np.linspace(im_min, im_max, ny)
+    im = _im_axis(im_min, im_max, ny)
     values = np.empty((ny, nx), dtype=float)
-    flat = values.reshape(-1)
+    mirror = im_min == -im_max and not poly.coeff_stack.imag.any()
+    rows = (ny + 1) // 2 if mirror else ny
+    flat = values[:rows].reshape(-1)
 
     blocks = _blocks(flat.size, poly.n)
     workers = min(max(1, threads), len(blocks), os.cpu_count() or 1)
@@ -147,6 +173,8 @@ def grid_eval(poly: MatrixPolynomial, weights: WeightSet, box, resolution,
         work()
         for f in others:
             f.result()
+    for k in range(ny - rows):      # one row at a time: no half-grid temporary
+        values[ny - 1 - k] = values[k]
     values.flags.writeable = False
     return PseudoGrid(
         re_min=re_min, re_max=re_max, im_min=im_min, im_max=im_max,
@@ -207,8 +235,7 @@ def contours(grid: PseudoGrid, eps: float) -> ContourSet:
     carry integer ids: horizontal edge (ix, iy) is iy (nx - 1) + ix, vertical
     edge (ix, iy) is ny (nx - 1) + iy nx + ix.
     """
-    if not eps > 0:
-        raise HypothesisViolationError(f"eps must be positive, got {eps}")
+    _require_real(eps, "eps", positive=True)
     v = grid.values
     vmin, vmax = float(v.min()), float(v.max())
     diagnostic = (f"eps={eps:g} is below the grid minimum {vmin:g}" if eps < vmin else
@@ -283,6 +310,7 @@ def _contains(contour: ContourSet, z: complex) -> np.ndarray:
 def component_vertices(contour: ContourSet, center: complex) -> np.ndarray:
     """Unique segment endpoints of the first unclipped component (by label)
     that encloses center."""
+    center = _finite_point(center, "center")
     passes = _contains(contour, center)
     enclosing = np.flatnonzero(passes & ~contour.clipped)
     if not enclosing.size and passes.any():
@@ -300,8 +328,8 @@ def disc_deviation(contour: ContourSet, center: complex, radius: float) -> float
     """Worst relative deviation of the enclosing component from the circle
     |z - center| = radius: max over its vertices of ||v - center| - radius|,
     normalized by radius."""
-    if not radius > 0:
-        raise HypothesisViolationError(f"radius must be positive, got {radius}")
+    _require_real(radius, "radius", positive=True)
+    center = _finite_point(center, "center")
     verts = component_vertices(contour, center)
     return float(np.max(np.abs(np.abs(verts - center) - radius)) / radius)
 
@@ -309,6 +337,7 @@ def disc_deviation(contour: ContourSet, center: complex, radius: float) -> float
 def fitted_radius(contour: ContourSet, center: complex) -> float:
     """Median distance from center to the enclosing component's vertices;
     robust to corner discretization."""
+    center = _finite_point(center, "center")
     verts = component_vertices(contour, center)
     return float(np.median(np.abs(verts - center)))
 
@@ -320,8 +349,7 @@ def sublevel_component_count(grid: PseudoGrid, eps: float) -> int:
     one interval, a run of the columns masked in both rows, and are joined by
     one edge at its first column.
     """
-    if not eps > 0:
-        raise HypothesisViolationError(f"eps must be positive, got {eps}")
+    _require_real(eps, "eps", positive=True)
     mask = grid.values <= eps
     starts = mask.copy()
     starts[:, 1:] &= ~mask[:, :-1]

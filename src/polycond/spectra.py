@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (MatrixPolynomial, _blocks, _components, _finite_points, as_complex_matrix,
-                   singular_values, spectral_norm)
+from .core import (MatrixPolynomial, _blocks, _components, _finite_point, _finite_points,
+                   as_complex_matrix, singular_values, spectral_norm)
 from .errors import (
     EigensolverError,
     HypothesisViolationError,
@@ -160,11 +160,17 @@ def nearest_eigenvalue(values, lam: complex, tol: float | None = None) -> int:
     v = np.asarray(values, dtype=complex)
     if len(v) == 0:
         raise NotAnEigenvalueError("the spectrum is empty")
-    lam = complex(lam)
+    lam = _finite_point(lam, "lam")
     if tol is None:
         tol = SNAP_RTOL * max(1.0, abs(lam))
     elif not isinstance(tol, numbers.Real):
         raise HypothesisViolationError(f"tol must be a real number, got {tol!r}")
+    else:
+        try:
+            tol + 0.0       # an int beyond the float range overflows here, not in gap <= tol
+        except OverflowError:
+            raise HypothesisViolationError(
+                f"tol must be a real number a float holds, got {tol!r}") from None
     i = int(np.argmin(np.abs(v - lam)))
     gap = abs(v[i] - lam)
     if not gap <= tol:
@@ -346,8 +352,8 @@ def validate_jordan_triple(poly: MatrixPolynomial, triple: JordanTriple,
     taken in blocks (core._blocks), two SVD calls each.
     """
     _check_triple_shape(poly, triple)
-    z = _finite_points(list(samples))
-    if z.ndim != 1:
+    z = _finite_points(list(samples)) if np.iterable(samples) else None
+    if z is None or z.ndim != 1:
         raise HypothesisViolationError(f"samples must be a sequence of points, got {samples!r}")
     if not len(z):
         raise HypothesisViolationError(

@@ -129,7 +129,7 @@ class TestDistMultBound:
 class TestElsnerBound:
     def test_boundary_perturbation_value(self, p6):
         rep = elsner_bound(p6.poly, p6.weights, 0.3, MU, hypothesis_verified=True)
-        assert rep.value == pytest.approx(0.8554, abs=1e-3)
+        assert rep.value == pytest.approx(0.8247, abs=1e-3)
         assert rep.applicable["mu_in_perturbed_spectrum"]
 
     def test_ingredient_arithmetic(self, p6):
@@ -137,8 +137,9 @@ class TestElsnerBound:
         ing = rep.ingredients
         mn = ing["root_order"]
         assert mn == 6
-        want = (ing["eps"] * ing["weight_at_mu"] / ing["abs_det_leading"]) ** (1 / mn)
-        want *= ing["poly_norm_at_mu"] ** (1 - 1 / mn)
+        # (eps w ||P(mu)||^(n-1) / |det A_m|)^(1/(mn)) with n = 2
+        want = (ing["eps"] * ing["weight_at_mu"] * ing["poly_norm_at_mu"]
+                / ing["abs_det_leading"]) ** (1 / mn)
         assert rep.value == pytest.approx(want, rel=1e-12)
         assert ing["weight_at_mu"] == pytest.approx(0.9930, abs=1e-4)
         assert ing["poly_norm_at_mu"] == pytest.approx(1.0562, abs=1e-3)
@@ -162,6 +163,15 @@ class TestElsnerBound:
     def test_zero_norm_at_exact_eigenvalue(self, p6):
         # P(0) is the zero matrix for this fixture, so the bound collapses
         assert elsner_bound(p6.poly, p6.weights, 0.1, 0.0).value == 0.0
+
+    def test_scalar_polynomial_has_no_norm_factor(self):
+        # n = 1: |P(mu)| = s_min, so ||P(mu)||^(n-1) = 1 even where P(mu) = 0,
+        # and the bound is (eps w(|mu|) / |a_m|)^(1/m)
+        poly = MatrixPolynomial([[[2.0]], [[-3.0]], [[1.0]]])      # (z - 1)(z - 2)
+        w = WeightSet([1.0, 1.0, 1.0])
+        for mu in (1.0, 1.5 + 0.5j):
+            got = elsner_bound(poly, w, 0.01, mu).value
+            assert got == pytest.approx((0.01 * w.eval(abs(mu))) ** 0.5, rel=1e-12)
 
     def test_negative_eps_rejected(self, p5, p6):
         for eps in (-0.1, float("nan")):
@@ -315,11 +325,7 @@ def test_eigenvector_length_one_rule(p5, monkeypatch, call, which):
 
 
 @pytest.mark.parametrize("name, eps", [
-    pytest.param("p6_perturbed", 0.3, marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="ROADMAP item 16: the Elsner-type bound's ||P(mu)||^(1 - 1/(mn)) fails "
-               "where ||P(mu)|| < 1 and m >= 2 (4 of 97 nodes, ratio 1.145)")),
-    ("p6", 0.3), ("p3", 0.3), ("p4", 0.3), ("p5", 0.1), ("pz_zero_eig", 0.3),
+    ("p6_perturbed", 0.3), ("p6", 0.3), ("p3", 0.3), ("p4", 0.3), ("p5", 0.1), ("pz_zero_eig", 0.3),
 ])
 def test_bounds_hold_on_pseudospectrum_grid(name, eps):
     # every node with g <= eps is an eigenvalue of an eps-admissible
@@ -346,7 +352,7 @@ class TestComparator:
         rep = bound_comparator(p6.poly, p6.weights, 0.3, MU, p6.triple)
         assert rep.elsner_tighter
         assert rep.elsner.value < rep.bauer_fike.value
-        assert rep.elsner.value == pytest.approx(0.8554, abs=1e-3)
+        assert rep.elsner.value == pytest.approx(0.8247, abs=1e-3)
         assert rep.bauer_fike.value == pytest.approx(3.8240, abs=1e-3)
 
     def test_flag_matches_direct_comparison(self, p6, p3, rng):

@@ -234,6 +234,11 @@ class TestStackedPoints:
         with pytest.raises(HypothesisViolationError, match=r"samples must be a sequence of points, "
                                                            r"got \[\[1, 2\]\]"):
             validate_jordan_triple(p6.poly, p6.triple, [[1, 2]])
+        # no sequence at all raised list()'s TypeError
+        for s in (5.0, None):
+            with pytest.raises(HypothesisViolationError) as exc:
+                validate_jordan_triple(p6.poly, p6.triple, s)
+            assert str(exc.value) == f"samples must be a sequence of points, got {s!r}"
 
 
 class TestEigenvalueUnitaryInvariance:

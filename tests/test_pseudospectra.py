@@ -14,7 +14,8 @@ from scipy import ndimage
 
 import polycond.core
 import polycond.pseudospectra
-from helpers import noisy_circle_grid, reference_contains, reference_contours, snap_vectors
+from helpers import (load_fixture, noisy_circle_grid, reference_contains, reference_contours,
+                     snap_vectors)
 from polycond import (
     ContourSet,
     ContainmentError,
@@ -35,6 +36,7 @@ from polycond import (
     singular_values,
     sublevel_component_count,
 )
+from polycond.pseudospectra import _g_batch, _im_axis
 
 LADDER = (1e-4, 2e-4, 4e-4, 8e-4)
 
@@ -81,6 +83,15 @@ class TestBoundedness:
     def test_zero_leading_weight_always_bounded(self, p6):
         assert boundedness_check(p6.poly, p6.weights, 1e9)
 
+    def test_bad_eps_rejected(self, p5):
+        # -1 returned True and NaN False
+        for eps in (-1.0, float("nan")):
+            with pytest.raises(HypothesisViolationError, match="eps must be nonnegative"):
+                boundedness_check(p5.poly, p5.weights, eps)
+        for eps in ("a", None, 10 ** 400):
+            with pytest.raises(HypothesisViolationError, match="eps must be a real number"):
+                boundedness_check(p5.poly, p5.weights, eps)
+
 
 class TestGridEval:
     def test_values_match_pointwise_oracle(self, p5):
@@ -111,29 +122,33 @@ class TestGridEval:
         assert np.abs(b.values[::2, ::2] - a.values).max() <= 1e-13 * scale
 
     def test_thread_count_bitwise_irrelevant(self, p3):
-        # 91 x 83 = 7553 nodes: four full blocks of 1820 (n = 3) and a partial one
-        box = (-2.4, 0.0, -1.2, 0.0)
-        a = grid_eval(p3.poly, p3.weights, box, (91, 83), threads=1)
-        for threads in (2, 3, 7):
-            b = grid_eval(p3.poly, p3.weights, box, (91, 83), threads=threads)
-            assert np.array_equal(a.values, b.values)
+        # 91 x 83 = 7553 nodes: four full blocks of 1820 (n = 3) and a partial
+        # one; the mirrored 91 x 165 grid evaluates the same 83 rows
+        for box, resolution in (((-2.4, 0.0, -1.2, 0.0), (91, 83)),
+                                ((-2.4, 0.0, -1.2, 1.2), (91, 165))):
+            a = grid_eval(p3.poly, p3.weights, box, resolution, threads=1)
+            for threads in (2, 3, 7):
+                b = grid_eval(p3.poly, p3.weights, box, resolution, threads=threads)
+                assert np.array_equal(a.values, b.values)
 
     def test_block_size_bitwise_irrelevant(self, p3, monkeypatch):
         # 23 x 19 = 437 nodes: in blocks of 100 nodes, five blocks (more than
         # the three threads) and the last node, z = 0 exactly, in the partial
-        # fifth block of 37
-        box = (-2.4, 0.0, -1.2, 0.0)
-        ref = grid_eval(p3.poly, p3.weights, box, (23, 19), threads=1)
-        assert ref.re_axis[-1] == 0.0 and ref.im_axis[-1] == 0.0
+        # fifth block of 37; the mirrored 23 x 37 grid evaluates the same 19 rows
+        cases = (((-2.4, 0.0, -1.2, 0.0), (23, 19)), ((-2.4, 0.0, -1.2, 1.2), (23, 37)))
+        refs = [grid_eval(p3.poly, p3.weights, box, res, threads=1) for box, res in cases]
         want = singular_values(p3.poly.coeffs[0])[-1] / p3.weights.weights[0]
-        assert ref.values[-1, -1] == want
+        for ref in refs:
+            assert ref.re_axis[-1] == 0.0 and ref.im_axis[18] == 0.0
+            assert ref.values[18, -1] == want
         # blocks of 100 nodes and of one node give the same bits
         for nodes in (100, 1):
             monkeypatch.setattr(polycond.core, "_BLOCK_BYTES", 16 * 9 * nodes)
-            assert len(polycond.core._blocks(ref.values.size, 3)) > 3
-            for threads in (1, 3):
-                got = grid_eval(p3.poly, p3.weights, box, (23, 19), threads=threads)
-                assert np.array_equal(got.values, ref.values)
+            assert len(polycond.core._blocks(23 * 19, 3)) > 3
+            for (box, res), ref in zip(cases, refs):
+                for threads in (1, 3):
+                    got = grid_eval(p3.poly, p3.weights, box, res, threads=threads)
+                    assert np.array_equal(got.values, ref.values)
 
     def test_gfun_block_size_bitwise_irrelevant(self, p3, monkeypatch):
         # gfun on 1-D and 2-D arrays and at one point, 0 included: one node
@@ -315,6 +330,12 @@ class TestGridEval:
                 grid_eval(p5.poly, p5.weights, box, 5)
         with pytest.raises(HypothesisViolationError, match="empty bounding box"):
             grid_eval(p5.poly, p5.weights, (0.0, np.nan, 0.0, 1.0), 5)
+        # these raised TypeError, ValueError or OverflowError
+        for box in (None, (0.0, 1.0, 0.0), "abcd", (0.0, 10 ** 400, 0.0, 1.0)):
+            with pytest.raises(HypothesisViolationError) as exc:
+                grid_eval(p5.poly, p5.weights, box, 5)
+            assert str(exc.value) == ("box must be four real numbers (re_min, re_max, "
+                                      f"im_min, im_max), got {box!r}")
 
     def test_zero_resolution_rejected(self, p5):
         with pytest.raises(HypothesisViolationError):
@@ -351,6 +372,73 @@ class TestGridEval:
         assert problem_hash(p5.poly, other) != problem_hash(p5.poly, p5.weights)
 
 
+# real-coefficient fixtures on boxes with im_min == -im_max, odd and even ny
+MIRRORED = [
+    ("p3", (0.85, 1.15, -0.15, 0.15), (41, 41)),
+    ("p3", (-2.4, 0.5, -1.2, 1.2), (23, 20)),
+    ("p5", (0.5, 4.5, -0.5, 0.5), (51, 11)),
+    ("p6", (-1.5, 1.5, -0.75, 0.75), (60, 98)),
+    ("pz_zero_eig", (-1.0, 1.0, -1.0, 1.0), (31, 99)),
+    ("pz_zero_eig", (-1.0, 1.0, -1.0, 1.0), (31, 2)),
+]
+
+
+class TestMirror:
+    """A real polynomial has g(conj z) = g(z): on a box with im_min ==
+    -im_max, grid_eval evaluates the lower half of the rows and mirrors it."""
+
+    @pytest.mark.parametrize("name, box, resolution", MIRRORED)
+    def test_mirrored_rows_are_evaluated_rows(self, name, box, resolution):
+        pf = load_fixture(name)
+        assert not pf.poly.coeff_stack.imag.any()
+        grid = grid_eval(pf.poly, pf.weights, box, resolution, threads=2)
+        nodes = grid.re_axis + 1j * grid.im_axis[:, np.newaxis]
+        assert np.array_equal(grid.values, _g_batch(pf.poly, pf.weights, nodes))
+        assert np.array_equal(grid.values, grid.values[::-1])
+
+    @pytest.mark.parametrize("name, box, ny, rows", [
+        ("p3", (0.85, 1.15, -0.15, 0.15), 11, 6),
+        ("p3", (0.85, 1.15, -0.15, 0.15), 10, 5),
+        ("p3", (0.85, 1.15, -0.15, 0.15), 1, 1),
+        ("p6", (-1.5, 1.5, -0.75, 0.75), 2, 1),
+        ("p4", (-2.0, 2.0, -1.0, 1.0), 11, 11),                 # complex coefficients
+        ("p6_perturbed", (-1.5, 1.5, -0.75, 0.75), 10, 10),     # complex coefficients
+        ("p3", (0.85, 1.15, -0.15, 0.16), 11, 11),               # an asymmetric box
+    ])
+    def test_points_evaluated(self, monkeypatch, name, box, ny, rows):
+        pf = load_fixture(name)
+        sizes = []
+
+        def counted(poly, weights, z):
+            sizes.append(z.size)
+            return _g_batch(poly, weights, z)
+
+        monkeypatch.setattr(polycond.pseudospectra, "_g_batch", counted)
+        grid = grid_eval(pf.poly, pf.weights, box, (7, ny), threads=2)
+        assert sum(sizes) == rows * 7
+        assert grid.values.shape == (ny, 7)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 99, 400, 401])
+    def test_symmetric_axis_is_exactly_antisymmetric(self, n):
+        for h in (0.15, 0.75, 1.0, 1.2, 3.0):
+            axis = _im_axis(-h, h, n)
+            assert np.array_equal(axis, -axis[::-1])
+            assert axis[:n // 2].tobytes() == np.linspace(-h, h, n)[:n // 2].tobytes()
+            if n % 2:
+                assert axis[n // 2] == 0.0
+
+    def test_other_axes_are_linspace(self):
+        for lo, hi, n in ((-0.15, 0.16, 11), (0.0, 1.0, 5), (-1.2, 0.0, 19), (0.1, 0.6, 11),
+                          (-1.0, 1.0 + 2 ** -52, 99)):
+            assert _im_axis(lo, hi, n).tobytes() == np.linspace(lo, hi, n).tobytes()
+
+    def test_grid_axis_is_the_evaluated_axis(self, p3):
+        grid = grid_eval(p3.poly, p3.weights, (-1.0, 1.0, -1.0, 1.0), (5, 99))
+        assert grid.im_axis.tobytes() == _im_axis(-1.0, 1.0, 99).tobytes()
+        # linspace's middle node is 49 fl(1/49) - 1 != 0 here; the grid's is 0
+        assert np.linspace(-1.0, 1.0, 99)[49] != 0.0 and grid.im_axis[49] == 0.0
+
+
 class TestContours:
     def test_synthetic_circle(self):
         g = synthetic_circle_grid()
@@ -379,6 +467,23 @@ class TestContours:
         for radius in (0.0, -0.5, float("nan")):
             with pytest.raises(HypothesisViolationError, match="radius must be positive"):
                 disc_deviation(c, 0.0, radius)
+        # "a" raised TypeError
+        for radius in ("a", None, 10 ** 400):
+            with pytest.raises(HypothesisViolationError, match="radius must be a real number"):
+                disc_deviation(c, 0.0, radius)
+
+    def test_bad_center_rejected(self):
+        # "a" and None raised AttributeError
+        c = contours(synthetic_circle_grid(), 0.5)
+        for center in ("a", None, 10 ** 400, [0.0, 1.0]):
+            for measure in (component_vertices, fitted_radius,
+                            lambda c, z: disc_deviation(c, z, 0.5)):
+                with pytest.raises(HypothesisViolationError) as exc:
+                    measure(c, center)
+                assert str(exc.value) == f"center must be a finite number, got {center!r}"
+        for center in (complex(np.nan, 0.0), np.inf):
+            with pytest.raises(HypothesisViolationError, match="center must be finite"):
+                fitted_radius(c, center)
 
     def test_vertices_on_level_set(self, g3):
         c = contours(g3, 1e-4)
@@ -468,6 +573,12 @@ class TestContours:
             for level_set in (contours, sublevel_component_count):
                 with pytest.raises(HypothesisViolationError, match="eps must be positive"):
                     level_set(g3, eps)
+        # these raised TypeError or OverflowError
+        for eps in ("a", None, 10 ** 400):
+            for level_set in (contours, sublevel_component_count):
+                with pytest.raises(HypothesisViolationError) as exc:
+                    level_set(g3, eps)
+                assert str(exc.value) == f"eps must be a real number, got {eps!r}"
 
     def test_center_outside_every_component(self, g3):
         c = contours(g3, 1e-4)

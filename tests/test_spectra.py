@@ -161,8 +161,27 @@ class TestNearestEigenvalue:
             with pytest.raises(HypothesisViolationError) as exc:
                 snap(p5.poly, tol)
             assert str(exc.value) == f"tol must be a real number, got {tol!r}"
+        # an int beyond the float range overflowed in the distance comparison
+        with pytest.raises(HypothesisViolationError) as exc:
+            snap(p5.poly, 10 ** 400)
+        assert str(exc.value) == f"tol must be a real number a float holds, got {10 ** 400!r}"
         with pytest.raises(NotAnEigenvalueError):
             snap(p5.poly, float("nan"))
+
+    @pytest.mark.parametrize("snap", [
+        lambda poly, lam: nearest_eigenvalue(eigenvalues(poly), lam),
+        lambda poly, lam: eig_vectors(poly, lam),
+    ], ids=["nearest_eigenvalue", "eig_vectors"])
+    def test_lam_that_is_no_finite_number_rejected(self, p5, snap):
+        # "a" raised complex()'s ValueError and 10**400 its OverflowError
+        for lam in ("a", 10 ** 400, None, [4.0]):
+            with pytest.raises(HypothesisViolationError) as exc:
+                snap(p5.poly, lam)
+            assert str(exc.value) == f"lam must be a finite number, got {lam!r}"
+        # a NaN lam snapped to nothing (NotAnEigenvalueError)
+        for lam in (complex(np.nan, 0.0), np.inf):
+            with pytest.raises(HypothesisViolationError, match="lam must be finite"):
+                snap(p5.poly, lam)
 
 
 class TestEigVectors:
