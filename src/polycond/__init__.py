@@ -13,8 +13,8 @@ _HOMES = {
     "core": ("MatrixPolynomial", "WeightSet", "singular_values", "spectral_norm"),
     "linearization": ("companion", "ef_factors", "linearization_residual"),
     "spectra": ("EigenvalueCluster", "JordanBlock", "JordanTriple", "Spectrum", "cluster",
-                "companion_vectors", "default_cluster_tol", "eig_vectors", "eigenproblem_cond",
-                "eigenvalues", "nearest_eigenvalue", "spectrum", "validate_jordan_triple"),
+                "companion_vectors", "default_cluster_tol", "eig_vectors", "eigenvalues",
+                "nearest_eigenvalue", "spectrum", "validate_jordan_triple"),
     "condition": ("adjugate_norm", "cond_companion", "cond_eigvector_free", "cond_multiple",
                   "cond_simple", "cond_via_companion", "min_gap_bound"),
     "bounds": ("BoundReport", "ComparatorReport", "bauer_fike_bound", "bound_comparator",
@@ -24,7 +24,7 @@ _HOMES = {
                 "random_perturbation"),
     "pseudospectra": ("ContourSet", "PseudoGrid", "boundedness_check", "component_vertices",
                       "contours", "disc_deviation", "fitted_radius", "grid_eval",
-                      "problem_hash", "sublevel_component_count"),
+                      "sublevel_component_count"),
     "io": ("MultipleEigenvalueData", "ProblemFile", "load_problem", "parse_problem",
            "serialize_problem"),
     "errors": ("PolycondError", "InvalidPolynomialError", "InvalidWeightsError",

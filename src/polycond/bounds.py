@@ -23,7 +23,7 @@ import numpy as np
 from .condition import _coupling, _require_simple, cond_eigvector_free
 from .core import MatrixPolynomial, WeightSet, _finite_point, _require_real, _vector, spectral_norm
 from .errors import DegenerateProblemError, HypothesisViolationError
-from .spectra import JordanTriple, _check_triple_shape, _svds_at, eigenproblem_cond
+from .spectra import JordanTriple, _check_triple_shape, _svds_at
 
 __all__ = [
     "BoundReport",
@@ -179,7 +179,7 @@ def elsner_bound(poly: MatrixPolynomial, weights: WeightSet, eps: float,
     mu) alone; pass hypothesis_verified=True when the caller knows it.
     """
     weights.require_match(poly)
-    _require_real(eps, "eps")
+    eps = _require_real(eps, "eps")
     mu = _finite_point(mu, "mu")
     mn = poly.m * poly.n
     if mn == 0:
@@ -197,7 +197,7 @@ def elsner_bound(poly: MatrixPolynomial, weights: WeightSet, eps: float,
     return BoundReport(
         value=value,
         ingredients={
-            "eps": float(eps),
+            "eps": eps,
             "weight_at_mu": w,
             "abs_det_leading": float(np.exp(logdet)),
             "poly_norm_at_mu": norm_p,
@@ -221,10 +221,10 @@ def bauer_fike_bound(poly: MatrixPolynomial, weights: WeightSet, eps: float,
     """
     weights.require_match(poly)
     _check_triple_shape(poly, triple)
-    _require_real(eps, "eps")
+    eps = _require_real(eps, "eps")
     mu = _finite_point(mu, "mu")
     p = triple.max_block_size
-    k = eigenproblem_cond(triple)
+    k = triple.norm_product
     w = weights.eval(abs(mu))
     theta = p * k * eps * w
     value = float(max(theta, theta ** (1.0 / p)))
@@ -235,7 +235,7 @@ def bauer_fike_bound(poly: MatrixPolynomial, weights: WeightSet, eps: float,
             "max_block_size": p,
             "triple_cond": k,
             "weight_at_mu": w,
-            "eps": float(eps),
+            "eps": eps,
         },
         applicable={
             "mu_in_perturbed_spectrum": bool(hypothesis_verified),

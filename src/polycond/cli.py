@@ -27,8 +27,8 @@ from . import __version__
 from .core import MatrixPolynomial, WeightSet, _blocks
 from .errors import HypothesisViolationError, PolycondError
 from .io import ProblemFile, _problem_doc, parse_problem
-from .spectra import (default_cluster_tol, eig_vectors, eigenproblem_cond, eigenvalues,
-                      nearest_eigenvalue, spectrum, validate_jordan_triple)
+from .spectra import (default_cluster_tol, eig_vectors, eigenvalues, nearest_eigenvalue, spectrum,
+                      validate_jordan_triple)
 
 RESIDUAL_TOL = 1e-8
 _NON_FINITE = "the result holds NaN or Infinity, which JSON cannot carry"
@@ -302,7 +302,7 @@ def cmd_verify(ctx: _Context, args) -> dict:
     residual = validate_jordan_triple(ctx.poly, triple, samples=pts)
     return {"samples": args.samples, "seed": args.seed,
             "max_relative_residual": residual,
-            "triple_cond": eigenproblem_cond(triple),
+            "triple_cond": triple.norm_product,
             "pass": residual <= RESIDUAL_TOL}
 
 

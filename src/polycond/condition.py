@@ -101,6 +101,7 @@ def cond_multiple(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
     this coincides with cond_simple.
     """
     weights.require_match(poly)
+    lam = _finite_point(lam, "lam")
     Xh = np.atleast_2d(np.asarray(right_vectors, dtype=complex))
     Yh = np.atleast_2d(np.asarray(left_vectors, dtype=complex))
     n = poly.n

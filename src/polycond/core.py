@@ -9,7 +9,9 @@ admissible perturbations.
 from __future__ import annotations
 
 import cmath
+import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from math import perm
@@ -158,23 +160,23 @@ class MatrixPolynomial:
     def eval(self, z) -> np.ndarray:
         """P(z) by the Horner recurrence; exact A_0 at z = 0.
 
-        z may be an array of points; the result then has shape z.shape + (n, n).
+        z may be a NumPy array of points; the result then has shape z.shape + (n, n).
         """
-        z = np.asarray(z, dtype=complex)
+        z = _points(z)
         acc = _horner(self.coeffs, z)
-        if not z.all():
+        if not (z.all() if isinstance(z, np.ndarray) else z):
             acc[z == 0] = self.coeffs[0]
         return acc
 
     def eval_derivative(self, z, order: int = 1) -> np.ndarray:
         """P^(order)(z); the zero matrix for order > m, P(z) for order 0."""
-        if order == 0:
-            return self.eval(z)
-        return _horner(_derivative_coeffs(self.coeffs, order), np.asarray(z, dtype=complex))
+        coeffs = _derivative_coeffs(self.coeffs, order)
+        return self.eval(z) if order == 0 else _horner(coeffs, _points(z))
 
     def e_blocks(self, z) -> list[np.ndarray]:
         """E_1(z)..E_m(z), E_r(z) = sum_{j >= r} A_j z^(j-r): the Horner
         partial sums E_m = A_m, E_r = A_r + z E_{r+1} on the way to P(z)."""
+        z = _points(z)
         return [_horner(self.coeffs[r:], z) for r in range(1, self.m + 1)]
 
     def norm_inf(self) -> float:
@@ -230,24 +232,23 @@ class WeightSet:
                 f"polynomial of degree {poly.m} needs {poly.m + 1}")
 
     def eval(self, r, order: int = 0):
-        """w^(order)(r) for r >= 0 and every order >= 0: w(r) > 0 at order 0,
+        """w^(order)(r) for finite r >= 0 and every order >= 0: w(r) > 0 at order 0,
         zero above the degree; a NumPy array of r gives the array of values."""
-        batch = isinstance(r, np.ndarray)
-        x = np.asarray(r, dtype=float) if batch else float(r)
-        if not ((x >= 0).all() if batch else x >= 0):     # NaN fails too
-            raise InvalidWeightsError("the weight polynomial takes nonnegative arguments")
+        if isinstance(r, np.ndarray):
+            x = np.asarray(r, dtype=float)
+            if not ((x >= 0) & np.isfinite(x)).all():
+                raise HypothesisViolationError("r must hold finite nonnegative numbers")
+        else:
+            x = _require_real(r, "r")
         return _horner(_derivative_coeffs(self.weights, order), x)
 
 
 def _derivative_coeffs(coeffs, order: int):
     """Coefficients of the order-th derivative of sum_j C_j z^j: j!/(j - order)! C_j
     for j >= order, and one zero coefficient above the degree (C - C is +0)."""
+    _require_nonnegative_ints(order=order)
     if order == 0:
         return coeffs
-    if type(order) is not int and not isinstance(order, numbers.Integral):
-        raise HypothesisViolationError(f"derivative order must be an integer, got {order!r}")
-    if order < 0:
-        raise HypothesisViolationError(f"derivative order must be nonnegative, got {order}")
     return [perm(j, order) * C for j, C in enumerate(coeffs) if j >= order] or [coeffs[-1] - coeffs[-1]]
 
 
@@ -276,9 +277,11 @@ def _blocks(count: int, n: int) -> list[slice]:
 
 
 def _finite_point(z, name: str) -> complex:
-    """z as a Python complex; HypothesisViolationError naming it as name when
-    it is no number (complex() refuses it), NaN or infinite."""
+    """z as a Python complex; HypothesisViolationError naming it as name when it
+    is a str or bytes, no number complex() takes, NaN or infinite."""
     try:
+        if isinstance(z, (str, bytes)):
+            raise TypeError
         z = complex(z)
     except (TypeError, ValueError, OverflowError):
         raise HypothesisViolationError(f"{name} must be a finite number, got {z!r}") from None
@@ -287,8 +290,14 @@ def _finite_point(z, name: str) -> complex:
     return z
 
 
-def _is_int(value) -> bool:     # no bool; a plain int skips the slower ABC check
-    return type(value) is int or not isinstance(value, bool) and isinstance(value, numbers.Integral)
+def _points(z):
+    """A NumPy array of points checked by _finite_points, else one point by _finite_point."""
+    return _finite_points(z) if isinstance(z, np.ndarray) else _finite_point(z, "z")
+
+
+def _is_int(value) -> bool:     # within the float range, no bool; a plain int skips the ABC check
+    return ((type(value) is int or not isinstance(value, bool) and isinstance(value, numbers.Integral))
+            and abs(value) <= sys.float_info.max)
 
 
 def _require_nonnegative_ints(**values) -> None:
@@ -298,17 +307,23 @@ def _require_nonnegative_ints(**values) -> None:
             raise HypothesisViolationError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
-def _require_real(value, name: str, positive: bool = False) -> None:
-    """Refuse, naming it as name, a value that is negative (or zero, when
-    positive) or NaN, or that is no real number a float holds."""
+def _require_real(value, name: str, positive: bool | None = False) -> float:
+    """value as a float; HypothesisViolationError naming it as name when it is no
+    real number a float holds (a str or bytes, a complex, a list, None, 10**400),
+    NaN, infinite, or negative (zero too when positive; any sign when positive is None)."""
     try:
-        # + 0.0 overflows for 10**400
-        if (value > 0 if positive else value >= 0) and value + 0.0 >= 0:
-            return
-    except (TypeError, OverflowError):      # a string, a list, None, a complex
-        raise HypothesisViolationError(f"{name} must be a real number, got {value!r}") from None
-    raise HypothesisViolationError(
-        f"{name} must be {'positive' if positive else 'nonnegative'}, got {value}")
+        # a float skips the slower ABC check
+        x = float(value) if type(value) is float or isinstance(value, numbers.Real) else None
+    except OverflowError:
+        x = None
+    if x is None:
+        raise HypothesisViolationError(f"{name} must be a real number, got {value!r}")
+    if positive is not None and not (x > 0 if positive else x >= 0):
+        raise HypothesisViolationError(
+            f"{name} must be {'positive' if positive else 'nonnegative'}, got {value}")
+    if not math.isfinite(x):
+        raise HypothesisViolationError(f"{name} must be finite (no NaN/Inf), got {value}")
+    return x
 
 
 def _vector(v, n: int, name: str) -> np.ndarray:
@@ -321,8 +336,11 @@ def _vector(v, n: int, name: str) -> np.ndarray:
 
 
 def _finite_points(z) -> np.ndarray:
-    """z as a complex array; HypothesisViolationError unless it holds only finite numbers."""
+    """z as a complex array; HypothesisViolationError unless it holds only
+    finite numbers (no str or bytes)."""
     try:
+        if np.asarray(z).dtype.kind in "SUV":
+            raise TypeError
         z = np.asarray(z, dtype=complex)
     except (TypeError, ValueError, OverflowError):
         raise HypothesisViolationError(f"points must be finite numbers, got {z!r}") from None

@@ -101,7 +101,8 @@ def is_admissible(base: MatrixPolynomial, candidate, eps: float,
     differences).  Comparisons carry a slack of tol * max(1, eps * w_j).
     """
     weights.require_match(base)
-    _require_real(eps, "eps")
+    eps = _require_real(eps, "eps")
+    tol = _require_real(tol, "tol")
     if isinstance(candidate, PerturbedPolynomial):
         if candidate.base is not base and not np.array_equal(candidate.base.coeff_stack,
                                                              base.coeff_stack):
@@ -119,7 +120,7 @@ def is_admissible(base: MatrixPolynomial, candidate, eps: float,
     margin = tuple(tol * max(1.0, eps * weights.weights[j]) for j in range(base.m + 1))
     admissible = all(s >= -g for s, g in zip(slack, margin))
     tight = tuple(abs(s) <= g for s, g in zip(slack, margin))
-    return AdmissibilityReport(admissible=admissible, eps=float(eps), tol=float(tol),
+    return AdmissibilityReport(admissible=admissible, eps=eps, tol=tol,
                                delta_norms=norms, slack=slack, tight=tight)
 
 
@@ -175,8 +176,8 @@ def _boundary_targets(poly: MatrixPolynomial, eps: float, weights: WeightSet) ->
     """The delta norms eps * w_j of a boundary draw, once eps and the weights
     pass the checks that every draw relies on."""
     weights.require_match(poly)
-    _require_real(eps, "eps")
-    targets = [float(eps) * w for w in weights.weights]
+    eps = _require_real(eps, "eps")
+    targets = [eps * w for w in weights.weights]
     for j, t in enumerate(targets):
         if not math.isfinite(t):
             raise HypothesisViolationError(

@@ -16,13 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MatrixPolynomial, WeightSet, _blocks, _components, _finite_point, _require_real
+from .core import MatrixPolynomial, WeightSet, _blocks, _components, _finite_point, _is_int, _require_real
 from .errors import ContainmentError, HypothesisViolationError
 
 __all__ = [
     "PseudoGrid",
     "ContourSet",
-    "problem_hash",
     "boundedness_check",
     "grid_eval",
     "contours",
@@ -33,7 +32,7 @@ __all__ = [
 ]
 
 
-def problem_hash(poly: MatrixPolynomial, weights: WeightSet) -> str:
+def _problem_hash(poly: MatrixPolynomial, weights: WeightSet) -> str:
     """Content hash tying a grid to the exact polynomial and weights."""
     h = hashlib.sha256()
     h.update(f"n={poly.n};m={poly.m};".encode())
@@ -91,7 +90,7 @@ def boundedness_check(poly: MatrixPolynomial, weights: WeightSet, eps: float) ->
     """True iff eps * w_m < s_min(A_m) strictly, which certifies that the
     eps-pseudospectrum is bounded."""
     weights.require_match(poly)
-    _require_real(eps, "eps")
+    eps = _require_real(eps, "eps")
     return bool(eps * weights.weights[-1] < poly.leading_singular_values[-1])
 
 
@@ -124,26 +123,20 @@ def grid_eval(poly: MatrixPolynomial, weights: WeightSet, box, resolution,
     copied from row k: the same bits as evaluating it.
     """
     weights.require_match(poly)
-    try:
-        re_min, re_max, im_min, im_max = (float(v) for v in box)
-    except (TypeError, ValueError, OverflowError):
+    edges = tuple(box) if np.iterable(box) else ()
+    if len(edges) != 4:
         raise HypothesisViolationError("box must be four real numbers "
-                                       f"(re_min, re_max, im_min, im_max), got {box!r}") from None
-    if not (re_min <= re_max and im_min <= im_max):     # a NaN edge too
+                                       f"(re_min, re_max, im_min, im_max), got {box!r}")
+    re_min, re_max, im_min, im_max = (_require_real(v, "box edge", positive=None) for v in edges)
+    if not (re_min <= re_max and im_min <= im_max):
         raise HypothesisViolationError(f"empty bounding box {box}")
-    if np.isinf([re_min, re_max, im_min, im_max]).any():
-        raise HypothesisViolationError(f"box edges must be finite, got {box}")
-    try:
-        nx, ny = (int(resolution),) * 2 if np.isscalar(resolution) else map(int, resolution)
-    except (TypeError, ValueError, OverflowError):
+    pair = tuple(resolution) if np.iterable(resolution) else (resolution,) * 2
+    if len(pair) != 2 or not all(_is_int(k) and k >= 1 for k in pair):
         raise HypothesisViolationError(
-            f"resolution must be an integer or a pair of integers, got {resolution!r}") from None
-    if nx < 1 or ny < 1:
-        raise HypothesisViolationError(f"resolution must be positive, got {(nx, ny)}")
-    try:
-        threads = int(threads)
-    except (TypeError, ValueError, OverflowError):
-        raise HypothesisViolationError(f"threads must be an integer, got {threads!r}") from None
+            f"resolution must be a positive integer or a pair of them, got {resolution!r}")
+    nx, ny = pair
+    if not _is_int(threads):
+        raise HypothesisViolationError(f"threads must be an integer, got {threads!r}")
     re = np.linspace(re_min, re_max, nx)
     im = _im_axis(im_min, im_max, ny)
     values = np.empty((ny, nx), dtype=float)
@@ -179,7 +172,7 @@ def grid_eval(poly: MatrixPolynomial, weights: WeightSet, box, resolution,
     return PseudoGrid(
         re_min=re_min, re_max=re_max, im_min=im_min, im_max=im_max,
         nx=nx, ny=ny, values=values, weights=weights,
-        poly_hash=problem_hash(poly, weights),
+        poly_hash=_problem_hash(poly, weights),
         gfun=lambda z: _g_batch(poly, weights, z))
 
 
@@ -235,7 +228,7 @@ def contours(grid: PseudoGrid, eps: float) -> ContourSet:
     carry integer ids: horizontal edge (ix, iy) is iy (nx - 1) + ix, vertical
     edge (ix, iy) is ny (nx - 1) + iy nx + ix.
     """
-    _require_real(eps, "eps", positive=True)
+    eps = _require_real(eps, "eps", positive=True)
     v = grid.values
     vmin, vmax = float(v.min()), float(v.max())
     diagnostic = (f"eps={eps:g} is below the grid minimum {vmin:g}" if eps < vmin else
@@ -328,7 +321,7 @@ def disc_deviation(contour: ContourSet, center: complex, radius: float) -> float
     """Worst relative deviation of the enclosing component from the circle
     |z - center| = radius: max over its vertices of ||v - center| - radius|,
     normalized by radius."""
-    _require_real(radius, "radius", positive=True)
+    radius = _require_real(radius, "radius", positive=True)
     center = _finite_point(center, "center")
     verts = component_vertices(contour, center)
     return float(np.max(np.abs(np.abs(verts - center) - radius)) / radius)
@@ -349,7 +342,7 @@ def sublevel_component_count(grid: PseudoGrid, eps: float) -> int:
     one interval, a run of the columns masked in both rows, and are joined by
     one edge at its first column.
     """
-    _require_real(eps, "eps", positive=True)
+    eps = _require_real(eps, "eps", positive=True)
     mask = grid.values <= eps
     starts = mask.copy()
     starts[:, 1:] &= ~mask[:, :-1]

@@ -10,7 +10,6 @@ structurally from (x, y).
 
 from __future__ import annotations
 
-import numbers
 import threading
 import weakref
 from dataclasses import dataclass
@@ -19,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (MatrixPolynomial, _blocks, _components, _finite_point, _finite_points,
-                   as_complex_matrix, singular_values, spectral_norm)
+from .core import (MatrixPolynomial, _blocks, _components, _finite_point, _finite_points, _is_int,
+                   _require_real, as_complex_matrix, singular_values, spectral_norm)
 from .errors import (
     EigensolverError,
     HypothesisViolationError,
@@ -41,7 +40,6 @@ __all__ = [
     "eig_vectors",
     "companion_vectors",
     "validate_jordan_triple",
-    "eigenproblem_cond",
 ]
 
 # Default absolute tolerance for snapping a user-supplied eigenvalue guess to
@@ -112,12 +110,7 @@ def cluster(values, tol: float) -> tuple[EigenvalueCluster, ...]:
 
     Cluster centers are means; clusters are ordered canonically by center.
     """
-    try:
-        positive = tol > 0      # False for NaN
-    except TypeError:           # not a number
-        positive = False
-    if not positive:
-        raise HypothesisViolationError(f"clustering tolerance must be positive, got {tol!r}")
+    tol = _require_real(tol, "clustering tolerance", positive=True)
     v = np.asarray(values, dtype=complex)
     k = len(v)
     # |v_i - v_j| <= tol implies the real parts are within 2 tol: sort on the
@@ -161,16 +154,7 @@ def nearest_eigenvalue(values, lam: complex, tol: float | None = None) -> int:
     if len(v) == 0:
         raise NotAnEigenvalueError("the spectrum is empty")
     lam = _finite_point(lam, "lam")
-    if tol is None:
-        tol = SNAP_RTOL * max(1.0, abs(lam))
-    elif not isinstance(tol, numbers.Real):
-        raise HypothesisViolationError(f"tol must be a real number, got {tol!r}")
-    else:
-        try:
-            tol + 0.0       # an int beyond the float range overflows here, not in gap <= tol
-        except OverflowError:
-            raise HypothesisViolationError(
-                f"tol must be a real number a float holds, got {tol!r}") from None
+    tol = SNAP_RTOL * max(1.0, abs(lam)) if tol is None else _require_real(tol, "tol")
     i = int(np.argmin(np.abs(v - lam)))
     gap = abs(v[i] - lam)
     if not gap <= tol:
@@ -223,6 +207,7 @@ def eig_vectors(poly: MatrixPolynomial, lam: complex, tol: float | None = None,
     vectors of s_min(P(lam0)) at the snapped eigenvalue lam0, from the SVD of
     P(lam0) that _svds_at memoises, so ||P(lam0) x|| = s_min(P(lam0)).
     """
+    lam = _finite_point(lam, "lam")     # before the eigensolve
     vals = eigenvalues(poly) if values is None else np.asarray(values, dtype=complex)
     pair = _svds_at(poly, vals[nearest_eigenvalue(vals, lam, tol)])
     return pair.x.copy(), pair.y.copy()
@@ -235,7 +220,7 @@ def companion_vectors(poly: MatrixPolynomial, lam: complex, x: np.ndarray,
     blocks E_r(lam)* y; they satisfy left* right = y* P'(lam) x.  The vectors
     are taken as contiguous arrays, so the result depends on their values
     only, not on their memory layout."""
-    lam = complex(lam)
+    lam = _finite_point(lam, "lam")
     x = np.ascontiguousarray(x, dtype=complex).reshape(-1)
     y = np.ascontiguousarray(y, dtype=complex).reshape(-1)
     return (np.concatenate([lam ** r * x for r in range(poly.m)]),
@@ -250,7 +235,12 @@ class JordanBlock:
     size: int
 
     def __post_init__(self):
-        if not (self.size >= 1 and np.isfinite(self.eigenvalue)):
+        try:
+            _finite_point(self.eigenvalue, "eigenvalue")
+            valid = _is_int(self.size) and self.size >= 1
+        except HypothesisViolationError:
+            valid = False
+        if not valid:
             raise InvalidTripleError(
                 f"a Jordan block needs a positive size and a finite eigenvalue, got {self}")
 
@@ -321,7 +311,7 @@ class JordanTriple:
 
     @cached_property
     def norm_product(self) -> float:
-        """||X|| ||Y||, computed once per triple (see eigenproblem_cond)."""
+        """||X|| ||Y||, the global eigenproblem condition number; computed once per triple."""
         return spectral_norm(self.X) * spectral_norm(self.Y)
 
     def stacked(self) -> np.ndarray:
@@ -352,7 +342,7 @@ def validate_jordan_triple(poly: MatrixPolynomial, triple: JordanTriple,
     taken in blocks (core._blocks), two SVD calls each.
     """
     _check_triple_shape(poly, triple)
-    z = _finite_points(list(samples)) if np.iterable(samples) else None
+    z = _finite_points(list(samples)) if np.iterable(samples) and not isinstance(samples, bytes) else None
     if z is None or z.ndim != 1:
         raise HypothesisViolationError(f"samples must be a sequence of points, got {samples!r}")
     if not len(z):
@@ -374,8 +364,3 @@ def validate_jordan_triple(poly: MatrixPolynomial, triple: JordanTriple,
             f"all {len(z)} samples are within tolerance of the spectrum; "
             "choose sample points away from the eigenvalues")
     return float(np.max(np.concatenate(ratios)))
-
-
-def eigenproblem_cond(triple: JordanTriple) -> float:
-    """Global eigenproblem condition number ||X|| ||Y|| of the triple."""
-    return triple.norm_product

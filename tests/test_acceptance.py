@@ -17,8 +17,8 @@ from polycond.linearization import linearization_residual
 from polycond.perturb import (defect_perturbation, eigenvalue_shift_samples,
                               is_admissible, random_perturbation)
 from polycond.pseudospectra import contours, fitted_radius, grid_eval
-from polycond.spectra import (eig_vectors, eigenproblem_cond, eigenvalues,
-                              nearest_eigenvalue, spectrum, validate_jordan_triple)
+from polycond.spectra import (eig_vectors, eigenvalues, nearest_eigenvalue, spectrum,
+                              validate_jordan_triple)
 
 from helpers import (cofactor_adjugate, random_well_separated,
                      singular_with_known_adjugate, unit_weights)
@@ -102,7 +102,7 @@ def test_criterion_3_defect_reaches_multiple_eigenvalue(p4):
 
 def test_criterion_4_perturbation_bounds_example(p6, p6q):
     poly, w, triple = p6.poly, p6.weights, p6.triple
-    assert eigenproblem_cond(triple) == pytest.approx(6.4183, abs=1e-3)
+    assert triple.norm_product == pytest.approx(6.4183, abs=1e-3)
     rep = is_admissible(poly, p6q.poly, 0.3, w)
     assert rep.admissible
     assert any(rep.tight)

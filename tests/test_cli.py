@@ -874,7 +874,7 @@ def test_module_run_of_eig_loads_no_other_layer():
 def test_public_names_resolve_lazily():
     import polycond
 
-    assert len(set(polycond.__all__)) == len(polycond.__all__) == 68
+    assert len(set(polycond.__all__)) == len(polycond.__all__) == 66
     for name in polycond.__all__[1:]:
         obj = getattr(polycond, name)
         # the object its home module defines, not a re-export

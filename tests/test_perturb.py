@@ -201,16 +201,16 @@ class TestRandomPerturbation:
         rng = polycond.perturb.perturbation_rng
         monkeypatch.setattr(polycond.perturb, "perturbation_rng",
                             lambda *a: attempts.append(a) or rng(*a))
-        cases = ((p5.poly, float("inf"), p5.weights, "got eps = inf, w_0 = "),
-                 (p6.poly, float("inf"), p6.weights, "got eps = inf, w_0 = 0.1"),
-                 (p5.poly, 1e308, WeightSet([1.0, 10.0, 1.0]), "got eps = 1e+308, w_1 = 10.0"))
-        for poly, eps, w, detail in cases:
+        cases = ((p5.poly, float("inf"), p5.weights, "eps must be finite (no NaN/Inf), got inf"),
+                 (p6.poly, float("inf"), p6.weights, "eps must be finite (no NaN/Inf), got inf"),
+                 (p5.poly, 1e308, WeightSet([1.0, 10.0, 1.0]),
+                  "eps must be finite and eps * w_j must not overflow, got eps = 1e+308, w_1 = 10.0"))
+        for poly, eps, w, message in cases:
             for call in (lambda: random_perturbation(poly, eps, w, seed=0),
                          lambda: eigenvalue_shift_samples(poly, w, eps, 4.0, samples=2, seed=0)):
-                with pytest.raises(HypothesisViolationError,
-                                   match="eps must be finite and eps \\* w_j must not overflow, "
-                                         + detail.replace("+", "\\+")):
+                with pytest.raises(HypothesisViolationError) as exc:
                     call()
+                assert str(exc.value) == message
         assert attempts == []
 
     def test_draw_is_the_checked_construction(self):

@@ -32,11 +32,10 @@ from polycond import (
     component_vertices,
     fitted_radius,
     grid_eval,
-    problem_hash,
     singular_values,
     sublevel_component_count,
 )
-from polycond.pseudospectra import _g_batch, _im_axis
+from polycond.pseudospectra import _g_batch, _im_axis, _problem_hash
 
 LADDER = (1e-4, 2e-4, 4e-4, 8e-4)
 
@@ -328,33 +327,43 @@ class TestGridEval:
         for box in ((-np.inf, 1.0, 0.0, 1.0), (0.0, 1.0, 0.0, np.inf)):
             with pytest.raises(HypothesisViolationError, match="must be finite"):
                 grid_eval(p5.poly, p5.weights, box, 5)
-        with pytest.raises(HypothesisViolationError, match="empty bounding box"):
+        with pytest.raises(HypothesisViolationError, match="box edge must be finite"):
             grid_eval(p5.poly, p5.weights, (0.0, np.nan, 0.0, 1.0), 5)
         # these raised TypeError, ValueError or OverflowError
-        for box in (None, (0.0, 1.0, 0.0), "abcd", (0.0, 10 ** 400, 0.0, 1.0)):
+        for box in (None, (0.0, 1.0, 0.0)):
             with pytest.raises(HypothesisViolationError) as exc:
                 grid_eval(p5.poly, p5.weights, box, 5)
             assert str(exc.value) == ("box must be four real numbers (re_min, re_max, "
                                       f"im_min, im_max), got {box!r}")
+        # each edge is a real number, never a string float() parses
+        for box, edge in (("abcd", "a"), ("0101", "0"), (("0", "1", "0", "1"), "0"),
+                          ((0.0, 10 ** 400, 0.0, 1.0), 10 ** 400)):
+            with pytest.raises(HypothesisViolationError) as exc:
+                grid_eval(p5.poly, p5.weights, box, 5)
+            assert str(exc.value) == f"box edge must be a real number, got {edge!r}"
 
     def test_zero_resolution_rejected(self, p5):
         with pytest.raises(HypothesisViolationError):
             grid_eval(p5.poly, p5.weights, (0, 1, 0, 1), 0)
 
-    @pytest.mark.parametrize("resolution", ["a", ("a", 5), (5, 5, 5), None, np.inf, (5, np.nan)])
+    @pytest.mark.parametrize("resolution", ["a", ("a", 5), (5, 5, 5), None, np.inf, (5, np.nan),
+                                            "5", 2.7, (5, 4.0),
+                                            pytest.param(10 ** 400, id="int-overflow")])
     def test_non_integer_resolution_rejected(self, p5, resolution):
         # "a" leaked int()'s ValueError
-        with pytest.raises(HypothesisViolationError, match="resolution must be an integer"):
+        with pytest.raises(HypothesisViolationError, match="resolution must be a positive integer"):
             grid_eval(p5.poly, p5.weights, (0, 1, 0, 1), resolution)
 
-    @pytest.mark.parametrize("threads", ["a", None, 1j, np.inf, np.nan])
+    @pytest.mark.parametrize("threads", ["a", None, 1j, np.inf, np.nan, "2", 1.9,
+                                     pytest.param(10 ** 400, id="int-overflow")])
     def test_non_integer_threads_rejected(self, p5, threads):
         with pytest.raises(HypothesisViolationError, match="threads must be an integer"):
             grid_eval(p5.poly, p5.weights, (0, 1, 0, 1), 5, threads=threads)
 
     def test_integer_like_resolution_and_threads_accepted(self, p5):
         want = grid_eval(p5.poly, p5.weights, (0, 1, 0, 1), (5, 4), threads=2)
-        got = grid_eval(p5.poly, p5.weights, (0, 1, 0, 1), ("5", np.int64(4)), threads="2")
+        got = grid_eval(p5.poly, p5.weights, (0, 1, 0, 1), (np.int64(5), np.int64(4)),
+                        threads=np.int64(2))
         assert (got.nx, got.ny) == (5, 4) and np.array_equal(got.values, want.values)
 
     def test_compared_by_identity(self, p3):
@@ -366,10 +375,10 @@ class TestGridEval:
 
     def test_hash_identifies_problem(self, p5, p6):
         a = grid_eval(p5.poly, p5.weights, (0, 1, 0, 1), 3)
-        assert a.poly_hash == problem_hash(p5.poly, p5.weights)
-        assert problem_hash(p5.poly, p5.weights) != problem_hash(p6.poly, p6.weights)
+        assert a.poly_hash == _problem_hash(p5.poly, p5.weights)
+        assert _problem_hash(p5.poly, p5.weights) != _problem_hash(p6.poly, p6.weights)
         other = WeightSet([2.0, 1.0, 1.0])
-        assert problem_hash(p5.poly, other) != problem_hash(p5.poly, p5.weights)
+        assert _problem_hash(p5.poly, other) != _problem_hash(p5.poly, p5.weights)
 
 
 # real-coefficient fixtures on boxes with im_min == -im_max, odd and even ny

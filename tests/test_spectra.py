@@ -30,7 +30,6 @@ from polycond import (
     cond_via_companion,
     default_cluster_tol,
     eig_vectors,
-    eigenproblem_cond,
     eigenvalues,
     nearest_eigenvalue,
     spectrum,
@@ -124,9 +123,10 @@ class TestCluster:
     def test_nonpositive_or_nan_tol_rejected(self, tol, p6):
         # a NaN tolerance would otherwise split every multiple eigenvalue;
         # polycond's own error, not a plain ValueError
-        with pytest.raises(HypothesisViolationError, match="clustering tolerance must be positive"):
+        want = "a real number" if isinstance(tol, str) else "positive"
+        with pytest.raises(HypothesisViolationError, match=f"clustering tolerance must be {want}"):
             cluster([1.0, 1.0, 2.0], tol)
-        with pytest.raises(HypothesisViolationError, match="clustering tolerance must be positive"):
+        with pytest.raises(HypothesisViolationError, match=f"clustering tolerance must be {want}"):
             spectrum(p6.poly, cluster_tol=tol)
 
     def test_default_tol_scales_with_radius(self):
@@ -146,9 +146,11 @@ class TestNearestEigenvalue:
 
     def test_explicit_tol(self, p5):
         vals = eigenvalues(p5.poly)
-        for tol in (1e-6, float("nan")):
-            with pytest.raises(NotAnEigenvalueError):
-                nearest_eigenvalue(vals, 4.01, tol=tol)
+        with pytest.raises(NotAnEigenvalueError):
+            nearest_eigenvalue(vals, 4.01, tol=1e-6)
+        # a NaN tol snapped to nothing; it is refused as no tolerance
+        with pytest.raises(HypothesisViolationError, match="^tol must be nonnegative, got nan$"):
+            nearest_eigenvalue(vals, 4.01, tol=float("nan"))
         assert vals[nearest_eigenvalue(vals, 4.01, tol=0.1)] == pytest.approx(4.0, abs=1e-6)
 
     @pytest.mark.parametrize("snap", [
@@ -164,9 +166,10 @@ class TestNearestEigenvalue:
         # an int beyond the float range overflowed in the distance comparison
         with pytest.raises(HypothesisViolationError) as exc:
             snap(p5.poly, 10 ** 400)
-        assert str(exc.value) == f"tol must be a real number a float holds, got {10 ** 400!r}"
-        with pytest.raises(NotAnEigenvalueError):
-            snap(p5.poly, float("nan"))
+        assert str(exc.value) == f"tol must be a real number, got {10 ** 400!r}"
+        for tol in (float("nan"), -1.0, float("inf")):
+            with pytest.raises(HypothesisViolationError, match="^tol must be (nonnegative|finite)"):
+                snap(p5.poly, tol)
 
     @pytest.mark.parametrize("snap", [
         lambda poly, lam: nearest_eigenvalue(eigenvalues(poly), lam),
@@ -211,7 +214,7 @@ class TestEigVectors:
         with pytest.raises(NotAnEigenvalueError):
             eig_vectors(p5.poly, 2.5)
         with pytest.raises(NotAnEigenvalueError):
-            eig_vectors(p5.poly, 1e6, tol=float("nan"))
+            eig_vectors(p5.poly, 1e6, tol=1.0)
 
 
 class TestCompanionVectors:
@@ -405,15 +408,15 @@ class TestEigenproblemCond:
         p = MatrixPolynomial([np.diag([-1.0, -2.0]), np.eye(2)])
         t = JordanTriple(np.eye(2), [JordanBlock(1.0, 1), JordanBlock(2.0, 1)], np.eye(2))
         assert validate_jordan_triple(p, t, [5.0, -3.0]) <= 1e-12
-        assert eigenproblem_cond(t) == pytest.approx(1.0)
+        assert t.norm_product == pytest.approx(1.0)
 
     def test_cubic_fixture_value(self, p6):
-        assert eigenproblem_cond(p6.triple) == pytest.approx(6.4183, abs=1e-3)
+        assert p6.triple.norm_product == pytest.approx(6.4183, abs=1e-3)
 
     def test_matches_svd_oracle(self, p3):
         t = p3.triple
         want = np.linalg.svd(t.X, compute_uv=False)[0] * np.linalg.svd(t.Y, compute_uv=False)[0]
-        assert eigenproblem_cond(t) == pytest.approx(want, rel=1e-12)
+        assert t.norm_product == pytest.approx(want, rel=1e-12)
 
 
 class TestSpectrumObject:
