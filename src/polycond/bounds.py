@@ -20,10 +20,10 @@ from typing import Any
 
 import numpy as np
 
-from .condition import _coupling, _require_simple, cond_eigvector_free
-from .core import MatrixPolynomial, WeightSet, _finite_point, _require_real, _vector, spectral_norm
-from .errors import DegenerateProblemError, HypothesisViolationError
-from .spectra import JordanTriple, _check_triple_shape, _svds_at
+from .condition import _derivative_frame, _eigenpair, cond_eigvector_free
+from .core import MatrixPolynomial, WeightSet, _finite_point, _require_real, spectral_norm
+from .errors import DegenerateProblemError
+from .spectra import JordanTriple, _check_triple_shape, _require_simple
 
 __all__ = [
     "BoundReport",
@@ -34,9 +34,6 @@ __all__ = [
     "bauer_fike_bound",
     "bound_comparator",
 ]
-
-# s_min below this multiple of s_max counts as singular for hypothesis gates.
-SINGULAR_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,48 +60,6 @@ class ComparatorReport:
     bauer_fike: BoundReport
 
 
-def _unit(v: np.ndarray, n: int, name: str) -> np.ndarray:
-    """v / ||v|| for a nonzero vector v of n entries."""
-    v = _vector(v, n, name)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        raise HypothesisViolationError(f"{name} must be a nonzero vector")
-    return v / nv
-
-
-def _derivative_frame(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
-                      x: np.ndarray, y: np.ndarray):
-    """Shared hypothesis checks for the distance-to-multiplicity bounds.
-
-    Returns (c(P'(lam)), ||P(lam)||, delta, ||y* P'||, nu) for unit x, y,
-    P'(lam) itself and u* = y* P'(lam) (I - x x*), the part of y* P'(lam)
-    orthogonal to x*, whose norm is nu.
-    """
-    weights.require_match(poly)
-    lam = _finite_point(lam, "lam")
-    x = _unit(x, poly.n, "x")
-    y = _unit(y, poly.n, "y")
-    Pp = poly.eval_derivative(lam)
-    s = _svds_at(poly, lam).sp
-    if s[-1] <= SINGULAR_RTOL * s[0]:
-        raise HypothesisViolationError(
-            f"P'(lam) is numerically singular at lam = {lam} "
-            f"(s_min/s_max = {s[-1] / s[0] if s[0] else 0.0:.3e}); "
-            "the distance bound assumes 0 is not an eigenvalue of P'(lam)")
-    delta = _coupling(Pp, s[0], lam, x, y)
-    row = y.conj() @ Pp
-    row_norm = float(np.linalg.norm(row))
-    # nu^2 = ||y* P'||^2 - |delta|^2, computed without cancellation as the
-    # norm of the component of y* P' orthogonal to x*
-    u_row = row - delta * x.conj()
-    nu = float(np.linalg.norm(u_row))
-    if nu <= 1e-12 * row_norm:
-        raise HypothesisViolationError(
-            f"y* P'(lam) is numerically parallel to x* at lam = {lam}; "
-            "the defect construction has no direction to work in")
-    return (float(s[0] / s[-1]), float(_svds_at(poly, lam).s[0]), delta, row_norm, nu), Pp, u_row
-
-
 def dist_mult_bound(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
                     x: np.ndarray, y: np.ndarray) -> BoundReport:
     """Upper bound on the smallest weighted perturbation size that makes the
@@ -122,8 +77,9 @@ def dist_mult_bound(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
     weights (1, 0) it reduces to Wilkinson's bound ||A - lam I|| /
     sqrt(kappa^2 - 1), kappa = 1 / |y* x| (Wilkinson, Numer. Math. 1972).
     """
-    frame, *_ = _derivative_frame(poly, weights, lam, x, y)
-    w = weights.eval(abs(complex(lam)))
+    lam, x, y = _eigenpair(poly, weights, lam, x, y)
+    frame, *_ = _derivative_frame(poly, lam, x, y)
+    w = weights.eval(abs(lam))
     return _dist_report(frame, w / abs(frame[2]), w)    # k = w / |y* P'(lam) x|
 
 
@@ -135,9 +91,8 @@ def dist_mult_bound_adj(poly: MatrixPolynomial, weights: WeightSet, i: int,
     spec is a Spectrum containing the eigenvalue at index i; x, y are still
     needed for the direction term nu.
     """
-    _require_simple(spec, i)
-    lam = complex(spec.eigenvalues[i])
-    frame, *_ = _derivative_frame(poly, weights, lam, x, y)
+    lam, x, y = _eigenpair(poly, weights, _require_simple(spec, i), x, y)
+    frame, *_ = _derivative_frame(poly, lam, x, y)
     k = cond_eigvector_free(poly, weights, i, spec)
     return _dist_report(frame, k, weights.eval(abs(lam)))
 

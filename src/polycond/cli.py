@@ -27,8 +27,8 @@ from . import __version__
 from .core import MatrixPolynomial, WeightSet, _blocks
 from .errors import HypothesisViolationError, PolycondError
 from .io import ProblemFile, _problem_doc, parse_problem
-from .spectra import (default_cluster_tol, eig_vectors, eigenvalues, nearest_eigenvalue, spectrum,
-                      validate_jordan_triple)
+from .spectra import (_require_simple, default_cluster_tol, eig_vectors, eigenvalues,
+                      nearest_eigenvalue, spectrum, validate_jordan_triple)
 
 RESIDUAL_TOL = 1e-8
 _NON_FINITE = "the result holds NaN or Infinity, which JSON cannot carry"
@@ -84,13 +84,10 @@ def _snap(ctx: _Context, args):
     """Resolve the --eig argument to a computed eigenvalue, its index, the
     spectrum and the eigenvalue's unit right/left eigenvectors; an eigenvalue
     in a cluster is refused before any eigenvector is computed."""
-    from .condition import _require_simple
-
     target = complex(*args.eig)
     sp = spectrum(ctx.poly)
     idx = nearest_eigenvalue(sp.eigenvalues, target, tol=args.tol)
-    _require_simple(sp, idx)
-    lam = complex(sp.eigenvalues[idx])
+    lam = _require_simple(sp, idx)
     x, y = eig_vectors(ctx.poly, lam, values=sp.eigenvalues)
     return lam, idx, sp, x, y
 

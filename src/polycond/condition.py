@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (MatrixPolynomial, WeightSet, _finite_point, _is_int, _vector, singular_values,
-                   spectral_norm)
+from .core import (MatrixPolynomial, WeightSet, _finite_point, _singular, _unit, _vector,
+                   singular_values, spectral_norm)
 from .errors import (
     DefectiveEigenvalueError,
     DegenerateProblemError,
     HypothesisViolationError,
     NotAnEigenvalueError,
 )
-from .spectra import Spectrum, _svds_at, companion_vectors
+from .spectra import Spectrum, _require_simple, _svds_at, companion_vectors
 
 __all__ = [
     "cond_simple",
@@ -51,6 +51,45 @@ def _coupling(Pp: np.ndarray, norm_pp: float, lam: complex, x: np.ndarray,
             f"|y* P'(lam) x| = {abs(delta):.3e} is below the defectivity gate "
             f"{gate:.3e} at lam = {lam}: treat lam as a multiple eigenvalue")
     return delta
+
+
+def _eigenpair(poly: MatrixPolynomial, weights: WeightSet, lam: complex, x: np.ndarray,
+               y: np.ndarray) -> tuple[complex, np.ndarray, np.ndarray]:
+    """The intake of the routes that work in the frame of an eigenpair: weights
+    matched to poly, then lam as a finite Python complex and x, y as unit
+    vectors of n entries (core._unit)."""
+    weights.require_match(poly)
+    return _finite_point(lam, "lam"), _unit(x, poly.n, "x"), _unit(y, poly.n, "y")
+
+
+def _derivative_frame(poly: MatrixPolynomial, lam: complex, x: np.ndarray, y: np.ndarray):
+    """The hypothesis gates of the distance to a multiple eigenvalue, on an
+    eigenpair that _eigenpair checked: P'(lam) nonsingular (core._singular),
+    lam numerically simple (_coupling), y* P'(lam) not parallel to x*.
+
+    Returns (c(P'(lam)), ||P(lam)||, delta, ||y* P'||, nu), P'(lam) itself and
+    u* = y* P'(lam) (I - x x*), the part of y* P'(lam) orthogonal to x*, whose
+    norm is nu.
+    """
+    Pp = poly.eval_derivative(lam)
+    s = _svds_at(poly, lam).sp
+    if _singular(s):
+        raise HypothesisViolationError(
+            f"P'(lam) is numerically singular at lam = {lam} "
+            f"(s_min/s_max = {s[-1] / s[0] if s[0] else 0.0:.3e}); "
+            "the distance bound assumes 0 is not an eigenvalue of P'(lam)")
+    delta = _coupling(Pp, s[0], lam, x, y)
+    row = y.conj() @ Pp
+    row_norm = float(np.linalg.norm(row))
+    # nu^2 = ||y* P'||^2 - |delta|^2, computed without cancellation as the
+    # norm of the component of y* P' orthogonal to x*
+    u_row = row - delta * x.conj()
+    nu = float(np.linalg.norm(u_row))
+    if nu <= 1e-12 * row_norm:
+        raise HypothesisViolationError(
+            f"y* P'(lam) is numerically parallel to x* at lam = {lam}; "
+            "the defect construction has no direction to work in")
+    return (float(s[0] / s[-1]), float(_svds_at(poly, lam).s[0]), delta, row_norm, nu), Pp, u_row
 
 
 def cond_simple(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
@@ -117,8 +156,7 @@ def cond_multiple(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
     if kappa < 1:
         raise HypothesisViolationError("at least one eigenvector is required")
     for name, M in (("right_vectors", Xh), ("left_vectors", Yh)):
-        s = singular_values(M)
-        if s[min(M.shape) - 1] <= 1e-12 * s[0]:
+        if _singular(singular_values(M)):
             raise HypothesisViolationError(f"{name} is rank-deficient (needs rank {kappa})")
     return weights.eval(abs(lam)) * spectral_norm(Xh @ Yh)
 
@@ -161,23 +199,6 @@ def _log_gap_product(values: np.ndarray, i: int) -> float:
     return float(np.sum(np.log(gaps)))
 
 
-def _require_simple(spec: Spectrum, i: int) -> None:
-    """Refuse, with NotAnEigenvalueError, an index i that is no integer
-    (_is_int), one outside 0..nm-1 of spec or one whose eigenvalue sits in a cluster."""
-    if not _is_int(i):
-        raise NotAnEigenvalueError(f"eigenvalue index must be an integer, got {i!r}")
-    nm = len(spec.eigenvalues)
-    if not 0 <= i < nm:
-        raise NotAnEigenvalueError(
-            f"eigenvalue index {i} is out of range for a spectrum of nm = {nm} "
-            f"eigenvalues (indices 0..{nm - 1})")
-    if not spec.is_simple(i):
-        c = spec.cluster_of(i)
-        raise NotAnEigenvalueError(
-            f"eigenvalue index {i} sits in a cluster of size {c.size} "
-            f"around {c.center}; a simple eigenvalue is required")
-
-
 def cond_eigvector_free(poly: MatrixPolynomial, weights: WeightSet, i: int,
                         spec: Spectrum) -> float:
     """Condition number of the i-th eigenvalue without eigenvectors:
@@ -188,8 +209,7 @@ def cond_eigvector_free(poly: MatrixPolynomial, weights: WeightSet, i: int,
     is summed in log space; a 1x1 linear P gives w(|lam|) / |a_1|.
     """
     weights.require_match(poly)
-    _require_simple(spec, i)
-    lam = complex(spec.eigenvalues[i])
+    lam = _require_simple(spec, i)
     log_adj = np.sum(np.log(_adjugate_factors(_svds_at(poly, lam).s)))
     log_num = np.log(weights.eval(abs(lam))) + log_adj
     log_den = poly.log_abs_det_leading + _log_gap_product(spec.eigenvalues, i)

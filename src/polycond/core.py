@@ -28,7 +28,8 @@ __all__ = [
     "spectral_norm",
 ]
 
-# Leading coefficient counts as singular below this relative threshold.
+# A leading coefficient, a derivative P'(lam) or an eigenvector matrix counts
+# as singular below this relative threshold (_singular).
 LEADING_SINGULAR_RTOL = 1e-12
 _BLOCK_BYTES = 2 ** 18      # see _blocks
 
@@ -73,10 +74,9 @@ def _spectral_norms(mats) -> tuple[float, ...]:
     return tuple(np.linalg.svd(np.asarray(mats), compute_uv=False)[:, 0].tolist())
 
 
-def _singular_leading(s) -> bool:
-    """The leading-coefficient rule: A_m, with singular values s in
-    descending order, is numerically singular (zero, or s_min <=
-    LEADING_SINGULAR_RTOL s_max)."""
+def _singular(s) -> bool:
+    """The one rank rule: a matrix with singular values s in descending order
+    is numerically singular (zero, or s_min <= LEADING_SINGULAR_RTOL s_max)."""
     return s[0] == 0.0 or s[-1] <= LEADING_SINGULAR_RTOL * s[0]
 
 
@@ -131,7 +131,7 @@ class MatrixPolynomial:
                 raise InvalidPolynomialError(
                     "leading coefficient overflows: its spectral norm is not finite "
                     f"(s_max={s[0]:.3e})")
-            if _singular_leading(s):
+            if _singular(s):
                 raise InvalidPolynomialError(
                     "leading coefficient is numerically singular "
                     f"(s_min={s[-1]:.3e}, s_max={s[0]:.3e})")
@@ -179,10 +179,6 @@ class MatrixPolynomial:
         z = _points(z)
         return [_horner(self.coeffs[r:], z) for r in range(1, self.m + 1)]
 
-    def norm_inf(self) -> float:
-        """max_j of the spectral norm of A_j."""
-        return max(self.coefficient_norms())
-
     def coefficient_norms(self) -> tuple[float, ...]:
         """Spectral norm of each coefficient, in degree order."""
         return _spectral_norms(self.coeff_stack)
@@ -196,15 +192,11 @@ class WeightSet:
 
     def __init__(self, weights):
         try:
-            w = tuple(float(x) for x in weights)
-        except (TypeError, ValueError) as exc:
+            w = tuple(_require_real(x, f"w_{j}") for j, x in enumerate(weights))
+        except (TypeError, HypothesisViolationError) as exc:    # TypeError: no sequence
             raise InvalidWeightsError(f"weights must be real numbers ({exc})") from None
         if not w:
             raise InvalidWeightsError("a weight set needs at least one weight")
-        if any(not np.isfinite(x) for x in w):
-            raise InvalidWeightsError("weights must be finite")
-        if any(x < 0 for x in w):
-            raise InvalidWeightsError("weights must be nonnegative")
         if w[0] <= 0:
             raise InvalidWeightsError("the constant-term weight w_0 must be strictly positive")
         object.__setattr__(self, "weights", w)
@@ -222,11 +214,8 @@ class WeightSet:
     def m(self) -> int:
         return len(self.weights) - 1
 
-    def matches(self, poly: MatrixPolynomial) -> bool:
-        return len(self.weights) == poly.m + 1
-
     def require_match(self, poly: MatrixPolynomial) -> None:
-        if not self.matches(poly):
+        if len(self.weights) != poly.m + 1:
             raise InvalidWeightsError(
                 f"weight set has {len(self.weights)} entries, "
                 f"polynomial of degree {poly.m} needs {poly.m + 1}")
@@ -295,9 +284,9 @@ def _points(z):
     return _finite_points(z) if isinstance(z, np.ndarray) else _finite_point(z, "z")
 
 
-def _is_int(value) -> bool:     # within the float range, no bool; a plain int skips the ABC check
+def _is_int(value) -> bool:     # within sys.maxsize, no bool; a plain int skips the ABC check
     return ((type(value) is int or not isinstance(value, bool) and isinstance(value, numbers.Integral))
-            and abs(value) <= sys.float_info.max)
+            and abs(value) <= sys.maxsize)
 
 
 def _require_nonnegative_ints(**values) -> None:
@@ -333,6 +322,15 @@ def _vector(v, n: int, name: str) -> np.ndarray:
     if v.size != n:
         raise HypothesisViolationError(f"{name} must be a vector of n = {n} entries, got {v.size}")
     return v
+
+
+def _unit(v, n: int, name: str) -> np.ndarray:
+    """v / ||v|| for a nonzero vector v of n entries (_vector)."""
+    v = _vector(v, n, name)
+    nv = np.linalg.norm(v)
+    if nv == 0.0:
+        raise HypothesisViolationError(f"{name} must be a nonzero vector")
+    return v / nv
 
 
 def _finite_points(z) -> np.ndarray:

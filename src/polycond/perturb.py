@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import (MatrixPolynomial, WeightSet, _blocks, _derivative_coeffs, _finite_point,
                    _horner, _matrix_stack, _require_nonnegative_ints, _require_real,
-                   _singular_leading, _spectral_norms, singular_values)
+                   _singular, _spectral_norms, singular_values)
 from .errors import (
     DegenerateProblemError,
     HypothesisViolationError,
@@ -210,7 +210,7 @@ def _draw(poly: MatrixPolynomial, eps: float, targets: np.ndarray, seed: int, st
         if not np.isfinite(coeffs).all():
             continue
         s = singular_values(coeffs[-1])
-        if not _singular_leading(s):
+        if not _singular(s):
             deltas.flags.writeable = False
             return deltas, coeffs, s
     raise DegenerateProblemError(
@@ -269,11 +269,10 @@ def defect_perturbation(poly: MatrixPolynomial, weights: WeightSet, lam: complex
     certify instead: Q(lam) keeps rank n - 1, since Q(lam) x = 0 and y* P'(lam)
     u = nu^2 != 0 puts P'(lam) u outside the range of P(lam).
     """
-    from .bounds import _derivative_frame, _unit    # only here: the draws load no bounds layer
+    # only here: the draws load no condition layer
+    from .condition import _derivative_frame, _eigenpair
 
-    lam = _finite_point(lam, "lam")
-    x = _unit(x, poly.n, "x")
-    y = _unit(y, poly.n, "y")
+    lam, x, y = _eigenpair(poly, weights, lam, x, y)
     px = poly.eval(lam)
     rx = float(np.linalg.norm(px @ x))
     ry = float(np.linalg.norm(y.conj() @ px))
@@ -286,7 +285,7 @@ def defect_perturbation(poly: MatrixPolynomial, weights: WeightSet, lam: complex
             f"||P(lam) x|| = {rx:.3e}, ||y* P(lam)|| = {ry:.3e} exceed {gate:.3e}")
     # remaining hypothesis gates: P'(lam) nonsingular, lam numerically simple,
     # y* P'(lam) not parallel to x*
-    (_, norm_p, delta, _, nu), Pp, u_row = _derivative_frame(poly, weights, lam, x, y)
+    (_, norm_p, delta, _, nu), Pp, u_row = _derivative_frame(poly, lam, x, y)
     q_row = np.linalg.solve(Pp.T, x.conj()) @ px
     q_row -= (q_row @ x) * x.conj()
     q_norm = float(np.linalg.norm(q_row))

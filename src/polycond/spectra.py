@@ -80,13 +80,30 @@ class Spectrum:
     clusters: tuple[EigenvalueCluster, ...]
 
     def cluster_of(self, i: int) -> EigenvalueCluster:
-        for c in self.clusters:
-            if i in c.indices:
-                return c
-        raise IndexError(f"eigenvalue index {i} out of range")
+        """The cluster of eigenvalue index i; NotAnEigenvalueError unless i is
+        an integer (core._is_int) in 0..nm-1."""
+        if not _is_int(i):
+            raise NotAnEigenvalueError(f"eigenvalue index must be an integer, got {i!r}")
+        nm = len(self.eigenvalues)
+        if not 0 <= i < nm:
+            raise NotAnEigenvalueError(
+                f"eigenvalue index {i} is out of range for a spectrum of nm = {nm} "
+                f"eigenvalues (indices 0..{nm - 1})")
+        return next(c for c in self.clusters if i in c.indices)
 
     def is_simple(self, i: int) -> bool:
         return self.cluster_of(i).is_simple
+
+
+def _require_simple(spec: Spectrum, i: int) -> complex:
+    """The eigenvalue lam_i of spec as a Python complex; NotAnEigenvalueError
+    unless i passes Spectrum.cluster_of and lam_i is alone in its cluster."""
+    c = spec.cluster_of(i)
+    if not c.is_simple:
+        raise NotAnEigenvalueError(
+            f"eigenvalue index {i} sits in a cluster of size {c.size} "
+            f"around {c.center}; a simple eigenvalue is required")
+    return complex(spec.eigenvalues[i])
 
 
 def _eigvals(C: np.ndarray) -> np.ndarray:

@@ -261,19 +261,18 @@ class TestEigvectorFree:
 
     def test_index_out_of_range_rejected(self, p5):
         # 99 and -1 raised a bare IndexError, from spec.eigenvalues[i] in
-        # dist_mult_bound_adj before any check
+        # dist_mult_bound_adj before any check, and from Spectrum.cluster_of
         sp = spectrum(p5.poly)
         x, y = eig_vectors(p5.poly, 4.0)
         for i in (99, -1, 4):
             for route in (lambda: cond_eigvector_free(p5.poly, p5.weights, i, sp),
                           lambda: min_gap_bound(p5.poly, p5.weights, i, sp),
-                          lambda: dist_mult_bound_adj(p5.poly, p5.weights, i, sp, x, y)):
+                          lambda: dist_mult_bound_adj(p5.poly, p5.weights, i, sp, x, y),
+                          lambda: sp.cluster_of(i), lambda: sp.is_simple(i)):
                 with pytest.raises(NotAnEigenvalueError) as exc:
                     route()
                 assert str(exc.value) == (f"eigenvalue index {i} is out of range for a spectrum "
                                           "of nm = 4 eigenvalues (indices 0..3)")
-        with pytest.raises(IndexError):
-            sp.cluster_of(99)
 
     @pytest.mark.parametrize("i", [1.5, True, 2.0], ids=["float", "bool", "integral-float"])
     @pytest.mark.parametrize("route", [

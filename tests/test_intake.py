@@ -26,7 +26,7 @@ from polycond import (JordanBlock, PolycondError, PseudoGrid, WeightSet, bauer_f
                       validate_jordan_triple)
 
 BAD = [float("nan"), float("inf"), float("-inf"), -1, "a", "4", b"4", 10 ** 400, [1, 2, 3], None]
-COUNT_BAD = [10 ** 400]
+COUNT_BAD = [10 ** 400, 2 ** 63]
 
 
 @dataclasses.dataclass
@@ -79,6 +79,8 @@ ROWS = [
      lambda s, v: validate_jordan_triple(s.p6.poly, s.p6.triple, v)),
     ("JordanBlock-eigenvalue", False, lambda s, v: JordanBlock(v, 1)),
     ("JordanBlock-size", False, lambda s, v: JordanBlock(1.0, v)),
+    ("Spectrum.cluster_of-i", False, lambda s, v: s.spec.cluster_of(v)),
+    ("Spectrum.is_simple-i", False, lambda s, v: s.spec.is_simple(v)),
     ("cond_simple-lam", False, lambda s, v: cond_simple(s.p5.poly, s.p5.weights, v, s.x, s.y)),
     ("cond_via_companion-lam", False,
      lambda s, v: cond_via_companion(s.p5.poly, s.p5.weights, v, s.x, s.y)),
