@@ -192,6 +192,8 @@ class WeightSet:
 
     def __init__(self, weights):
         try:
+            if isinstance(weights, (str, bytes)):   # its items are characters or ints
+                raise TypeError(f"got {weights!r}")
             w = tuple(_require_real(x, f"w_{j}") for j, x in enumerate(weights))
         except (TypeError, HypothesisViolationError) as exc:    # TypeError: no sequence
             raise InvalidWeightsError(f"weights must be real numbers ({exc})") from None
@@ -267,9 +269,9 @@ def _blocks(count: int, n: int) -> list[slice]:
 
 def _finite_point(z, name: str) -> complex:
     """z as a Python complex; HypothesisViolationError naming it as name when it
-    is a str or bytes, no number complex() takes, NaN or infinite."""
+    is a str, bytes or bool, no number complex() takes, NaN or infinite."""
     try:
-        if isinstance(z, (str, bytes)):
+        if isinstance(z, (str, bytes, bool, np.bool_)):
             raise TypeError
         z = complex(z)
     except (TypeError, ValueError, OverflowError):
@@ -277,6 +279,15 @@ def _finite_point(z, name: str) -> complex:
     if not cmath.isfinite(z):
         raise HypothesisViolationError(f"{name} must be finite (no NaN/Inf), got {z}")
     return z
+
+
+def _empty(shape, name: str, count) -> np.ndarray:
+    """np.empty(shape) of floats; HypothesisViolationError naming count as name
+    when NumPy cannot allocate it (its size overflows, or memory runs out)."""
+    try:
+        return np.empty(shape)
+    except (ValueError, MemoryError):
+        raise HypothesisViolationError(f"{name} is too large to allocate, got {count!r}") from None
 
 
 def _points(z):
@@ -298,20 +309,22 @@ def _require_nonnegative_ints(**values) -> None:
 
 def _require_real(value, name: str, positive: bool | None = False) -> float:
     """value as a float; HypothesisViolationError naming it as name when it is no
-    real number a float holds (a str or bytes, a complex, a list, None, 10**400),
-    NaN, infinite, or negative (zero too when positive; any sign when positive is None)."""
+    real number a float holds (a str or bytes, a bool, a complex, a list, None,
+    10**400), NaN, infinite, or negative (zero too when positive; any sign when
+    positive is None)."""
     try:
         # a float skips the slower ABC check
-        x = float(value) if type(value) is float or isinstance(value, numbers.Real) else None
+        x = (float(value) if type(value) is float
+             or isinstance(value, numbers.Real) and not isinstance(value, bool) else None)
     except OverflowError:
         x = None
     if x is None:
         raise HypothesisViolationError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(x):
+        raise HypothesisViolationError(f"{name} must be finite (no NaN/Inf), got {value}")
     if positive is not None and not (x > 0 if positive else x >= 0):
         raise HypothesisViolationError(
             f"{name} must be {'positive' if positive else 'nonnegative'}, got {value}")
-    if not math.isfinite(x):
-        raise HypothesisViolationError(f"{name} must be finite (no NaN/Inf), got {value}")
     return x
 
 
@@ -335,9 +348,9 @@ def _unit(v, n: int, name: str) -> np.ndarray:
 
 def _finite_points(z) -> np.ndarray:
     """z as a complex array; HypothesisViolationError unless it holds only
-    finite numbers (no str or bytes)."""
+    finite numbers (no str, bytes or bool)."""
     try:
-        if np.asarray(z).dtype.kind in "SUV":
+        if np.asarray(z).dtype.kind in "SUVb":
             raise TypeError
         z = np.asarray(z, dtype=complex)
     except (TypeError, ValueError, OverflowError):

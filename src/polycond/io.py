@@ -15,20 +15,21 @@ A problem file is a single JSON document:
     }
 
 Matrices are nested row-major arrays; every entry is a finite real number or
-a [re, im] pair of them.  serialize_problem(parse_problem(text)) reproduces
-the same problem exactly (floats survive the round trip bit for bit).
+a [re, im] pair of them, read by core's number rule (a JSON true is no
+number), and every refusal names its field.
+serialize_problem(parse_problem(text)) reproduces the same problem exactly
+(floats survive the round trip bit for bit).
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MatrixPolynomial, WeightSet
-from .errors import ProblemFormatError
+from .core import MatrixPolynomial, WeightSet, _is_int, _require_real
+from .errors import HypothesisViolationError, ProblemFormatError
 from .spectra import JordanBlock, JordanTriple
 
 __all__ = [
@@ -59,36 +60,54 @@ class ProblemFile:
     multiple: MultipleEigenvalueData | None = None
 
 
-def _entry(v, path: str) -> complex:
-    parts = v if isinstance(v, list) and len(v) == 2 else [v]
-    # a JSON true is no number; NaN, +-Infinity and too-large integers fail the bound
-    if all(type(c) in (int, float) and abs(c) <= sys.float_info.max for c in parts):
-        return complex(*parts)
-    raise ProblemFormatError(
-        f"{path}: expected a finite number or a [re, im] pair of them, got {v!r}")
+def _entry(v, path: str, pair: bool = True):
+    """v as a complex: a finite number or, when pair, a [re, im] pair of them, each
+    part read by core._require_real (no bool, str, NaN or integer past the float
+    range); as a float when not pair."""
+    try:
+        if pair and type(v) is list and len(v) == 2:
+            return complex(_require_real(v[0], path, None), _require_real(v[1], path, None))
+        x = _require_real(v, path, None)
+        return complex(x) if pair else x
+    except HypothesisViolationError:
+        raise ProblemFormatError(f"{path}: expected a finite number"
+                                 f"{' or a [re, im] pair of them' if pair else ''}, got {v!r}") from None
 
 
-def _matrix(v, rows: int, cols: int, path: str) -> np.ndarray:
-    if not isinstance(v, list):
-        raise ProblemFormatError(f"{path}: expected a {rows}x{cols} matrix (nested arrays)")
-    if len(v) != rows:
-        raise ProblemFormatError(f"{path}: expected {rows} rows, got {len(v)}")
+def _count(v, path: str, least: int) -> int:
+    """v, an integer (core._is_int) of at least least."""
+    if not (_is_int(v) and v >= least):
+        raise ProblemFormatError(f"{path}: expected an integer of at least {least}, got {v!r}")
+    return v
+
+
+def _list(v, path: str, length: int | None = None, what: str = "entries") -> list:
+    """v, a JSON array of length entries (of one or more when length is None)."""
+    if not isinstance(v, list) or (not v if length is None else len(v) != length):
+        raise ProblemFormatError(
+            f"{path}: expected {'one or more' if length is None else length} {what}, got "
+            f"{len(v) if isinstance(v, list) else type(v).__name__}")
+    return v
+
+
+def _object(v, path: str) -> dict:
+    """v, a JSON object."""
+    if not isinstance(v, dict):
+        raise ProblemFormatError(f"{path}: expected a JSON object, got {type(v).__name__}")
+    return v
+
+
+def _matrix(v, rows: int, cols: int | None, path: str) -> np.ndarray:
+    """A rows x cols matrix of entries (cols from its first row when None); every
+    row is checked before anything is allocated."""
+    v = _list(v, path, rows, "rows")
+    cols = len(_list(v[0], f"{path}[0]")) if cols is None else cols
+    v = [_list(row, f"{path}[{i}]", cols) for i, row in enumerate(v)]
     out = np.empty((rows, cols), dtype=complex)
     for i, row in enumerate(v):
-        if not isinstance(row, list) or len(row) != cols:
-            raise ProblemFormatError(
-                f"{path}[{i}]: expected a row of {cols} entries, "
-                f"got {len(row) if isinstance(row, list) else type(row).__name__}")
         for j, e in enumerate(row):
             out[i, j] = _entry(e, f"{path}[{i}][{j}]")
     return out
-
-
-def _positive_int(doc, key: str) -> int:
-    v = doc.get(key)
-    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-        raise ProblemFormatError(f"{key}: expected a nonnegative integer, got {v!r}")
-    return v
 
 
 def parse_problem(text: str) -> ProblemFile:
@@ -103,75 +122,36 @@ def parse_problem(text: str) -> ProblemFile:
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(
             f"not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}") from exc
-    if not isinstance(doc, dict):
-        raise ProblemFormatError("the top-level document must be a JSON object")
-    n = _positive_int(doc, "n")
-    m = _positive_int(doc, "m")
-    if n < 1:
-        raise ProblemFormatError(f"n: matrix dimension must be at least 1, got {n}")
-    coeffs_doc = doc.get("coefficients")
-    if not isinstance(coeffs_doc, list) or len(coeffs_doc) != m + 1:
-        raise ProblemFormatError(
-            f"coefficients: expected {m + 1} matrices for degree m={m}, got "
-            f"{len(coeffs_doc) if isinstance(coeffs_doc, list) else type(coeffs_doc).__name__}")
-    coeffs = [_matrix(c, n, n, f"coefficients[{j}]") for j, c in enumerate(coeffs_doc)]
-    poly = MatrixPolynomial(coeffs)
+    doc = _object(doc, "top level")
+    n, m = _count(doc.get("n"), "n", 1), _count(doc.get("m"), "m", 0)
+    coeffs = _list(doc.get("coefficients"), "coefficients", m + 1, "matrices")
+    poly = MatrixPolynomial([_matrix(c, n, n, f"coefficients[{j}]") for j, c in enumerate(coeffs)])
 
     weights_doc = doc.get("weights")
-    if weights_doc is None:
-        weights = WeightSet.from_coefficient_norms(poly)
-        derived = True
-    else:
-        if not isinstance(weights_doc, list) or len(weights_doc) != m + 1:
-            raise ProblemFormatError(
-                f"weights: expected {m + 1} values, got "
-                f"{len(weights_doc) if isinstance(weights_doc, list) else type(weights_doc).__name__}")
-        for j, wv in enumerate(weights_doc):
-            if type(wv) not in (int, float) or not abs(wv) <= sys.float_info.max:
-                raise ProblemFormatError(f"weights[{j}]: expected a finite number, got {wv!r}")
-        weights = WeightSet(weights_doc)
-        derived = False
+    derived = weights_doc is None
+    weights = WeightSet.from_coefficient_norms(poly) if derived else WeightSet(
+        [_entry(w, f"weights[{j}]", pair=False)
+         for j, w in enumerate(_list(weights_doc, "weights", m + 1, "values"))])
 
-    triple = None
-    triple_doc = doc.get("triple")
-    if triple_doc is not None:
-        if not isinstance(triple_doc, dict):
-            raise ProblemFormatError("triple: expected an object with X, blocks, Y")
-        blocks_doc = triple_doc.get("blocks")
-        if not isinstance(blocks_doc, list) or not blocks_doc:
-            raise ProblemFormatError("triple.blocks: expected a nonempty array")
+    triple = multiple = None
+    if (triple_doc := doc.get("triple")) is not None:
+        triple_doc = _object(triple_doc, "triple")
         blocks = []
-        for i, b in enumerate(blocks_doc):
-            if not isinstance(b, dict) or "eigenvalue" not in b or "size" not in b:
-                raise ProblemFormatError(
-                    f"triple.blocks[{i}]: expected an object with eigenvalue and size")
-            size = b["size"]
-            if not isinstance(size, int) or isinstance(size, bool) or size < 1:
-                raise ProblemFormatError(
-                    f"triple.blocks[{i}].size: expected a positive integer, got {size!r}")
-            blocks.append(JordanBlock(
-                eigenvalue=_entry(b["eigenvalue"], f"triple.blocks[{i}].eigenvalue"),
-                size=size))
+        for i, b in enumerate(_list(triple_doc.get("blocks"), "triple.blocks", what="blocks")):
+            path = f"triple.blocks[{i}]"
+            b = _object(b, path)
+            blocks.append(JordanBlock(eigenvalue=_entry(b.get("eigenvalue"), f"{path}.eigenvalue"),
+                                      size=_count(b.get("size"), f"{path}.size", 1)))
         total = sum(b.size for b in blocks)
-        X = _matrix(triple_doc.get("X"), n, total, "triple.X")
-        Y = _matrix(triple_doc.get("Y"), total, n, "triple.Y")
-        triple = JordanTriple(X, tuple(blocks), Y)
+        triple = JordanTriple(_matrix(triple_doc.get("X"), n, total, "triple.X"), tuple(blocks),
+                              _matrix(triple_doc.get("Y"), total, n, "triple.Y"))
 
-    multiple = None
-    multi_doc = doc.get("multiple")
-    if multi_doc is not None:
-        if not isinstance(multi_doc, dict):
-            raise ProblemFormatError(
-                "multiple: expected an object with eigenvalue, right_vectors, left_vectors")
+    if (multi_doc := doc.get("multiple")) is not None:
+        multi_doc = _object(multi_doc, "multiple")
         lam = _entry(multi_doc.get("eigenvalue"), "multiple.eigenvalue")
-        rv = multi_doc.get("right_vectors")
-        if not isinstance(rv, list) or len(rv) != n or not isinstance(rv[0], list):
-            raise ProblemFormatError(f"multiple.right_vectors: expected an {n}-row matrix")
-        kappa = len(rv[0])
-        right = _matrix(rv, n, kappa, "multiple.right_vectors")
-        left = _matrix(multi_doc.get("left_vectors"), kappa, n, "multiple.left_vectors")
-        multiple = MultipleEigenvalueData(eigenvalue=lam, right_vectors=right,
-                                          left_vectors=left)
+        right = _matrix(multi_doc.get("right_vectors"), n, None, "multiple.right_vectors")
+        left = _matrix(multi_doc.get("left_vectors"), right.shape[1], n, "multiple.left_vectors")
+        multiple = MultipleEigenvalueData(eigenvalue=lam, right_vectors=right, left_vectors=left)
 
     return ProblemFile(poly=poly, weights=weights, weights_derived=derived,
                        triple=triple, multiple=multiple)

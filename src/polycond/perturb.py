@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (MatrixPolynomial, WeightSet, _blocks, _derivative_coeffs, _finite_point,
+from .core import (MatrixPolynomial, WeightSet, _blocks, _derivative_coeffs, _empty, _finite_point,
                    _horner, _matrix_stack, _require_nonnegative_ints, _require_real,
                    _singular, _spectral_norms, singular_values)
 from .errors import (
@@ -57,7 +57,8 @@ class PerturbedPolynomial(MatrixPolynomial):
     InvalidPolynomialError when its leading coefficient is singular.
 
     eps_used is the smallest level at which the deltas are admissible for the
-    stored weights; certificates names the checks the construction passed.
+    stored weights; certificates names the checks that random_perturbation or
+    defect_perturbation passed, and is empty for a direct construction.
     """
 
     coeffs: tuple = field(init=False)     # built from base and deltas
@@ -65,13 +66,11 @@ class PerturbedPolynomial(MatrixPolynomial):
     deltas: tuple
     eps_used: float
     weights: WeightSet
-    certificates: tuple = ()
+    certificates: tuple = field(default=(), init=False)     # set by the constructing function
 
-    def __init__(self, base: MatrixPolynomial, deltas, eps_used: float,
-                 weights: WeightSet, certificates: tuple = ()):
+    def __init__(self, base: MatrixPolynomial, deltas, eps_used: float, weights: WeightSet):
         deltas, coeffs = _perturbed_stacks(base, deltas)
-        self._adopt(coeffs, base=base, deltas=tuple(deltas), eps_used=eps_used,
-                    weights=weights, certificates=certificates)
+        self._adopt(coeffs, base=base, deltas=tuple(deltas), eps_used=eps_used, weights=weights)
 
     @property
     def delta_norms(self) -> tuple:
@@ -333,7 +332,7 @@ def eigenvalue_shift_samples(poly: MatrixPolynomial, weights: WeightSet,
     lam = _finite_point(lam, "lam")
     _require_nonnegative_ints(samples=samples, seed=seed, stream_base=stream_base)
     targets = _boundary_targets(poly, eps, weights)
-    out = np.empty(samples, dtype=float)
+    out = _empty(samples, "samples", samples)
     for i in range(samples):
         coeffs = _draw(poly, eps, targets, seed, stream_base + i)[1]
         out[i] = np.abs(_eigvals(_companion(coeffs)) - lam).min()

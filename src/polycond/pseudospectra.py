@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MatrixPolynomial, WeightSet, _blocks, _components, _finite_point, _is_int, _require_real
+from .core import (MatrixPolynomial, WeightSet, _blocks, _components, _empty, _finite_point, _is_int,
+                   _require_real)
 from .errors import ContainmentError, HypothesisViolationError
 
 __all__ = [
@@ -137,9 +138,9 @@ def grid_eval(poly: MatrixPolynomial, weights: WeightSet, box, resolution,
     nx, ny = pair
     if not _is_int(threads):
         raise HypothesisViolationError(f"threads must be an integer, got {threads!r}")
+    values = _empty((ny, nx), "resolution", resolution)     # before the axes: the largest array
     re = np.linspace(re_min, re_max, nx)
     im = _im_axis(im_min, im_max, ny)
-    values = np.empty((ny, nx), dtype=float)
     mirror = im_min == -im_max and not poly.coeff_stack.imag.any()
     rows = (ny + 1) // 2 if mirror else ny
     flat = values[:rows].reshape(-1)

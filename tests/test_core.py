@@ -136,7 +136,9 @@ class TestArrayArguments:
         with pytest.raises(HypothesisViolationError):
             WeightSet([1.0, 1.0]).eval(np.array([0.5, -1e-300]))
         # NaN too, one point or in an array, and an infinite r
-        for r in (float("nan"), np.array([0.5, np.nan]), np.array([np.inf])):
+        with pytest.raises(HypothesisViolationError, match="r must be finite"):
+            WeightSet([1.0, 1.0]).eval(float("nan"))
+        for r in (np.array([0.5, np.nan]), np.array([np.inf])):
             with pytest.raises(HypothesisViolationError, match="nonnegative"):
                 WeightSet([1.0, 1.0]).eval(r)
 
@@ -303,10 +305,13 @@ class TestWeights:
             assert np.array_equal(p5.poly.eval_derivative(0.5, order),
                                   p5.poly.eval_derivative(0.5, same))
 
-    @pytest.mark.parametrize("weights", ["abc", ["a", 1.0], 1.0, [1.0, 1j], "123", ["1", "2"], [b"1"]])
+    @pytest.mark.parametrize("weights", ["abc", ["a", 1.0], 1.0, [1.0, 1j], "123", ["1", "2"], [b"1"],
+                                         pytest.param("12", id="str-12"),
+                                         pytest.param(b"12", id="bytes-12")])
     def test_non_numbers_rejected(self, weights):
         # the first four leaked float()'s ValueError or TypeError, and float()
-        # took the strings and bytes that spell numbers as weights
+        # took the strings and bytes that spell numbers as weights; b"12"
+        # iterates as the ints 49 and 50, so a str or bytes is refused whole
         with pytest.raises(InvalidWeightsError, match="weights must be real numbers"):
             WeightSet(weights)
 

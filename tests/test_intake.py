@@ -1,10 +1,12 @@
 """One intake rule for every public scalar parameter.
 
-Each parameter is fed NaN, +-inf, -1, "a", "4", b"4", 10**400, a list and
-None.  The call must raise a PolycondError or return only finite values, and
-a str or bytes is refused even when it spells a number.  A count, a size the
-call allocates or loops over, gets only 10**400, which must be refused before
-anything is allocated (a large count that a float holds would allocate).
+Each parameter is fed NaN, +-inf, -1, "a", "4", b"4", True, 10**400, a list
+and None.  The call must raise a PolycondError or return only finite values,
+a str or bytes is refused even when it spells a number, and a bool is never
+taken for a number.  A count, a size the call allocates or loops over, gets
+only 10**400, 2**63 and 2**62, which must be refused before anything is
+allocated: NumPy refuses an array of 2**62 floats by arithmetic alone (a
+count that a machine might try to allocate, such as 2**40, stays untested).
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from polycond import (JordanBlock, PolycondError, PseudoGrid, WeightSet, bauer_fike_bound,
-                      bound_comparator, boundedness_check, cluster, companion_vectors,
+from polycond import (HypothesisViolationError, JordanBlock, PolycondError, PseudoGrid, WeightSet,
+                      bauer_fike_bound, bound_comparator, boundedness_check, cluster, companion_vectors,
                       component_vertices, cond_eigvector_free, cond_multiple, cond_simple,
                       cond_via_companion, contours, defect_perturbation, disc_deviation,
                       dist_mult_bound, dist_mult_bound_adj, ef_factors, eig_vectors,
@@ -25,8 +27,9 @@ from polycond import (JordanBlock, PolycondError, PseudoGrid, WeightSet, bauer_f
                       perturbation_rng, random_perturbation, spectrum, sublevel_component_count,
                       validate_jordan_triple)
 
-BAD = [float("nan"), float("inf"), float("-inf"), -1, "a", "4", b"4", 10 ** 400, [1, 2, 3], None]
-COUNT_BAD = [10 ** 400, 2 ** 63]
+BAD = [float("nan"), float("inf"), float("-inf"), -1, "a", "4", b"4", True, 10 ** 400, [1, 2, 3],
+       None]
+COUNT_BAD = [10 ** 400, 2 ** 63, 2 ** 62]
 
 
 @dataclasses.dataclass
@@ -134,6 +137,7 @@ ROWS = [
     ("grid_eval-im_max", False, lambda s, v: _grid(s, box=(3.5, 4.5, -0.5, v))),
     ("grid_eval-resolution", True, lambda s, v: _grid(s, resolution=v)),
     ("grid_eval-nx", True, lambda s, v: _grid(s, resolution=(v, 3))),
+    ("grid_eval-ny", True, lambda s, v: _grid(s, resolution=(3, v))),
     ("grid_eval-threads", True, lambda s, v: _grid(s, threads=v)),
     ("contours-eps", False, lambda s, v: contours(_grid(s), v)),
     ("sublevel_component_count-eps", False, lambda s, v: sublevel_component_count(_grid(s), v)),
@@ -166,8 +170,19 @@ def test_bad_scalar_refused_or_finite(s, count, call):
             out = call(s, v)
         except PolycondError:
             continue
-        assert not isinstance(v, (str, bytes)), f"{v!r} was taken for a number"
+        assert not isinstance(v, (str, bytes, bool)), f"{v!r} was taken for a number"
         assert _finite(out), f"{v!r} gave a value that is not finite: {out!r}"
+
+
+def test_count_numpy_cannot_allocate_refused_by_name(s):
+    # each leaked NumPy's "array is too big" ValueError
+    with pytest.raises(HypothesisViolationError) as exc:
+        eigenvalue_shift_samples(s.p5.poly, s.p5.weights, 1e-3, 4.0, 2 ** 62, 0)
+    assert str(exc.value) == f"samples is too large to allocate, got {2 ** 62}"
+    for resolution in ((2 ** 62, 3), (3, 2 ** 62), 2 ** 62):
+        with pytest.raises(HypothesisViolationError) as exc:
+            _grid(s, resolution=resolution)
+        assert str(exc.value) == f"resolution is too large to allocate, got {resolution!r}"
 
 
 def test_eig_vectors_refuses_lam_before_the_eigensolve(p5, monkeypatch):

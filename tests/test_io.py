@@ -21,10 +21,25 @@ from polycond import (
 MINIMAL = '{"n": 1, "m": 1, "coefficients": [[[-2.0]], [[1.0]]]}'
 
 
+P3 = json.loads((FIXTURES / "p3.json").read_text())
+
+
 def minimal_doc(**extra):
     doc = {"n": 1, "m": 1, "coefficients": [[[-2.0]], [[1.0]]]}
     doc.update(extra)
     return json.dumps(doc)
+
+
+def p3_with(path, value):
+    """p3's problem document with value at path, and that field's path as
+    parse_problem names it."""
+    doc = json.loads(json.dumps(P3))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    field = path[0] + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path[1:])
+    return json.dumps(doc), field
 
 
 class TestParse:
@@ -73,6 +88,15 @@ class TestParseErrors:
     def test_bool_is_not_a_number(self):
         with pytest.raises(ProblemFormatError):
             parse_problem(minimal_doc(coefficients=[[[True]], [[1.0]]]))
+
+    @pytest.mark.parametrize("path", [("n",), ("weights", 1), ("triple", "blocks", 0, "eigenvalue"),
+                                      ("multiple", "eigenvalue")])
+    def test_bool_refused_with_field_path(self, path):
+        # core's number rule reads every field, and it takes no bool
+        text, field = p3_with(path, True)
+        with pytest.raises(ProblemFormatError, match=rf"^{re.escape(field)}: expected an? "
+                                                     r"(finite number|integer).*, got True$"):
+            parse_problem(text)
 
     def test_wrong_coefficient_count(self):
         with pytest.raises(ProblemFormatError) as err:
@@ -134,8 +158,6 @@ class TestParseErrors:
 class TestNonFiniteNumbers:
     """json.loads accepts NaN, Infinity and -Infinity; a problem file may not."""
 
-    P3 = json.loads((FIXTURES / "p3.json").read_text())
-
     @pytest.mark.parametrize("path, value", [
         (("coefficients", 0, 0, 0), float("nan")),
         (("coefficients", 2, 1, 1), [1.0, float("inf")]),
@@ -147,14 +169,8 @@ class TestNonFiniteNumbers:
         (("multiple", "left_vectors", 0, 2), [float("nan"), 0.0]),
     ])
     def test_refused_with_field_path(self, path, value):
-        doc = json.loads(json.dumps(self.P3))
-        target = doc
-        for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = value
-        text = json.dumps(doc)
+        text, field = p3_with(path, value)
         assert "NaN" in text or "Infinity" in text
-        field = path[0] + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path[1:])
         with pytest.raises(ProblemFormatError, match=rf"^{re.escape(field)}: expected a finite number"):
             parse_problem(text)
 

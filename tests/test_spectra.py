@@ -123,7 +123,8 @@ class TestCluster:
     def test_nonpositive_or_nan_tol_rejected(self, tol, p6):
         # a NaN tolerance would otherwise split every multiple eigenvalue;
         # polycond's own error, not a plain ValueError
-        want = "a real number" if isinstance(tol, str) else "positive"
+        want = ("a real number" if isinstance(tol, str) else "finite" if tol != tol
+                else "positive")
         with pytest.raises(HypothesisViolationError, match=f"clustering tolerance must be {want}"):
             cluster([1.0, 1.0, 2.0], tol)
         with pytest.raises(HypothesisViolationError, match=f"clustering tolerance must be {want}"):
@@ -149,7 +150,7 @@ class TestNearestEigenvalue:
         with pytest.raises(NotAnEigenvalueError):
             nearest_eigenvalue(vals, 4.01, tol=1e-6)
         # a NaN tol snapped to nothing; it is refused as no tolerance
-        with pytest.raises(HypothesisViolationError, match="^tol must be nonnegative, got nan$"):
+        with pytest.raises(HypothesisViolationError, match=r"^tol must be finite \(no NaN/Inf\), got nan$"):
             nearest_eigenvalue(vals, 4.01, tol=float("nan"))
         assert vals[nearest_eigenvalue(vals, 4.01, tol=0.1)] == pytest.approx(4.0, abs=1e-6)
 
