@@ -180,8 +180,10 @@ class MatrixPolynomial:
         return [_horner(self.coeffs[r:], z) for r in range(1, self.m + 1)]
 
     def coefficient_norms(self) -> tuple[float, ...]:
-        """Spectral norm of each coefficient, in degree order."""
-        return _spectral_norms(self.coeff_stack)
+        """Spectral norm of each coefficient, in degree order: ||A_m|| from the
+        kept leading_singular_values, the others from one stacked SVD."""
+        lead = (float(self.leading_singular_values[0]),)
+        return _spectral_norms(self.coeff_stack[:-1]) + lead if self.m else lead
 
 
 @dataclass(frozen=True)
@@ -348,9 +350,13 @@ def _unit(v, n: int, name: str) -> np.ndarray:
 
 def _finite_points(z) -> np.ndarray:
     """z as a complex array; HypothesisViolationError unless it holds only
-    finite numbers (no str, bytes or bool)."""
+    finite numbers (no str, bytes or bool, in an array or anywhere in a sequence)."""
     try:
         if np.asarray(z).dtype.kind in "SUVb":
+            raise TypeError
+        # NumPy reads a bool among numbers as 0 or 1: look at a sequence's items
+        if not isinstance(z, np.ndarray) and any(np.asarray(v).dtype.kind == "b"
+                                                 for v in np.asarray(z, dtype=object).flat):
             raise TypeError
         z = np.asarray(z, dtype=complex)
     except (TypeError, ValueError, OverflowError):

@@ -6,7 +6,7 @@ every j.  Two constructions are provided:
 
 - defect_perturbation builds the smallest-known admissible perturbation that
   turns a given simple eigenvalue into a multiple one, and certifies the
-  double eigenvalue by a contour count.
+  double eigenvalue by spectra's contour count.
 - random_perturbation draws deltas uniformly on the admissible boundary
   (||Delta_j|| = eps * w_j exactly) from a counter-based generator, so sweeps
   are reproducible and partitionable across streams.
@@ -19,17 +19,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (MatrixPolynomial, WeightSet, _blocks, _derivative_coeffs, _empty, _finite_point,
-                   _horner, _matrix_stack, _require_nonnegative_ints, _require_real,
-                   _singular, _spectral_norms, singular_values)
+from .core import (MatrixPolynomial, WeightSet, _empty, _finite_point, _matrix_stack,
+                   _require_nonnegative_ints, _require_real, _singular, _spectral_norms,
+                   singular_values)
 from .errors import (
     DegenerateProblemError,
     HypothesisViolationError,
     InvalidPolynomialError,
     PolycondError,
 )
-from .linearization import _companion
-from .spectra import _eigvals, _svds_at
+from .spectra import _count, _eigensolve, _svds_at
 
 __all__ = [
     "PerturbedPolynomial",
@@ -42,7 +41,7 @@ __all__ = [
 ]
 
 # two or more eigenvalues of the perturbed polynomial in the disc of this
-# relative radius around the target (a _disc_count, refused when one lies near
+# relative radius around the target (spectra._count, refused when one lies near
 # the circle) certify a multiple eigenvalue; a doubled defective eigenvalue
 # splits like the square root of the backward error, so anything much tighter
 # than 1e-5 rejects correct constructions when coefficient norms are in the tens
@@ -218,27 +217,6 @@ def _draw(poly: MatrixPolynomial, eps: float, targets: np.ndarray, seed: int, st
         f"reaches the smallest singular value of the leading coefficient")
 
 
-def _disc_count(coeffs: np.ndarray, centre: complex, r: float):
-    """Eigenvalues in |z - centre| < r of P with coefficient stack coeffs: (1/2 pi i)
-    times the integral of tr(P^{-1} P') dz on the circle by the 16-node trapezoid
-    rule, or None if a node solve is singular or the count is off an integer or
-    its even-node (8-node) sub-rule by more than 1e-2.  The nodes are evaluated
-    and solved in the blocks of core._blocks (one block for n <= 32)."""
-    dz = r * np.exp(2j * np.pi * np.arange(16) / 16)
-    z = centre + dz
-    dcoeffs = _derivative_coeffs(coeffs, 1)
-    terms = np.empty(16, dtype=complex)
-    try:
-        for b in _blocks(16, coeffs.shape[1]):
-            terms[b] = dz[b] * np.trace(np.linalg.solve(_horner(coeffs, z[b]), _horner(dcoeffs, z[b])),
-                                        axis1=1, axis2=2)
-    except np.linalg.LinAlgError:
-        return None
-    full, half = np.mean(terms), np.mean(terms[::2])
-    count = np.rint(full.real)
-    return int(count) if abs(full - count) <= 1e-2 and abs(half - full) <= 1e-2 else None
-
-
 def defect_perturbation(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
                         x: np.ndarray, y: np.ndarray) -> PerturbedPolynomial:
     """Admissible perturbation making the simple eigenvalue lam multiple.
@@ -305,7 +283,7 @@ def defect_perturbation(poly: MatrixPolynomial, weights: WeightSet, lam: complex
 
     deltas, coeffs = _perturbed_stacks(poly, deltas)
     r = PAIRING_RTOL * max(1.0, abs(lam))
-    count = _disc_count(coeffs, lam, r)
+    count = _count(coeffs, lam, r)
     if (count or 0) < 2:
         raise PolycondError(
             "the constructed perturbation failed to certify a multiple "
@@ -335,5 +313,5 @@ def eigenvalue_shift_samples(poly: MatrixPolynomial, weights: WeightSet,
     out = _empty(samples, "samples", samples)
     for i in range(samples):
         coeffs = _draw(poly, eps, targets, seed, stream_base + i)[1]
-        out[i] = np.abs(_eigvals(_companion(coeffs)) - lam).min()
+        out[i] = np.abs(_eigensolve(coeffs) - lam).min()
     return out

@@ -1,11 +1,11 @@
 """Spectra of matrix polynomials: eigenvalues, eigenvectors, clusters,
 Jordan triples, and the triple-based global condition number.
 
-Eigenvalues come from a dense eigensolve of the companion matrix. Unit
-right/left eigenvectors are computed on demand, one eigenvalue at a time, by
-eig_vectors from the memoised SVD of P(lam) at the computed eigenvalue (never
-from companion eigenvectors); companion-level eigenvectors are then synthesized
-structurally from (x, y).
+_eigensolve, the package's one eigensolve, takes a coefficient stack's
+eigenvalues from its companion matrix; _count counts them in a disc by the
+argument principle.  Unit right/left eigenvectors come on demand from
+eig_vectors's memoised SVD of P(lam), never from companion eigenvectors;
+companion_vectors synthesizes companion-level ones from (x, y).
 """
 
 from __future__ import annotations
@@ -18,15 +18,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (MatrixPolynomial, _blocks, _components, _finite_point, _finite_points, _is_int,
-                   _require_real, as_complex_matrix, singular_values, spectral_norm)
+from .core import (MatrixPolynomial, _blocks, _components, _derivative_coeffs, _finite_point,
+                   _finite_points, _horner, _is_int, _require_real, as_complex_matrix,
+                   singular_values, spectral_norm)
 from .errors import (
     EigensolverError,
     HypothesisViolationError,
     InvalidTripleError,
     NotAnEigenvalueError,
 )
-from .linearization import companion
+from .linearization import _companion
 
 __all__ = [
     "EigenvalueCluster",
@@ -106,17 +107,37 @@ def _require_simple(spec: Spectrum, i: int) -> complex:
     return complex(spec.eigenvalues[i])
 
 
-def _eigvals(C: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the companion matrix C, in LAPACK's order."""
+def _eigensolve(stack: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the coefficient stack A_0..A_m's companion matrix, in LAPACK's order."""
     try:
-        return np.linalg.eigvals(C)
+        return np.linalg.eigvals(_companion(stack))
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"companion eigensolve failed: {exc}") from exc
 
 
+def _count(stack: np.ndarray, centre: complex, r: float):
+    """Eigenvalues in |z - centre| < r of P with coefficient stack A_0..A_m, by the 16-node
+    trapezoid rule for (1/2 pi i) times the integral of tr(P^{-1} P') dz on the circle;
+    None if a node solve is singular or the count is off an integer or its even-node
+    (8-node) sub-rule by more than 1e-2.  Nodes are solved in the blocks of core._blocks."""
+    dz = r * np.exp(2j * np.pi * np.arange(16) / 16)
+    z = centre + dz
+    dstack = _derivative_coeffs(stack, 1)
+    terms = np.empty(16, dtype=complex)
+    try:
+        for b in _blocks(16, stack.shape[1]):
+            terms[b] = dz[b] * np.trace(np.linalg.solve(_horner(stack, z[b]), _horner(dstack, z[b])),
+                                        axis1=1, axis2=2)
+    except np.linalg.LinAlgError:
+        return None
+    full, half = np.mean(terms), np.mean(terms[::2])
+    count = np.rint(full.real)
+    return int(count) if abs(full - count) <= 1e-2 and abs(half - full) <= 1e-2 else None
+
+
 def eigenvalues(poly: MatrixPolynomial) -> np.ndarray:
     """The nm eigenvalues of P in canonical order (re, im, |.|)."""
-    vals = _eigvals(companion(poly))
+    vals = _eigensolve(poly.coeff_stack)
     out = vals[_canonical_order(vals)]
     out.flags.writeable = False
     return out

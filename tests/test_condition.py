@@ -18,6 +18,7 @@ from polycond import (
     HypothesisViolationError,
     MatrixPolynomial,
     NotAnEigenvalueError,
+    PolycondError,
     WeightSet,
     adjugate_norm,
     cond_companion,
@@ -258,6 +259,15 @@ class TestEigvectorFree:
         for route in (cond_eigvector_free, min_gap_bound):
             with pytest.raises(NotAnEigenvalueError):
                 route(p3.poly, p3.weights, big.indices[0], sp)
+
+    @pytest.mark.xfail(strict=True, reason="defect 1: the computed roots of (lam - 1)^3 lie about "
+                       "1e-5 apart and cluster as three simple eigenvalues (ROADMAP items 2 and 21)")
+    @pytest.mark.parametrize("i", range(3))
+    def test_triple_root_refused(self, i):
+        # each of the three "simple" roots reads 3.255e10 today
+        poly = MatrixPolynomial([[[-1.0]], [[3.0]], [[-3.0]], [[1.0]]])
+        with pytest.raises(PolycondError):
+            cond_eigvector_free(poly, WeightSet.from_coefficient_norms(poly), i, spectrum(poly))
 
     def test_index_out_of_range_rejected(self, p5):
         # 99 and -1 raised a bare IndexError, from spec.eigenvalues[i] in

@@ -355,8 +355,24 @@ class TestNorms:
         norms = [spectral_norm(A) for A in p5.poly.coeffs]
         assert p5.poly.coefficient_norms() == pytest.approx(norms)
 
-    def test_degree_zero_identity(self):
-        assert MatrixPolynomial([np.eye(2)]).coefficient_norms() == pytest.approx((1.0,))
+    def test_degree_zero_identity(self, monkeypatch):
+        poly = MatrixPolynomial([np.eye(2)])
+        # ||A_0|| is the kept leading singular value: no SVD
+        monkeypatch.setattr(np.linalg, "svd", None)
+        assert poly.coefficient_norms() == pytest.approx((1.0,))
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_leading_norm_kept_and_one_stacked_svd(self, monkeypatch, name):
+        # ||A_m|| is leading_singular_values[0]: only A_0..A_{m-1} go to the
+        # one stacked SVD, and the weights are bitwise those of one stacked
+        # SVD of all m + 1 coefficients
+        poly = load_fixture(name).poly
+        want = np.linalg.svd(poly.coeff_stack, compute_uv=False)[:, 0].tolist()
+        want[0] = want[0] or np.finfo(float).tiny
+        shapes, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **k: shapes.append(np.shape(a)) or svd(a, **k))
+        assert list(WeightSet.from_coefficient_norms(poly).weights) == want
+        assert shapes == [(poly.m, poly.n, poly.n)]
 
 
 class TestSingularValues:

@@ -70,6 +70,9 @@ ROWS = [
     ("WeightSet.eval-order", False, lambda s, v: s.p5.weights.eval(0.5, v)),
     ("ef_factors-z", False, lambda s, v: ef_factors(s.p5.poly, v)),
     ("linearization_residual-z", False, lambda s, v: linearization_residual(s.p5.poly, v)),
+    # a bool among numbers in a list, which NumPy would read as 0 or 1
+    ("linearization_residual-z[0]", False,
+     lambda s, v: linearization_residual(s.p5.poly, [v, 2.0])),
     ("cluster-tol", False, lambda s, v: cluster(s.spec.eigenvalues, v)),
     ("spectrum-cluster_tol", False, lambda s, v: spectrum(s.p5.poly, cluster_tol=v)),
     ("nearest_eigenvalue-lam", False, lambda s, v: nearest_eigenvalue(s.spec.eigenvalues, v)),
@@ -80,6 +83,8 @@ ROWS = [
     ("companion_vectors-lam", False, lambda s, v: companion_vectors(s.p5.poly, v, s.x, s.y)),
     ("validate_jordan_triple-samples", False,
      lambda s, v: validate_jordan_triple(s.p6.poly, s.p6.triple, v)),
+    ("validate_jordan_triple-samples[0]", False,
+     lambda s, v: validate_jordan_triple(s.p6.poly, s.p6.triple, [v, 2.0])),
     ("JordanBlock-eigenvalue", False, lambda s, v: JordanBlock(v, 1)),
     ("JordanBlock-size", False, lambda s, v: JordanBlock(1.0, v)),
     ("Spectrum.cluster_of-i", False, lambda s, v: s.spec.cluster_of(v)),

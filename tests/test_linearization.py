@@ -215,12 +215,13 @@ class TestStackedPoints:
     def test_nonfinite_points_rejected(self, p6):
         # ef_factors at an infinite point warned "invalid value encountered";
         # a string, an int beyond the float range and a ragged list raised
-        # complex()'s or NumPy's ValueError or OverflowError
+        # complex()'s or NumPy's ValueError or OverflowError, and NumPy read a
+        # bool inside a list as 0 or 1
         for z in (np.nan, complex(0.0, np.inf), [2.0, np.nan], np.inf):
             for call in (linearization_residual, ef_factors):
                 with pytest.raises(HypothesisViolationError, match="must be finite"):
                     call(p6.poly, z)
-        for z in ("a", 10 ** 400, [1, [2, 3]]):
+        for z in ("a", 10 ** 400, [1, [2, 3]], [np.array(True), 2.0], [[1.0], [np.False_]]):
             for call in (linearization_residual, ef_factors):
                 with pytest.raises(HypothesisViolationError) as exc:
                     call(p6.poly, z)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import polycond.core
 import polycond.perturb
+import polycond.spectra
 from helpers import (FIXTURE_NAMES, frame_defect_perturbation, load_fixture, random_polynomial,
                      random_unitary, reference_shift_samples, simple_eigenpairs, snap_vectors,
                      spectral_problem)
@@ -40,7 +41,8 @@ from polycond import (
     spectral_norm,
     spectrum,
 )
-from polycond.perturb import PAIRING_RTOL, _disc_count
+from polycond.perturb import PAIRING_RTOL
+from polycond.spectra import _count
 
 
 def count_calls(monkeypatch, *names):
@@ -495,11 +497,11 @@ class TestDefectPerturbation:
             r = PAIRING_RTOL * max(1.0, abs(lam))
             near = int(np.sum(np.abs(eigenvalues(q) - lam) < r))
             assert q.certificates == ("eigenvalue-pairing",) and near >= 2
-            assert _disc_count(q.coeff_stack, lam, r) in (near, None)
+            assert _count(q.coeff_stack, lam, r) in (near, None)
 
     def test_refused_count_is_reported(self, monkeypatch, p4):
         # with the count refused, the error names the disc and ends there
-        monkeypatch.setattr(polycond.perturb, "_disc_count", lambda *a: None)
+        monkeypatch.setattr(polycond.perturb, "_count", lambda *a: None)
         x, y = eig_vectors(p4.poly, -1.0)
         with pytest.raises(PolycondError, match="contour count of perturbed eigenvalues "
                                                 "within 1.000e-05 is refused$"):
@@ -519,7 +521,7 @@ class TestRankOneConstruction:
         returns how many were checked."""
         # certification is not under test here: with a count of 2 every
         # built perturbation is certified, so none is refused after it
-        mp.setattr(polycond.perturb, "_disc_count", lambda *a: 2)
+        mp.setattr(polycond.perturb, "_count", lambda *a: 2)
         checked = 0
         for _, lam, x, y in simple_eigenpairs(poly, spectrum(poly)):
             try:
@@ -605,34 +607,40 @@ class TestDiscCount:
         for k in range(min(3, n * m) + 1):
             r = rho * 20.0 ** (k - 0.5) * 1.5 ** 0.5
             assert int(np.sum(np.abs(vals - c) < r)) == k
-            assert _disc_count(poly.coeff_stack, c, r) == k
+            assert _count(poly.coeff_stack, c, r) == k
         # a circle through an eigenvalue, to within 1e-3 r, gives no count
         for v in vals:
             r = abs(v - c) * (1.0 + rng.uniform(-1e-3, 1e-3))
-            assert _disc_count(poly.coeff_stack, c, r) is None, (v, r)
+            assert _count(poly.coeff_stack, c, r) is None, (v, r)
 
     def test_aliased_integer_refused_by_sub_rule(self):
         # one root at a = 0.5^(1/16) on the unit circle's node ray: the 16-node
         # rule reads 1 / (1 - a^16) = 2 exactly, the 8-node one 3.41
         a = 0.5 ** (1 / 16)
         poly = MatrixPolynomial([[[-a]], [[1.0]]])
-        assert _disc_count(poly.coeff_stack, 0.0, 1.0) is None
-        assert _disc_count(poly.coeff_stack, 0.0, 4.0) == 1
+        assert _count(poly.coeff_stack, 0.0, 1.0) is None
+        assert _count(poly.coeff_stack, 0.0, 4.0) == 1
 
     def test_agreeing_non_integral_rules_refused(self):
         # roots a and a e^(i pi / 8), a^16 = 0.3: both rules read 2 / 0.7
         a = 0.3 ** (1 / 16)
         b = a * np.exp(1j * np.pi / 8)
         poly = MatrixPolynomial([[[a * b]], [[-(a + b)]], [[1.0]]])
-        assert _disc_count(poly.coeff_stack, 0.0, 1.0) is None
-        assert _disc_count(poly.coeff_stack, 0.0, 4.0) == 2
+        assert _count(poly.coeff_stack, 0.0, 1.0) is None
+        assert _count(poly.coeff_stack, 0.0, 4.0) == 2
 
     def test_singular_node_refused(self):
         # P(z) = z - 1 vanishes at the node z = c + r of the circle |z| = 1
         poly = MatrixPolynomial([[[-1.0]], [[1.0]]])
-        assert _disc_count(poly.coeff_stack, 0.0, 1.0) is None
-        assert _disc_count(poly.coeff_stack, 0.0, 0.5) == 0
-        assert _disc_count(poly.coeff_stack, 0.0, 2.0) == 1
+        assert _count(poly.coeff_stack, 0.0, 1.0) is None
+        assert _count(poly.coeff_stack, 0.0, 0.5) == 0
+        assert _count(poly.coeff_stack, 0.0, 2.0) == 1
+
+    @pytest.mark.xfail(strict=True, reason="defect 5: at half the gap the 16-node rule and its 8-node "
+                       "sub-rule differ by 2e-2; node doubling is ROADMAP item 21")
+    @pytest.mark.parametrize("name, centre, r, size", [("p3", -1.0, 1.0, 1), ("p6", 0.0, 0.5, 2)])
+    def test_honest_cluster_counted(self, name, centre, r, size):
+        assert _count(load_fixture(name).poly.coeff_stack, centre, r) == size
 
     def test_one_batched_evaluation(self, monkeypatch):
         # P and P' at all 16 nodes in one Horner call each per block of
@@ -643,14 +651,14 @@ class TestDiscCount:
             calls.append(("P" if len(coeffs) == 2 else "P'", np.shape(z)))
             return horner(coeffs, z)
 
-        horner = polycond.perturb._horner
-        monkeypatch.setattr(polycond.perturb, "_horner", logged)
-        assert _disc_count(MatrixPolynomial([[[-0.5]], [[1.0]]]).coeff_stack, 0.0, 1.0) == 1
+        horner = polycond.spectra._horner
+        monkeypatch.setattr(polycond.spectra, "_horner", logged)
+        assert _count(MatrixPolynomial([[[-0.5]], [[1.0]]]).coeff_stack, 0.0, 1.0) == 1
         assert sorted(calls) == [("P", (16,)), ("P'", (16,))]
         calls.clear()
         # one root at 0.5 inside |z| < 1, the other 49 at 4 outside it
         D = np.diag(np.r_[0.5, np.full(49, 4.0)])
-        assert _disc_count(MatrixPolynomial([-D, np.eye(50)]).coeff_stack, 0.0, 1.0) == 1
+        assert _count(MatrixPolynomial([-D, np.eye(50)]).coeff_stack, 0.0, 1.0) == 1
         assert sorted(calls) == sorted([("P", (6,)), ("P", (6,)), ("P", (4,)),
                                         ("P'", (6,)), ("P'", (6,)), ("P'", (4,))])
 
@@ -663,11 +671,11 @@ class TestDiscCount:
         poly, c, rho, _ = planted(11, 4, 2)
         cases = [(MatrixPolynomial([-D, np.eye(4)]).coeff_stack, 0.25, r) for r in (0.2, 0.5, 2.0)]
         cases += [(poly.coeff_stack, c, rho * 20.0 ** (k - 0.5) * 1.5 ** 0.5) for k in range(4)]
-        want = [_disc_count(*case) for case in cases]
+        want = [_count(*case) for case in cases]
         assert want == [0, None, 1, 0, 1, 2, 3]
         monkeypatch.setattr(polycond.core, "_BLOCK_BYTES", 16 * 16)
         assert len(polycond.core._blocks(16, 4)) == 16
-        assert [_disc_count(*case) for case in cases] == want
+        assert [_count(*case) for case in cases] == want
 
     def test_memory_is_one_block(self):
         # n = 200: one node per block; all 16 nodes' P(z), P'(z), the solve's
@@ -675,7 +683,7 @@ class TestDiscCount:
         poly = spectral_problem(3, 600, 200, 2)
         tracemalloc.start()
         try:
-            _disc_count(poly.coeff_stack, 0.0, 1.0)
+            _count(poly.coeff_stack, 0.0, 1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
