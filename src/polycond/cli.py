@@ -24,7 +24,7 @@ from dataclasses import asdict, is_dataclass
 import numpy as np
 
 from . import __version__
-from .core import MatrixPolynomial, WeightSet, _blocks
+from .core import MatrixPolynomial, WeightSet, _blocks, singular_values
 from .errors import HypothesisViolationError, PolycondError
 from .io import ProblemFile, _problem_doc, parse_problem
 from .spectra import (_require_simple, default_cluster_tol, eig_vectors, eigenvalues,
@@ -283,7 +283,7 @@ def cmd_verify(ctx: _Context, args) -> dict:
         pts = _sample_points(ctx.poly, args.points, args.seed)
         s = ctx.poly.leading_singular_values
         residual = linearization_residual(ctx.poly, pts)
-        norms = np.concatenate([np.linalg.svd(ctx.poly.eval(pts[b]), compute_uv=False)[:, 0]
+        norms = np.concatenate([singular_values(ctx.poly.eval(pts[b]))[:, 0]
                                 for b in _blocks(len(pts), ctx.poly.n)])
         thresh = RESIDUAL_TOL * (1.0 + norms) * float(s[0] / s[-1])
         worst = int(np.argmax(residual))    # the first point with the largest residual
@@ -339,7 +339,9 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
-def _add_common(p: argparse.ArgumentParser, eig: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser, run, eig: bool = False) -> None:
+    """The arguments every subcommand takes; run is the cmd_ function that serves it."""
+    p.set_defaults(run=run)
     p.add_argument("file", help="problem file (JSON)")
     p.add_argument("--weights", type=_float_list, default=None,
                    help="override weights: comma-separated w_0,...,w_m")
@@ -359,29 +361,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eig", help="eigenvalues and clusters")
-    _add_common(p)
+    _add_common(p, cmd_eig)
     p.add_argument("--cluster-tol", type=_positive_float, default=None)
 
     p = sub.add_parser("cond", help="condition number of a simple eigenvalue")
-    _add_common(p, eig=True)
+    _add_common(p, cmd_cond, eig=True)
 
     p = sub.add_parser("multi-cond", help="condition number of a multiple eigenvalue")
-    _add_common(p)
+    _add_common(p, cmd_multi_cond)
 
     p = sub.add_parser("dist", help="distance-to-multiplicity bound")
-    _add_common(p, eig=True)
+    _add_common(p, cmd_dist, eig=True)
 
     p = sub.add_parser("bounds", help="perturbed-eigenvalue location bounds")
     bsub = p.add_subparsers(dest="bound", required=True)
     for name in ("elsner", "bauer-fike", "compare"):
         bp = bsub.add_parser(name)
-        _add_common(bp)
+        _add_common(bp, cmd_bounds)
         bp.add_argument("--eps", type=_finite_float, required=True)
         bp.add_argument("--mu", nargs=2, type=_finite_float, required=True,
                         metavar=("RE", "IM"))
 
     p = sub.add_parser("pseudo", help="pseudospectrum grid and contours")
-    _add_common(p)
+    _add_common(p, cmd_pseudo)
     p.add_argument("--eps", type=_positive_float, required=True)
     p.add_argument("--box", nargs=4, type=_finite_float, required=True,
                    metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"))
@@ -394,10 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("perturb", help="admissible perturbations")
     psub = p.add_subparsers(dest="kind", required=True)
     dp = psub.add_parser("defect")
-    _add_common(dp, eig=True)
+    _add_common(dp, cmd_perturb, eig=True)
     dp.add_argument("--out", default=None, help="write the perturbed problem here")
     rp = psub.add_parser("random")
-    _add_common(rp)
+    _add_common(rp, cmd_perturb)
     rp.add_argument("--eps", type=_finite_float, required=True)
     rp.add_argument("--seed", type=_nonnegative_int, default=0)
     rp.add_argument("--stream", type=_nonnegative_int, default=0)
@@ -407,28 +409,11 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = p.add_subparsers(dest="check", required=True)
     for name, count in (("linearization", "--points"), ("triple", "--samples")):
         vp = vsub.add_parser(name)
-        _add_common(vp)
+        _add_common(vp, cmd_verify)
         vp.add_argument(count, type=_positive_int, default=20)
         vp.add_argument("--seed", type=_nonnegative_int, default=0)
 
     return ap
-
-
-_DISPATCH = {
-    "eig": cmd_eig,
-    "cond": cmd_cond,
-    "multi-cond": cmd_multi_cond,
-    "dist": cmd_dist,
-    "bounds": cmd_bounds,
-    "pseudo": cmd_pseudo,
-    "perturb": cmd_perturb,
-    "verify": cmd_verify,
-}
-
-
-def _param_echo(args) -> dict:
-    skip = {"command", "file", "weights"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
 
 
 def main(argv=None) -> int:
@@ -443,10 +428,11 @@ def main(argv=None) -> int:
             warnings.simplefilter("error", RuntimeWarning)
             try:
                 ctx = _Context(args)
-                result = _DISPATCH[args.command](ctx, args)
+                result = args.run(ctx, args)
             except RuntimeWarning as exc:
                 raise PolycondError(f"{_NON_FINITE}: {exc}")
-        doc = ctx.header(args.command, _param_echo(args))
+        doc = ctx.header(args.command, {k: v for k, v in vars(args).items()
+                                        if k not in ("command", "run", "file", "weights")})
         doc["result"] = result
         try:
             text = json.dumps(doc, indent=2, default=_jsonable, allow_nan=False)

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (MatrixPolynomial, WeightSet, _finite_point, _singular, _unit, _vector,
-                   singular_values, spectral_norm)
+from .core import (MatrixPolynomial, WeightSet, _finite_point, _finite_points, _singular, _unit,
+                   _vector, singular_values, spectral_norm)
 from .errors import (
     DefectiveEigenvalueError,
     DegenerateProblemError,
@@ -124,7 +124,7 @@ def cond_via_companion(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
     w(|lam|) / (||right|| ||left||) times the companion condition number."""
     weights.require_match(poly)
     lam = _finite_point(lam, "lam")
-    right, left = companion_vectors(poly, lam, _vector(x, poly.n, "x"), _vector(y, poly.n, "y"))
+    right, left = companion_vectors(poly, lam, x, y)
     k = cond_companion(right, left)
     return weights.eval(abs(lam)) / (float(np.linalg.norm(right)) * float(np.linalg.norm(left))) * k
 
@@ -141,8 +141,8 @@ def cond_multiple(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
     """
     weights.require_match(poly)
     lam = _finite_point(lam, "lam")
-    Xh = np.atleast_2d(np.asarray(right_vectors, dtype=complex))
-    Yh = np.atleast_2d(np.asarray(left_vectors, dtype=complex))
+    Xh = np.atleast_2d(_finite_points(right_vectors, "right_vectors"))
+    Yh = np.atleast_2d(_finite_points(left_vectors, "left_vectors"))
     n = poly.n
     if Xh.shape[0] != n or Yh.shape[1] != n:
         raise HypothesisViolationError(
@@ -170,9 +170,9 @@ def adjugate_norm(M) -> float:
     problems the product can overflow to inf or underflow to 0.  Anything but
     a square 2-D matrix raises HypothesisViolationError.
     """
-    shape = np.shape(M)
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise HypothesisViolationError(f"adjugate norm needs a square matrix, got shape {shape}")
+    M = _finite_points(M, "M")
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise HypothesisViolationError(f"adjugate norm needs a square matrix, got shape {M.shape}")
     return float(np.prod(_adjugate_factors(singular_values(M))))
 
 

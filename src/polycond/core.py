@@ -52,26 +52,21 @@ def as_complex_matrix(a, name: str = "matrix", square: bool = False) -> np.ndarr
 
 
 def singular_values(M) -> np.ndarray:
-    """Singular values of M in descending order.
-
-    The first entry is the spectral norm; for square M the last entry is
-    s_min, the distance to singularity.
-    """
+    """Singular values of M (of each matrix of a stack) in descending order,
+    the package's one values-only SVD.  The first entry is the spectral norm;
+    for square M the last entry is s_min, the distance to singularity."""
     return np.linalg.svd(np.asarray(M, dtype=complex), compute_uv=False)
 
 
 def spectral_norm(M) -> float:
-    """Largest singular value of M."""
-    M = np.asarray(M, dtype=complex)
-    if M.size == 0 or not M.any():
-        return 0.0
-    return float(np.linalg.svd(M, compute_uv=False)[0])
+    """Largest singular value of M; 0.0 for an empty matrix."""
+    return float(singular_values(M)[0]) if np.size(M) else 0.0
 
 
 def _spectral_norms(mats) -> tuple[float, ...]:
     """spectral_norm of each matrix of a stack (or sequence of equal-shaped
     matrices), bitwise, from one stacked SVD."""
-    return tuple(np.linalg.svd(np.asarray(mats), compute_uv=False)[:, 0].tolist())
+    return tuple(singular_values(mats)[:, 0].tolist())
 
 
 def _singular(s) -> bool:
@@ -331,9 +326,9 @@ def _require_real(value, name: str, positive: bool | None = False) -> float:
 
 
 def _vector(v, n: int, name: str) -> np.ndarray:
-    """v flattened to a complex vector; HypothesisViolationError naming it as
-    name unless it has n entries."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
+    """v flattened to a contiguous complex vector; HypothesisViolationError
+    naming it as name unless it has n entries."""
+    v = np.ascontiguousarray(v, dtype=complex).reshape(-1)
     if v.size != n:
         raise HypothesisViolationError(f"{name} must be a vector of n = {n} entries, got {v.size}")
     return v
@@ -348,9 +343,9 @@ def _unit(v, n: int, name: str) -> np.ndarray:
     return v / nv
 
 
-def _finite_points(z) -> np.ndarray:
-    """z as a complex array; HypothesisViolationError unless it holds only
-    finite numbers (no str, bytes or bool, in an array or anywhere in a sequence)."""
+def _finite_points(z, name: str = "points") -> np.ndarray:
+    """z as a complex array; HypothesisViolationError naming it as name unless it
+    holds only finite numbers (no str, bytes or bool, in an array or a sequence)."""
     try:
         if np.asarray(z).dtype.kind in "SUVb":
             raise TypeError
@@ -360,9 +355,9 @@ def _finite_points(z) -> np.ndarray:
             raise TypeError
         z = np.asarray(z, dtype=complex)
     except (TypeError, ValueError, OverflowError):
-        raise HypothesisViolationError(f"points must be finite numbers, got {z!r}") from None
+        raise HypothesisViolationError(f"{name} must be finite numbers, got {z!r}") from None
     if not np.isfinite(z).all():
-        raise HypothesisViolationError("points must be finite (no NaN/Inf)")
+        raise HypothesisViolationError(f"{name} must be finite (no NaN/Inf)")
     return z
 
 

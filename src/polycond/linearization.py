@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import MatrixPolynomial, _blocks, _finite_points
+from .core import MatrixPolynomial, _blocks, _finite_points, singular_values
 from .errors import InvalidPolynomialError
 
 __all__ = ["companion", "ef_factors", "linearization_residual"]
@@ -89,5 +89,5 @@ def linearization_residual(poly: MatrixPolynomial, z):
         # P(z) = E_1(z) z + A_0, the last Horner step of MatrixPolynomial.eval
         lhs[:, :n, :n] -= E[:, :n, :n] * zb + poly.coeffs[0]
         lhs[:, n:, n:] -= np.eye(nm - n)
-        out[b] = np.linalg.svd(lhs, compute_uv=False)[:, 0]
+        out[b] = singular_values(lhs)[:, 0]
     return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)

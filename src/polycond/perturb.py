@@ -199,7 +199,7 @@ def _draw(poly: MatrixPolynomial, eps: float, targets: np.ndarray, seed: int, st
         # in C order: re_0, im_0, re_1, im_1, ... over the drawn coefficients
         draws = perturbation_rng(seed, stream, attempt).standard_normal((len(drawn), 2, n, n))
         g = draws[:, 0] + 1j * draws[:, 1]
-        ng = np.linalg.svd(g, compute_uv=False)[:, 0]
+        ng = singular_values(g)[:, 0]
         if not ng.all():
             continue
         deltas = np.zeros(poly.coeff_stack.shape, dtype=complex)

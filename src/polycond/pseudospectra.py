@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (MatrixPolynomial, WeightSet, _blocks, _components, _empty, _finite_point, _is_int,
-                   _require_real)
+                   _require_real, singular_values)
 from .errors import ContainmentError, HypothesisViolationError
 
 __all__ = [
@@ -102,7 +102,7 @@ def _g_batch(poly: MatrixPolynomial, weights: WeightSet, z: np.ndarray) -> np.nd
     flat = z.reshape(-1)
     smin = np.empty(flat.shape)
     for b in _blocks(flat.size, poly.n):
-        smin[b] = np.linalg.svd(poly.eval(flat[b]), compute_uv=False)[:, -1]
+        smin[b] = singular_values(poly.eval(flat[b]))[:, -1]
     return smin.reshape(z.shape) / weights.eval(np.abs(z))
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (MatrixPolynomial, _blocks, _components, _derivative_coeffs, _finite_point,
-                   _finite_points, _horner, _is_int, _require_real, as_complex_matrix,
+                   _finite_points, _horner, _is_int, _require_real, _vector, as_complex_matrix,
                    singular_values, spectral_norm)
 from .errors import (
     EigensolverError,
@@ -116,21 +116,30 @@ def _eigensolve(stack: np.ndarray) -> np.ndarray:
 
 
 def _count(stack: np.ndarray, centre: complex, r: float):
-    """Eigenvalues in |z - centre| < r of P with coefficient stack A_0..A_m, by the 16-node
-    trapezoid rule for (1/2 pi i) times the integral of tr(P^{-1} P') dz on the circle;
-    None if a node solve is singular or the count is off an integer or its even-node
-    (8-node) sub-rule by more than 1e-2.  Nodes are solved in the blocks of core._blocks."""
-    dz = r * np.exp(2j * np.pi * np.arange(16) / 16)
-    z = centre + dz
+    """Eigenvalues in |z - centre| < r of P with coefficient stack A_0..A_m, by the trapezoid
+    rule for (1/2 pi i) times the integral of tr(P^{-1} P') dz on the circle: 16 nodes, doubled
+    up to 128 (each old node kept, a new one between each two) while the rule and its half-rule
+    on the even nodes differ by more than 1e-2.  None if a node solve is singular or the last
+    rule is off an integer or its half-rule by more than 1e-2.  Nodes are solved in the blocks
+    of core._blocks."""
     dstack = _derivative_coeffs(stack, 1)
-    terms = np.empty(16, dtype=complex)
-    try:
-        for b in _blocks(16, stack.shape[1]):
-            terms[b] = dz[b] * np.trace(np.linalg.solve(_horner(stack, z[b]), _horner(dstack, z[b])),
-                                        axis1=1, axis2=2)
-    except np.linalg.LinAlgError:
-        return None
-    full, half = np.mean(terms), np.mean(terms[::2])
+    terms = None
+    for nodes in (16, 32, 64, 128):
+        k = np.arange(nodes) if terms is None else np.arange(1, nodes, 2)
+        dz = r * np.exp(2j * np.pi * k / nodes)
+        z = centre + dz
+        new = np.empty(len(k), dtype=complex)
+        try:
+            for b in _blocks(len(k), stack.shape[1]):
+                P, Pp = _horner(stack, z[b]), _horner(dstack, z[b])
+                new[b] = dz[b] * np.trace(np.linalg.solve(P, Pp), axis1=1, axis2=2)
+        except np.linalg.LinAlgError:
+            return None
+        # the old nodes are the even nodes of the doubled rule
+        terms = new if terms is None else np.column_stack([terms, new]).reshape(-1)
+        full, half = np.mean(terms), np.mean(terms[::2])
+        if abs(half - full) <= 1e-2:
+            break
     count = np.rint(full.real)
     return int(count) if abs(full - count) <= 1e-2 and abs(half - full) <= 1e-2 else None
 
@@ -143,13 +152,20 @@ def eigenvalues(poly: MatrixPolynomial) -> np.ndarray:
     return out
 
 
+def _values(values) -> np.ndarray:
+    """values as a 1-D complex array of finite numbers (core._finite_points)."""
+    if (v := _finite_points(values, "values")).ndim != 1:
+        raise HypothesisViolationError(f"values must be one-dimensional, got ndim={v.ndim}")
+    return v
+
+
 def cluster(values, tol: float) -> tuple[EigenvalueCluster, ...]:
     """Partition indices by the transitive closure of |v_i - v_j| <= tol.
 
     Cluster centers are means; clusters are ordered canonically by center.
     """
     tol = _require_real(tol, "clustering tolerance", positive=True)
-    v = np.asarray(values, dtype=complex)
+    v = _values(values)
     k = len(v)
     # |v_i - v_j| <= tol implies the real parts are within 2 tol: sort on the
     # real part and test each position against the window that follows it
@@ -174,7 +190,7 @@ def cluster(values, tol: float) -> tuple[EigenvalueCluster, ...]:
 
 def default_cluster_tol(values) -> float:
     """1e-6 times max(1, spectral radius), the scale-aware default."""
-    v = np.asarray(values, dtype=complex)
+    v = _values(values)
     radius = float(np.max(np.abs(v))) if len(v) else 0.0
     return 1e-6 * max(1.0, radius)
 
@@ -188,7 +204,7 @@ def spectrum(poly: MatrixPolynomial, cluster_tol: float | None = None) -> Spectr
 
 def nearest_eigenvalue(values, lam: complex, tol: float | None = None) -> int:
     """Index of the computed eigenvalue nearest lam; error if farther than tol."""
-    v = np.asarray(values, dtype=complex)
+    v = _values(values)
     if len(v) == 0:
         raise NotAnEigenvalueError("the spectrum is empty")
     lam = _finite_point(lam, "lam")
@@ -246,7 +262,7 @@ def eig_vectors(poly: MatrixPolynomial, lam: complex, tol: float | None = None,
     P(lam0) that _svds_at memoises, so ||P(lam0) x|| = s_min(P(lam0)).
     """
     lam = _finite_point(lam, "lam")     # before the eigensolve
-    vals = eigenvalues(poly) if values is None else np.asarray(values, dtype=complex)
+    vals = eigenvalues(poly) if values is None else _values(values)
     pair = _svds_at(poly, vals[nearest_eigenvalue(vals, lam, tol)])
     return pair.x.copy(), pair.y.copy()
 
@@ -255,12 +271,11 @@ def companion_vectors(poly: MatrixPolynomial, lam: complex, x: np.ndarray,
                       y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(right, left) eigenvectors of the companion matrix synthesized from an
     eigenpair (x, y) of P: right = [x; lam x; ...; lam^{m-1} x], left with
-    blocks E_r(lam)* y; they satisfy left* right = y* P'(lam) x.  The vectors
-    are taken as contiguous arrays, so the result depends on their values
+    blocks E_r(lam)* y; they satisfy left* right = y* P'(lam) x.  x and y must
+    have n entries each (core._vector), and the result depends on their values
     only, not on their memory layout."""
     lam = _finite_point(lam, "lam")
-    x = np.ascontiguousarray(x, dtype=complex).reshape(-1)
-    y = np.ascontiguousarray(y, dtype=complex).reshape(-1)
+    x, y = _vector(x, poly.n, "x"), _vector(y, poly.n, "y")
     return (np.concatenate([lam ** r * x for r in range(poly.m)]),
             np.concatenate([E.conj().T @ y for E in poly.e_blocks(lam)]))
 
@@ -314,8 +329,7 @@ class JordanTriple:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "Y", Y)
-        Q = self.stacked()
-        s = singular_values(Q)
+        s = singular_values(self.stacked())
         if s[-1] <= 1e-10 * s[0]:
             raise InvalidTripleError(
                 "stacked matrix [X; XJ; ...] is numerically singular "
@@ -389,13 +403,16 @@ def validate_jordan_triple(poly: MatrixPolynomial, triple: JordanTriple,
     J, ratios = triple.J, []
     for b in _blocks(len(z), triple.size):
         M = poly.eval(z[b])
-        s = np.linalg.svd(M, compute_uv=False)
+        s = singular_values(M)
         far = s[:, -1] > NEAR_SPECTRUM_RTOL * s[:, 0]
         zf, Pinv = z[b][far], np.linalg.inv(M[far])
+        if (on_j := zf[np.isin(zf, [blk.eigenvalue for blk in triple.blocks])]).size:
+            raise InvalidTripleError(
+                f"sample {on_j[0]} is an eigenvalue of the triple's J but not of P")
         zI = zf[:, np.newaxis, np.newaxis] * np.eye(triple.size)
         # Y as a stack of one matrix, which NumPy 1.x would otherwise read as vectors
         resolvent = triple.X @ np.linalg.solve(zI - J, triple.Y[np.newaxis])
-        norms = np.linalg.svd(np.concatenate([Pinv - resolvent, Pinv]), compute_uv=False)[:, 0]
+        norms = singular_values(np.concatenate([Pinv - resolvent, Pinv]))[:, 0]
         ratios.append(norms[:len(zf)] / norms[len(zf):])
     if not any(r.size for r in ratios):
         raise HypothesisViolationError(

@@ -447,8 +447,9 @@ class TestPerturb:
         gaps = np.sort(np.abs(eigenvalues(q.poly) + 1.0))
         assert gaps[1] <= 1e-5
 
-    @pytest.mark.xfail(strict=True, reason="defect 2: the perturbed pair splits by 1.09e-5, and the "
-                       "16-node count within 1e-5 is refused (ROADMAP items 2 and 21)")
+    @pytest.mark.xfail(strict=True, reason="defect 2: the perturbed pair splits by 1.09e-5, and at "
+                       "every node of the fixed 1e-5 circle P + Delta is singular to working precision, "
+                       "so the count is refused; a disc radius from kappa eta is ROADMAP item 2")
     def test_defect_certified_on_p3(self, capsys):
         res = run_ok(capsys, "perturb", "defect", P3, "--eig", "-1", "0")["result"]
         assert res["certificates"] == ["eigenvalue-pairing"]

@@ -261,7 +261,8 @@ class TestEigvectorFree:
                 route(p3.poly, p3.weights, big.indices[0], sp)
 
     @pytest.mark.xfail(strict=True, reason="defect 1: the computed roots of (lam - 1)^3 lie about "
-                       "1e-5 apart and cluster as three simple eigenvalues (ROADMAP items 2 and 21)")
+                       "1e-5 apart and cluster as three simple eigenvalues; the disc count that "
+                       "witnesses it is there, the resolution rule is ROADMAP item 2")
     @pytest.mark.parametrize("i", range(3))
     def test_triple_root_refused(self, i):
         # each of the three "simple" roots reads 3.255e10 today

@@ -1,9 +1,11 @@
 """Polynomial evaluation, derivatives, norms, the weight polynomial, the
 per-point SVD record, and connected components."""
 
+import ast
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from helpers import FIXTURE_NAMES, load_fixture, naive_derivative, naive_eval, naive_weight, svd2_closed_form
+import polycond
 from polycond import (
     HypothesisViolationError,
     InvalidPolynomialError,
@@ -398,6 +401,87 @@ class TestSingularValues:
             U, sd, Vh = np.linalg.svd(M)
             assert np.allclose(s, sd)
             assert spectral_norm(M - (U * sd) @ Vh) <= 1e-10 * spectral_norm(M)
+
+    def test_stack_matches_each_matrix(self, rng):
+        A = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+        got = singular_values(A)
+        assert got.shape == (5, 3)
+        for k in range(5):
+            assert got[k].tobytes() == singular_values(A[k]).tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (2, 5)])
+    def test_zero_matrix_norm_is_positive_zero_from_one_svd(self, monkeypatch, shape):
+        calls, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **k: calls.append(1) or svd(a, **k))
+        got = spectral_norm(np.zeros(shape))
+        assert got == 0.0 and not np.signbit(got) and calls == [1]
+
+    def test_empty_matrix_norm_is_zero_without_svd(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "svd", None)
+        assert spectral_norm(np.zeros((0, 0))) == 0.0
+        assert spectral_norm(np.zeros((3, 0))) == 0.0
+
+
+# (module.function, routine): every numpy.linalg factorization that the
+# package may call, at its one owner
+FACTORIZATION_OWNERS = sorted([
+    ("core.singular_values", "svd"),
+    ("spectra._svds_at", "svd"),
+    ("spectra._eigensolve", "eigvals"),
+    ("core.MatrixPolynomial.log_abs_det_leading", "slogdet"),
+])
+_FACTORIZATIONS = {"svd", "eig", "eigh", "eigvals", "eigvalsh", "slogdet", "det", "pinv",
+                   "matrix_rank", "lstsq", "cond"}
+
+
+def _factorization_references() -> list[tuple[str, str]]:
+    """(enclosing module.class.function, routine) for each reference to a
+    numpy.linalg factorization under src/polycond: an attribute of a `linalg`
+    object, a name imported from a linalg module, and np.linalg.norm of order
+    2 or -2, which takes an SVD."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in _FACTORIZATIONS:
+                owner = child.value
+                if getattr(owner, "attr", getattr(owner, "id", None)) == "linalg":
+                    found.append((scope, child.attr))
+            elif isinstance(child, ast.ImportFrom) and "linalg" in (child.module or ""):
+                found.extend((scope, a.name) for a in child.names if a.name in _FACTORIZATIONS)
+            elif (isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "norm"
+                  and any(ast.unparse(a) in ("2", "-2")
+                          for a in child.args[1:2] + [k.value for k in child.keywords if k.arg == "ord"])):
+                found.append((scope, "svd"))
+            visit(child, scope)
+
+    for path in sorted(Path(polycond.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return sorted(found)
+
+
+class TestFactorizationOwners:
+    def test_one_owner_per_factorization(self):
+        # core.singular_values takes every values-only SVD, spectra._svds_at
+        # the one full SVD, spectra._eigensolve the one eigensolve
+        assert _factorization_references() == FACTORIZATION_OWNERS
+
+    def test_finds_every_form_of_reference(self, tmp_path, monkeypatch):
+        (tmp_path / "mod.py").write_text(
+            "import numpy as np\n"
+            "from numpy.linalg import eig\n"
+            "class K:\n"
+            "    def f(self, M):\n"
+            "        return np.linalg.svd(M), np.linalg.norm(M, 2), np.linalg.norm(M, ord=-2)\n"
+            "def g(M, args):\n"
+            "    return np.linalg.norm(M), args.eig, np.linalg.solve(M, M)\n",
+            encoding="utf-8")
+        monkeypatch.setattr(polycond, "__file__", str(tmp_path / "__init__.py"))
+        assert _factorization_references() == [("mod", "eig"), ("mod.K.f", "svd"),
+                                                ("mod.K.f", "svd"), ("mod.K.f", "svd")]
 
 
 class TestSingularValuesAt:

@@ -1,4 +1,4 @@
-"""One intake rule for every public scalar parameter.
+"""One intake rule for every public scalar and array parameter.
 
 Each parameter is fed NaN, +-inf, -1, "a", "4", b"4", True, 10**400, a list
 and None.  The call must raise a PolycondError or return only finite values,
@@ -7,6 +7,8 @@ taken for a number.  A count, a size the call allocates or loops over, gets
 only 10**400, 2**63 and 2**62, which must be refused before anything is
 allocated: NumPy refuses an array of 2**62 floats by arithmetic alone (a
 count that a machine might try to allocate, such as 2**40, stays untested).
+An array parameter gets a str, a bool, NaN and +-inf entry and one dimension
+too many, each refused with HypothesisViolationError.
 """
 
 from __future__ import annotations
@@ -18,14 +20,15 @@ import numpy as np
 import pytest
 
 from polycond import (HypothesisViolationError, JordanBlock, PolycondError, PseudoGrid, WeightSet,
-                      bauer_fike_bound, bound_comparator, boundedness_check, cluster, companion_vectors,
-                      component_vertices, cond_eigvector_free, cond_multiple, cond_simple,
+                      adjugate_norm, bauer_fike_bound, bound_comparator, boundedness_check, cluster,
+                      companion_vectors, component_vertices, cond_eigvector_free, cond_multiple, cond_simple,
                       cond_via_companion, contours, defect_perturbation, disc_deviation,
                       dist_mult_bound, dist_mult_bound_adj, ef_factors, eig_vectors,
                       eigenvalue_shift_samples, elsner_bound, fitted_radius, grid_eval,
                       is_admissible, linearization_residual, min_gap_bound, nearest_eigenvalue,
                       perturbation_rng, random_perturbation, spectrum, sublevel_component_count,
                       validate_jordan_triple)
+from polycond.spectra import default_cluster_tol
 
 BAD = [float("nan"), float("inf"), float("-inf"), -1, "a", "4", b"4", True, 10 ** 400, [1, 2, 3],
        None]
@@ -177,6 +180,45 @@ def test_bad_scalar_refused_or_finite(s, count, call):
             continue
         assert not isinstance(v, (str, bytes, bool)), f"{v!r} was taken for a number"
         assert _finite(out), f"{v!r} gave a value that is not finite: {out!r}"
+
+
+# (parameter, a valid array for it, call with the array v in its place)
+ARRAY_ROWS = [
+    ("cluster-values", lambda s: s.spec.eigenvalues.tolist(), lambda s, v: cluster(v, 1e-6)),
+    ("default_cluster_tol-values", lambda s: s.spec.eigenvalues.tolist(),
+     lambda s, v: default_cluster_tol(v)),
+    ("nearest_eigenvalue-values", lambda s: s.spec.eigenvalues.tolist(),
+     lambda s, v: nearest_eigenvalue(v, 4.0)),
+    ("eig_vectors-values", lambda s: s.spec.eigenvalues.tolist(),
+     lambda s, v: eig_vectors(s.p5.poly, 4.0, values=v)),
+    ("cond_multiple-right_vectors", lambda s: s.x[:, None].tolist(),
+     lambda s, v: cond_multiple(s.p5.poly, s.p5.weights, 4.0, v, s.y.conj()[None])),
+    ("cond_multiple-left_vectors", lambda s: s.y.conj()[None].tolist(),
+     lambda s, v: cond_multiple(s.p5.poly, s.p5.weights, 4.0, s.x[:, None], v)),
+    ("adjugate_norm-M", lambda s: s.p5.poly.eval(4.0).tolist(), lambda s, v: adjugate_norm(v)),
+]
+
+
+def _spoiled(valid) -> list:
+    """valid with its first entry a str, a bool, NaN, inf and -inf in turn, and
+    valid inside one more dimension."""
+    out = []
+    for bad in ("a", True, float("nan"), float("inf"), float("-inf")):
+        a = np.array(valid, dtype=object)
+        a.flat[0] = bad
+        out.append(a.tolist())
+    return out + [[valid]]
+
+
+@pytest.mark.parametrize("valid, call", [row[1:] for row in ARRAY_ROWS],
+                         ids=[row[0] for row in ARRAY_ROWS])
+def test_bad_array_entry_refused(s, valid, call):
+    # a str leaked ValueError, a nested list IndexError or TypeError, NaN in
+    # a matrix LinAlgError, and a bool was read as 1
+    call(s, valid(s))
+    for v in _spoiled(valid(s)):
+        with pytest.raises(HypothesisViolationError):
+            call(s, v)
 
 
 def test_count_numpy_cannot_allocate_refused_by_name(s):

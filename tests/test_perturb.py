@@ -636,11 +636,55 @@ class TestDiscCount:
         assert _count(poly.coeff_stack, 0.0, 0.5) == 0
         assert _count(poly.coeff_stack, 0.0, 2.0) == 1
 
-    @pytest.mark.xfail(strict=True, reason="defect 5: at half the gap the 16-node rule and its 8-node "
-                       "sub-rule differ by 2e-2; node doubling is ROADMAP item 21")
+    # at half the gap the 16-node rule and its 8-node sub-rule differ by 2e-2;
+    # 32 nodes settle both
     @pytest.mark.parametrize("name, centre, r, size", [("p3", -1.0, 1.0, 1), ("p6", 0.0, 0.5, 2)])
     def test_honest_cluster_counted(self, name, centre, r, size):
         assert _count(load_fixture(name).poly.coeff_stack, centre, r) == size
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_every_fixture_cluster_counted_at_half_the_gap(self, name):
+        # p3: 1 and 5; p4 and p5: 1 each; p6: 2, 2 and 2
+        poly = load_fixture(name).poly
+        sp = spectrum(poly)
+        for c in sp.clusters:
+            r = np.min(np.abs(np.delete(sp.eigenvalues, c.indices) - c.center)) / 2
+            assert _count(poly.coeff_stack, c.center, r) == c.size, c
+
+    def test_triple_root_witness(self):
+        # a disc of radius 10 kappa eta around each computed root of
+        # (lam - 1)^3, eta = s_min(P(lam)) / w(|lam|) the backward error,
+        # holds all 3 eigenvalues: the roots are not resolved
+        poly = MatrixPolynomial([[[-1.0]], [[3.0]], [[-3.0]], [[1.0]]])
+        w = WeightSet.from_coefficient_norms(poly)
+        sp = spectrum(poly)
+        for i, lam in enumerate(sp.eigenvalues):
+            eta = singular_values(poly.eval(complex(lam)))[-1] / w.eval(abs(lam))
+            r = 10 * cond_eigvector_free(poly, w, i, sp) * eta
+            assert 1e-6 < r < 1e-4
+            assert _count(poly.coeff_stack, lam, r) == 3
+
+    def _nodes(self, monkeypatch, *args):
+        """(_count(*args), the number of nodes at which it evaluated P)."""
+        sizes = []
+
+        def logged(coeffs, z):
+            if len(coeffs) == len(args[0]):
+                sizes.append(np.size(z))
+            return horner(coeffs, z)
+
+        horner = polycond.spectra._horner
+        monkeypatch.setattr(polycond.spectra, "_horner", logged)
+        return _count(*args), sum(sizes)
+
+    def test_nodes_doubled_only_while_rules_differ(self, monkeypatch):
+        # a count the 16-node rule grants stops there; p3's -1 takes 16 more
+        # nodes; the aliased root is refused after 16 + 16 + 32 + 64 = 128
+        assert self._nodes(monkeypatch, MatrixPolynomial([[[-0.5]], [[1.0]]]).coeff_stack,
+                           0.0, 1.0) == (1, 16)
+        assert self._nodes(monkeypatch, load_fixture("p3").poly.coeff_stack, -1.0, 1.0) == (1, 32)
+        aliased = MatrixPolynomial([[[-0.5 ** (1 / 16)]], [[1.0]]]).coeff_stack
+        assert self._nodes(monkeypatch, aliased, 0.0, 1.0) == (None, 128)
 
     def test_one_batched_evaluation(self, monkeypatch):
         # P and P' at all 16 nodes in one Horner call each per block of

@@ -246,6 +246,15 @@ class TestCompanionVectors:
                 rhs = y.conj() @ poly.eval_derivative(lam, 1) @ x
                 assert abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1e-30)
 
+    def test_vectors_of_n_entries_required(self, p5):
+        # n = 2: an x of 3 entries gave a right vector of 6, a y of 3 a left one of 6
+        x, y = eig_vectors(p5.poly, 4.0)
+        for args, name, size in (((np.r_[x, 1.0], y), "x", 3), ((x, np.r_[y, 1.0]), "y", 3),
+                                 ((x[:1], y), "x", 1)):
+            with pytest.raises(HypothesisViolationError) as exc:
+                companion_vectors(p5.poly, 4.0, *args)
+            assert str(exc.value) == f"{name} must be a vector of n = 2 entries, got {size}"
+
     def test_depends_on_values_not_layout(self):
         # y as a strided column view of U and as a contiguous copy of it: the
         # (50, 4) problem of the spectral benchmark, where E_r(lam)* @ y once
@@ -369,6 +378,17 @@ class TestTripleValidationReference:
             got = validate_jordan_triple(pf.poly, pf.triple, z)
             want = reference_validate_jordan_triple(pf.poly, pf.triple, z)
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), (k, on)
+
+    def test_sample_on_a_wrong_eigenvalue_refused(self, p6):
+        # every block eigenvalue moved by 7: at 7 P is far from singular, and
+        # zI - J is exactly singular; the solve leaked LinAlgError
+        t = p6.triple
+        moved = JordanTriple(t.X, [JordanBlock(b.eigenvalue + 7, b.size) for b in t.blocks], t.Y)
+        for samples in ([7 + 0j], [2.0, 7.0, 3j]):
+            with pytest.raises(InvalidTripleError) as exc:
+                validate_jordan_triple(p6.poly, moved, samples)
+            assert str(exc.value) == "sample (7+0j) is an eigenvalue of the triple's J but not of P"
+        assert validate_jordan_triple(p6.poly, moved, [2.0, 3j]) > 1e-2
 
     def test_twenty_samples_take_two_svds(self, p3, monkeypatch):
         svd, calls = np.linalg.svd, []
