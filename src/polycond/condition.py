@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (MatrixPolynomial, WeightSet, _finite_point, _finite_points, _singular, _unit,
-                   _vector, singular_values, spectral_norm)
+from .core import (MatrixPolynomial, WeightSet, _finite_point, _finite_points, _singular, _vector,
+                   singular_values, spectral_norm)
 from .errors import (
     DefectiveEigenvalueError,
     DegenerateProblemError,
@@ -57,9 +57,10 @@ def _eigenpair(poly: MatrixPolynomial, weights: WeightSet, lam: complex, x: np.n
                y: np.ndarray) -> tuple[complex, np.ndarray, np.ndarray]:
     """The intake of the routes that work in the frame of an eigenpair: weights
     matched to poly, then lam as a finite Python complex and x, y as unit
-    vectors of n entries (core._unit)."""
+    vectors, scaled from nonzero vectors of n entries (core._vector)."""
     weights.require_match(poly)
-    return _finite_point(lam, "lam"), _unit(x, poly.n, "x"), _unit(y, poly.n, "y")
+    lam, x, y = _finite_point(lam, "lam"), _vector(x, poly.n, "x"), _vector(y, poly.n, "y")
+    return lam, x / np.linalg.norm(x), y / np.linalg.norm(y)
 
 
 def _derivative_frame(poly: MatrixPolynomial, lam: complex, x: np.ndarray, y: np.ndarray):
@@ -97,9 +98,7 @@ def cond_simple(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
     """Condition number of a simple eigenvalue from its unit eigenvectors:
     w(|lam|) ||x|| ||y|| / |y* P'(lam) x|."""
     weights.require_match(poly)
-    x = _vector(x, poly.n, "x")
-    y = _vector(y, poly.n, "y")
-    lam = _finite_point(lam, "lam")
+    lam, x, y = _finite_point(lam, "lam"), _vector(x, poly.n, "x"), _vector(y, poly.n, "y")
     Pp = poly.eval_derivative(lam)
     delta = _coupling(Pp, _svds_at(poly, lam).sp[0], lam, x, y)
     w = weights.eval(abs(lam))
@@ -109,6 +108,10 @@ def cond_simple(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
 def cond_companion(right: np.ndarray, left: np.ndarray) -> float:
     """Condition number of the eigenvalue in the companion matrix, from its
     right and left eigenvectors: ||right|| ||left|| / |left* right|."""
+    right, left = _finite_points(right, "right"), _finite_points(left, "left")
+    if right.ndim != 1 or left.shape != right.shape:
+        raise HypothesisViolationError(
+            f"right and left must be vectors of one length, got shapes {right.shape} and {left.shape}")
     n_right, n_left = float(np.linalg.norm(right)), float(np.linalg.norm(left))
     coupling = abs(complex(left.conj() @ right))
     if coupling <= DEFECT_RTOL * n_right * n_left:

@@ -35,18 +35,12 @@ _BLOCK_BYTES = 2 ** 18      # see _blocks
 
 
 def as_complex_matrix(a, name: str = "matrix", square: bool = False) -> np.ndarray:
-    """Validate and convert input to a read-only complex128 2-D array."""
-    try:
-        M = np.asarray(a, dtype=complex)
-    except (TypeError, ValueError) as exc:      # ragged, or an entry that is no number
-        raise InvalidPolynomialError(f"{name}: expected a matrix of numbers ({exc})") from None
+    """a as a read-only complex128 2-D copy, read by _finite_points (InvalidPolynomialError)."""
+    M = _finite_points(a, name, InvalidPolynomialError).copy()
     if M.ndim != 2:
         raise InvalidPolynomialError(f"{name}: expected a 2-D matrix, got ndim={M.ndim}")
     if square and M.shape[0] != M.shape[1]:
         raise InvalidPolynomialError(f"{name}: expected a square matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise InvalidPolynomialError(f"{name}: entries must be finite (no NaN/Inf)")
-    M = M.copy()
     M.flags.writeable = False
     return M
 
@@ -54,19 +48,30 @@ def as_complex_matrix(a, name: str = "matrix", square: bool = False) -> np.ndarr
 def singular_values(M) -> np.ndarray:
     """Singular values of M (of each matrix of a stack) in descending order,
     the package's one values-only SVD.  The first entry is the spectral norm;
-    for square M the last entry is s_min, the distance to singularity."""
-    return np.linalg.svd(np.asarray(M, dtype=complex), compute_uv=False)
+    for square M the last entry is s_min, the distance to singularity.  A complex
+    ndarray (every internal caller's) is checked by the result, any other M by _finite_points."""
+    M = M if isinstance(M, np.ndarray) and M.dtype == complex else _finite_points(M, "M")
+    try:
+        s = np.linalg.svd(M, compute_uv=False)
+        if not np.isnan(s).any():       # an infinite entry gives NaN singular values
+            return s
+    except np.linalg.LinAlgError:       # a NaN entry, or fewer than two dimensions
+        pass
+    raise HypothesisViolationError(f"M must be a matrix or stack of finite numbers, got shape {M.shape}")
 
 
 def spectral_norm(M) -> float:
-    """Largest singular value of M; 0.0 for an empty matrix."""
-    return float(singular_values(M)[0]) if np.size(M) else 0.0
+    """Largest singular value of the matrix M; 0.0 for an empty matrix."""
+    M = M if isinstance(M, np.ndarray) else _finite_points(M, "M")
+    if M.ndim != 2:
+        raise HypothesisViolationError(f"M must be a matrix, got ndim={M.ndim}")
+    return float(singular_values(M)[0]) if M.size else 0.0
 
 
 def _spectral_norms(mats) -> tuple[float, ...]:
-    """spectral_norm of each matrix of a stack (or sequence of equal-shaped
-    matrices), bitwise, from one stacked SVD."""
-    return tuple(singular_values(mats)[:, 0].tolist())
+    """spectral_norm of each matrix of a stack (or sequence of equal-shaped complex
+    matrices, checked already and stacked as they are), bitwise, from one stacked SVD."""
+    return tuple(singular_values(np.asarray(mats))[:, 0].tolist())
 
 
 def _singular(s) -> bool:
@@ -223,9 +228,9 @@ class WeightSet:
         """w^(order)(r) for finite r >= 0 and every order >= 0: w(r) > 0 at order 0,
         zero above the degree; a NumPy array of r gives the array of values."""
         if isinstance(r, np.ndarray):
-            x = np.asarray(r, dtype=float)
-            if not ((x >= 0) & np.isfinite(x)).all():
+            if (x := _finite_points(r, "r")).imag.any() or (x.real < 0).any():
                 raise HypothesisViolationError("r must hold finite nonnegative numbers")
+            x = x.real
         else:
             x = _require_real(r, "r")
         return _horner(_derivative_coeffs(self.weights, order), x)
@@ -326,38 +331,34 @@ def _require_real(value, name: str, positive: bool | None = False) -> float:
 
 
 def _vector(v, n: int, name: str) -> np.ndarray:
-    """v flattened to a contiguous complex vector; HypothesisViolationError
-    naming it as name unless it has n entries."""
-    v = np.ascontiguousarray(v, dtype=complex).reshape(-1)
-    if v.size != n:
-        raise HypothesisViolationError(f"{name} must be a vector of n = {n} entries, got {v.size}")
-    return v
-
-
-def _unit(v, n: int, name: str) -> np.ndarray:
-    """v / ||v|| for a nonzero vector v of n entries (_vector)."""
-    v = _vector(v, n, name)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
+    """v as a contiguous complex vector (_finite_points); HypothesisViolationError
+    naming it as name unless it is one-dimensional, of n entries and nonzero."""
+    v = _finite_points(v, name)
+    if v.shape != (n,):
+        raise HypothesisViolationError(
+            f"{name} must be a vector of n = {n} entries, got {v.size if v.ndim == 1 else v.shape}")
+    if not v.any():
         raise HypothesisViolationError(f"{name} must be a nonzero vector")
-    return v / nv
+    return np.ascontiguousarray(v)
 
 
-def _finite_points(z, name: str = "points") -> np.ndarray:
-    """z as a complex array; HypothesisViolationError naming it as name unless it
-    holds only finite numbers (no str, bytes or bool, in an array or a sequence)."""
+def _finite_points(z, name: str = "points", error=HypothesisViolationError) -> np.ndarray:
+    """z as a complex array, the one conversion of a caller's array: error naming it as name
+    unless it holds only finite numbers (no str, bytes or bool).  A matrix reader's error
+    class (not HypothesisViolationError) gets the words "name: expected a matrix of numbers"."""
+    matrix = error is not HypothesisViolationError
     try:
-        if np.asarray(z).dtype.kind in "SUVb":
-            raise TypeError
-        # NumPy reads a bool among numbers as 0 or 1: look at a sequence's items
-        if not isinstance(z, np.ndarray) and any(np.asarray(v).dtype.kind == "b"
-                                                 for v in np.asarray(z, dtype=object).flat):
-            raise TypeError
+        a = z if isinstance(z, np.ndarray) else np.asarray(z, dtype=object)
+        # NumPy reads a bool among numbers as 0 or 1: read an object array's items
+        if a.dtype.kind in "SUVb" or a.dtype.kind == "O" and any(np.asarray(v).dtype.kind in "SUVb"
+                for v in a.flat if type(v) not in (int, float, complex)):
+            raise TypeError("an entry is a str, bytes or bool")
         z = np.asarray(z, dtype=complex)
-    except (TypeError, ValueError, OverflowError):
-        raise HypothesisViolationError(f"{name} must be finite numbers, got {z!r}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{name}: expected a matrix of numbers ({exc})" if matrix
+                    else f"{name} must be finite numbers, got {z!r}") from None
     if not np.isfinite(z).all():
-        raise HypothesisViolationError(f"{name} must be finite (no NaN/Inf)")
+        raise error(f"{name}{': entries' if matrix else ''} must be finite (no NaN/Inf)")
     return z
 
 

@@ -26,6 +26,7 @@ from .errors import (
     DegenerateProblemError,
     HypothesisViolationError,
     InvalidPolynomialError,
+    InvalidWeightsError,
     PolycondError,
 )
 from .spectra import _count, _eigensolve, _svds_at
@@ -55,8 +56,9 @@ class PerturbedPolynomial(MatrixPolynomial):
     with coefficients base.coeffs[j] + deltas[j], refused with
     InvalidPolynomialError when its leading coefficient is singular.
 
-    eps_used is the smallest level at which the deltas are admissible for the
-    stored weights; certificates names the checks that random_perturbation or
+    eps_used, a nonnegative real number, is the smallest level at which the
+    deltas are admissible for weights, a WeightSet that matches base;
+    certificates names the checks that random_perturbation or
     defect_perturbation passed, and is empty for a direct construction.
     """
 
@@ -69,7 +71,11 @@ class PerturbedPolynomial(MatrixPolynomial):
 
     def __init__(self, base: MatrixPolynomial, deltas, eps_used: float, weights: WeightSet):
         deltas, coeffs = _perturbed_stacks(base, deltas)
-        self._adopt(coeffs, base=base, deltas=tuple(deltas), eps_used=eps_used, weights=weights)
+        if not isinstance(weights, WeightSet):
+            raise InvalidWeightsError(f"weights must be a WeightSet, got {weights!r}")
+        weights.require_match(base)
+        self._adopt(coeffs, base=base, deltas=tuple(deltas),
+                    eps_used=_require_real(eps_used, "eps_used"), weights=weights)
 
     @property
     def delta_norms(self) -> tuple:

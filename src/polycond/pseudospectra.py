@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (MatrixPolynomial, WeightSet, _blocks, _components, _empty, _finite_point, _is_int,
-                   _require_real, singular_values)
+from .core import (MatrixPolynomial, WeightSet, _blocks, _components, _empty, _finite_point,
+                   _finite_points, _is_int, _require_real, singular_values)
 from .errors import ContainmentError, HypothesisViolationError
 
 __all__ = [
@@ -96,9 +96,9 @@ def boundedness_check(poly: MatrixPolynomial, weights: WeightSet, eps: float) ->
 
 
 def _g_batch(poly: MatrixPolynomial, weights: WeightSet, z: np.ndarray) -> np.ndarray:
-    """g at every entry of a complex array, SVDs batched over the blocks of
-    core._blocks of the flattened points."""
-    z = np.asarray(z, dtype=complex)
+    """g at every entry of an array of finite points (core._finite_points), SVDs
+    batched over the blocks of core._blocks of the flattened points."""
+    z = _finite_points(z, "z")
     flat = z.reshape(-1)
     smin = np.empty(flat.shape)
     for b in _blocks(flat.size, poly.n):

@@ -24,6 +24,7 @@ from .core import (MatrixPolynomial, _blocks, _components, _derivative_coeffs, _
 from .errors import (
     EigensolverError,
     HypothesisViolationError,
+    InvalidPolynomialError,
     InvalidTripleError,
     NotAnEigenvalueError,
 )
@@ -271,11 +272,9 @@ def companion_vectors(poly: MatrixPolynomial, lam: complex, x: np.ndarray,
                       y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(right, left) eigenvectors of the companion matrix synthesized from an
     eigenpair (x, y) of P: right = [x; lam x; ...; lam^{m-1} x], left with
-    blocks E_r(lam)* y; they satisfy left* right = y* P'(lam) x.  x and y must
-    have n entries each (core._vector), and the result depends on their values
-    only, not on their memory layout."""
-    lam = _finite_point(lam, "lam")
-    x, y = _vector(x, poly.n, "x"), _vector(y, poly.n, "y")
+    blocks E_r(lam)* y; they satisfy left* right = y* P'(lam) x.  x and y are nonzero
+    vectors of n entries (core._vector); the result depends on their values, not layout."""
+    lam, x, y = _finite_point(lam, "lam"), _vector(x, poly.n, "x"), _vector(y, poly.n, "y")
     return (np.concatenate([lam ** r * x for r in range(poly.m)]),
             np.concatenate([E.conj().T @ y for E in poly.e_blocks(lam)]))
 
@@ -312,8 +311,10 @@ class JordanTriple:
     Y: np.ndarray
 
     def __init__(self, X, blocks, Y):
-        X = as_complex_matrix(X, name="X")
-        Y = as_complex_matrix(Y, name="Y")
+        try:
+            X, Y = as_complex_matrix(X, name="X"), as_complex_matrix(Y, name="Y")
+        except InvalidPolynomialError as exc:     # a matrix refusal's words, a triple's class
+            raise InvalidTripleError(str(exc)) from None
         blocks = tuple(b if isinstance(b, JordanBlock) else JordanBlock(*b) for b in blocks)
         if not blocks:
             raise InvalidTripleError("a Jordan triple needs at least one block")
@@ -386,7 +387,7 @@ def _check_triple_shape(poly: MatrixPolynomial, triple: JordanTriple) -> None:
 def validate_jordan_triple(poly: MatrixPolynomial, triple: JordanTriple,
                            samples) -> float:
     """Max over samples of the relative resolvent residual
-    ||P(z)^{-1} - X (zI - J)^{-1} Y|| / ||P(z)^{-1}||.
+    ||P(z)^{-1} - X (zI - J)^{-1} Y|| / ||P(z)^{-1}||, as s_min(P(z)) ||P(z)^{-1} - X (zI - J)^{-1} Y||.
 
     Samples with s_min(P(z)) <= NEAR_SPECTRUM_RTOL * s_max(P(z)) sit too
     close to the spectrum and are skipped; if every sample is skipped the
@@ -412,8 +413,7 @@ def validate_jordan_triple(poly: MatrixPolynomial, triple: JordanTriple,
         zI = zf[:, np.newaxis, np.newaxis] * np.eye(triple.size)
         # Y as a stack of one matrix, which NumPy 1.x would otherwise read as vectors
         resolvent = triple.X @ np.linalg.solve(zI - J, triple.Y[np.newaxis])
-        norms = singular_values(np.concatenate([Pinv - resolvent, Pinv]))[:, 0]
-        ratios.append(norms[:len(zf)] / norms[len(zf):])
+        ratios.append(s[far, -1] * singular_values(Pinv - resolvent)[:, 0])
     if not any(r.size for r in ratios):
         raise HypothesisViolationError(
             f"all {len(z)} samples are within tolerance of the spectrum; "

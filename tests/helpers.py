@@ -411,7 +411,7 @@ def reference_validate_jordan_triple(poly, triple, samples) -> float:
             continue
         Pinv = np.linalg.inv(M)
         resolvent = triple.X @ np.linalg.solve(z * np.eye(N) - triple.J, triple.Y)
-        worst = max(worst, spectral_norm(Pinv - resolvent) / spectral_norm(Pinv))
+        worst = max(worst, s[-1] * spectral_norm(Pinv - resolvent))     # ||P(z)^-1|| = 1 / s_min
     if worst < 0:
         raise HypothesisViolationError(
             f"all {len(skipped)} samples are within tolerance of the spectrum; "

@@ -532,14 +532,20 @@ class TestNonFinite:
         assert err["message"].startswith(f"{field}: expected a finite number")
 
     @pytest.mark.parametrize("bound, mu", [
-        ("elsner", ("1e300", "0")),      # inf * 0 in P(mu): the value is NaN
+        ("elsner", ("1e50", "0")),       # eps w(|mu|) overflows to inf
         ("bauer-fike", ("1", "0")),      # theta = p k eps w overflows to inf
     ])
     def test_non_finite_result_is_analysis_error(self, capsys, bound, mu):
-        with np.errstate(over="ignore", invalid="ignore"):   # P(1e300) overflows on purpose
-            err = run_err(capsys, "bounds", bound, P6, "--eps", "1e308", "--mu", *mu)
+        err = run_err(capsys, "bounds", bound, P6, "--eps", "1e308", "--mu", *mu)
         assert err["type"] == "PolycondError"
         assert err["message"].startswith("the result holds NaN or Infinity, which JSON cannot carry")
+
+    def test_overflowing_matrix_refused_by_its_svd(self, capsys):
+        # inf * 0 in P(1e300) gave a NaN bound; its SVD now refuses the matrix
+        with np.errstate(over="ignore", invalid="ignore"):   # P(1e300) overflows on purpose
+            err = run_err(capsys, "bounds", "elsner", P6, "--eps", "1e308", "--mu", "1e300", "0")
+        assert err["type"] == "HypothesisViolationError"
+        assert err["message"].startswith("M must be a matrix or stack of finite numbers")
 
     @pytest.mark.parametrize("argv", [
         ("bounds", "elsner", P6, "--eps", "1e308", "--mu", "1e300", "0"),

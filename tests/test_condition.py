@@ -97,6 +97,14 @@ class TestSimpleRoutes:
         with pytest.raises(DefectiveEigenvalueError):
             cond_simple(poly, WeightSet([1.0, 1.0, 1.0]), 1.0, x, y)
 
+    @pytest.mark.parametrize("route", [cond_simple, cond_via_companion])
+    def test_zero_vector_rejected(self, p5, route):
+        # a zero x or y raised DefectiveEigenvalueError
+        x, y = eig_vectors(p5.poly, 4.0)
+        for args, which in (((0 * x, y), "x"), ((x, 0 * y), "y")):
+            with pytest.raises(HypothesisViolationError, match=f"^{which} must be a nonzero vector$"):
+                route(p5.poly, p5.weights, 4.0, *args)
+
     def test_weight_mismatch_rejected(self, p5):
         x, y = eig_vectors(p5.poly, 1.0)
         from polycond import InvalidWeightsError

@@ -142,7 +142,7 @@ class TestArrayArguments:
         with pytest.raises(HypothesisViolationError, match="r must be finite"):
             WeightSet([1.0, 1.0]).eval(float("nan"))
         for r in (np.array([0.5, np.nan]), np.array([np.inf])):
-            with pytest.raises(HypothesisViolationError, match="nonnegative"):
+            with pytest.raises(HypothesisViolationError, match=r"^r must be finite \(no NaN/Inf\)$"):
                 WeightSet([1.0, 1.0]).eval(r)
 
     def test_e_blocks_are_horner_partial_sums(self, p4, rng):
@@ -228,7 +228,7 @@ class TestConstruction:
         ([np.eye(3), np.full((2, 2), np.nan)], "coefficient A_1: entries must be finite"),
         ([], "needs at least one coefficient"),
         # these leaked NumPy's ValueError
-        ("x", r"coefficient A_0: expected a matrix of numbers \(complex\(\) arg is a malformed"),
+        ("x", r"coefficient A_0: expected a matrix of numbers \(an entry is a str, bytes or bool\)"),
         ([np.eye(2), [[1, 2], [3]]], r"coefficient A_1: expected a matrix of numbers \(setting an"),
         ([[["a", "b"], ["c", "d"]]], "coefficient A_0: expected a matrix of numbers"),
         # these leaked a TypeError from enumerate
@@ -327,6 +327,11 @@ class TestWeights:
         with pytest.raises(HypothesisViolationError, match="^r must hold finite nonnegative numbers$"):
             WeightSet([1.0, 1.0]).eval(np.array([0.5, -1.0]))
 
+    def test_complex_argument_rejected(self):
+        # read as its real part, 3.0, with a ComplexWarning
+        with pytest.raises(HypothesisViolationError, match="^r must hold finite nonnegative numbers$"):
+            WeightSet([1.0, 1.0, 1.0]).eval(np.array([3 + 4j]))
+
     def test_zero_w0_rejected(self):
         with pytest.raises(InvalidWeightsError):
             WeightSet([0.0, 1.0])
@@ -416,6 +421,16 @@ class TestSingularValues:
         got = spectral_norm(np.zeros(shape))
         assert got == 0.0 and not np.signbit(got) and calls == [1]
 
+    def test_non_finite_complex_array_refused_after_its_svd(self):
+        # a NaN leaked LinAlgError, an infinite entry gave NaN singular values
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            M = np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex)
+            for call in (singular_values, spectral_norm):
+                with pytest.raises(HypothesisViolationError, match="^M must be a matrix or stack of finite"):
+                    call(M)
+            with pytest.raises(HypothesisViolationError, match="^M must be a matrix or stack of finite"):
+                singular_values(np.stack([np.eye(2, dtype=complex), M]))
+
     def test_empty_matrix_norm_is_zero_without_svd(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "svd", None)
         assert spectral_norm(np.zeros((0, 0))) == 0.0
@@ -434,33 +449,51 @@ _FACTORIZATIONS = {"svd", "eig", "eigh", "eigvals", "eigvalsh", "slogdet", "det"
                    "matrix_rank", "lstsq", "cond"}
 
 
+def _scoped_nodes():
+    """(enclosing module.class.function, node) for each AST node under src/polycond
+    outside the function and class definitions themselves."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from walk(child, f"{scope}.{child.name}")
+                continue
+            yield scope, child
+            yield from walk(child, scope)
+
+    for path in sorted(Path(polycond.__file__).parent.glob("*.py")):
+        yield from walk(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+
+
 def _factorization_references() -> list[tuple[str, str]]:
     """(enclosing module.class.function, routine) for each reference to a
     numpy.linalg factorization under src/polycond: an attribute of a `linalg`
     object, a name imported from a linalg module, and np.linalg.norm of order
     2 or -2, which takes an SVD."""
     found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}")
-                continue
-            if isinstance(child, ast.Attribute) and child.attr in _FACTORIZATIONS:
-                owner = child.value
-                if getattr(owner, "attr", getattr(owner, "id", None)) == "linalg":
-                    found.append((scope, child.attr))
-            elif isinstance(child, ast.ImportFrom) and "linalg" in (child.module or ""):
-                found.extend((scope, a.name) for a in child.names if a.name in _FACTORIZATIONS)
-            elif (isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "norm"
-                  and any(ast.unparse(a) in ("2", "-2")
-                          for a in child.args[1:2] + [k.value for k in child.keywords if k.arg == "ord"])):
-                found.append((scope, "svd"))
-            visit(child, scope)
-
-    for path in sorted(Path(polycond.__file__).parent.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    for scope, child in _scoped_nodes():
+        if isinstance(child, ast.Attribute) and child.attr in _FACTORIZATIONS:
+            owner = child.value
+            if getattr(owner, "attr", getattr(owner, "id", None)) == "linalg":
+                found.append((scope, child.attr))
+        elif isinstance(child, ast.ImportFrom) and "linalg" in (child.module or ""):
+            found.extend((scope, a.name) for a in child.names if a.name in _FACTORIZATIONS)
+        elif (isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "norm"
+              and any(ast.unparse(a) in ("2", "-2")
+                      for a in child.args[1:2] + [k.value for k in child.keywords if k.arg == "ord"])):
+            found.append((scope, "svd"))
     return sorted(found)
+
+
+_CONVERSIONS = {"asarray", "asanyarray", "array", "ascontiguousarray"}
+
+
+def _conversion_references() -> list[str]:
+    """The enclosing module.class.function of each np.asarray, np.asanyarray,
+    np.array or np.ascontiguousarray call under src/polycond that passes a
+    dtype, by keyword or as its second argument."""
+    return sorted(scope for scope, node in _scoped_nodes()
+                  if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in _CONVERSIONS
+                  and (len(node.args) > 1 or any(k.arg == "dtype" for k in node.keywords)))
 
 
 class TestFactorizationOwners:
@@ -482,6 +515,25 @@ class TestFactorizationOwners:
         monkeypatch.setattr(polycond, "__file__", str(tmp_path / "__init__.py"))
         assert _factorization_references() == [("mod", "eig"), ("mod.K.f", "svd"),
                                                 ("mod.K.f", "svd"), ("mod.K.f", "svd")]
+
+
+class TestConversionOwner:
+    def test_one_owner_per_array_conversion(self):
+        # core._finite_points reads every array a caller passes; the other
+        # readers keep only their shape checks
+        assert set(_conversion_references()) == {"core._finite_points"}
+
+    def test_finds_every_form_of_conversion(self, tmp_path, monkeypatch):
+        (tmp_path / "mod.py").write_text(
+            "import numpy as np\n"
+            "class K:\n"
+            "    def f(self, a):\n"
+            "        return np.asarray(a, dtype=complex), np.array(a, complex), np.asarray(a)\n"
+            "def g(a):\n"
+            "    return np.ascontiguousarray(a, complex), np.asanyarray(a, dtype=float), np.array(a)\n",
+            encoding="utf-8")
+        monkeypatch.setattr(polycond, "__file__", str(tmp_path / "__init__.py"))
+        assert _conversion_references() == ["mod.K.f", "mod.K.f", "mod.g", "mod.g"]
 
 
 class TestSingularValuesAt:

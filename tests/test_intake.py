@@ -8,26 +8,34 @@ only 10**400, 2**63 and 2**62, which must be refused before anything is
 allocated: NumPy refuses an array of 2**62 floats by arithmetic alone (a
 count that a machine might try to allocate, such as 2**40, stays untested).
 An array parameter gets a str, a bool, NaN and +-inf entry and one dimension
-too many, each refused with HypothesisViolationError.
+too many, each refused with its reader's error class: InvalidPolynomialError
+for a coefficient or a delta, InvalidTripleError for X and Y, and
+HypothesisViolationError for the rest.  A reader of stacks or of any shape
+takes the extra dimension as input.  Every array parameter of the public API
+has a row.
 """
 
 from __future__ import annotations
 
 import cmath
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
-from polycond import (HypothesisViolationError, JordanBlock, PolycondError, PseudoGrid, WeightSet,
-                      adjugate_norm, bauer_fike_bound, bound_comparator, boundedness_check, cluster,
-                      companion_vectors, component_vertices, cond_eigvector_free, cond_multiple, cond_simple,
-                      cond_via_companion, contours, defect_perturbation, disc_deviation,
-                      dist_mult_bound, dist_mult_bound_adj, ef_factors, eig_vectors,
-                      eigenvalue_shift_samples, elsner_bound, fitted_radius, grid_eval,
-                      is_admissible, linearization_residual, min_gap_bound, nearest_eigenvalue,
-                      perturbation_rng, random_perturbation, spectrum, sublevel_component_count,
-                      validate_jordan_triple)
+import polycond
+from polycond import (HypothesisViolationError, InvalidPolynomialError, InvalidTripleError,
+                      InvalidWeightsError, JordanBlock, JordanTriple, MatrixPolynomial,
+                      PerturbedPolynomial, PolycondError, PseudoGrid, WeightSet, adjugate_norm,
+                      bauer_fike_bound, bound_comparator, boundedness_check, cluster,
+                      companion_vectors, component_vertices, cond_companion, cond_eigvector_free,
+                      cond_multiple, cond_simple, cond_via_companion, contours, defect_perturbation,
+                      disc_deviation, dist_mult_bound, dist_mult_bound_adj, ef_factors, eig_vectors,
+                      eigenvalue_shift_samples, elsner_bound, fitted_radius, grid_eval, is_admissible,
+                      linearization_residual, min_gap_bound, nearest_eigenvalue, perturbation_rng,
+                      random_perturbation, singular_values, spectral_norm, spectrum,
+                      sublevel_component_count, validate_jordan_triple)
 from polycond.spectra import default_cluster_tol
 
 BAD = [float("nan"), float("inf"), float("-inf"), -1, "a", "4", b"4", True, 10 ** 400, [1, 2, 3],
@@ -37,13 +45,15 @@ COUNT_BAD = [10 ** 400, 2 ** 63, 2 ** 62]
 
 @dataclasses.dataclass
 class Setup:
-    """Valid arguments around p5's simple eigenvalue 4 and p6's triple."""
+    """Valid arguments around p5's simple eigenvalue lam = 4 (index i) and p6's triple."""
     p5: object
     p6: object
     x: np.ndarray
     y: np.ndarray
     spec: object
     contour: object
+    i: int
+    lam: complex
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +64,8 @@ def s(p5, p6):
     Z = re[np.newaxis, :] + 1j * re[:, np.newaxis]
     grid = PseudoGrid(re_min=-1.0, re_max=1.0, im_min=-1.0, im_max=1.0, nx=21, ny=21,
                       values=np.abs(Z), weights=WeightSet([1.0]), poly_hash="circle", gfun=np.abs)
-    return Setup(p5, p6, x, y, spec, contours(grid, 0.5))
+    i = int(np.argmin(np.abs(spec.eigenvalues - 4.0)))
+    return Setup(p5, p6, x, y, spec, contours(grid, 0.5), i, complex(spec.eigenvalues[i]))
 
 
 def _grid(s, **kw):
@@ -153,6 +164,8 @@ ROWS = [
     ("fitted_radius-center", False, lambda s, v: fitted_radius(s.contour, v)),
     ("disc_deviation-center", False, lambda s, v: disc_deviation(s.contour, v, 0.5)),
     ("disc_deviation-radius", False, lambda s, v: disc_deviation(s.contour, 0.0, v)),
+    ("PerturbedPolynomial-eps_used", False,
+     lambda s, v: PerturbedPolynomial(s.p5.poly, np.zeros((3, 2, 2)), v, s.p5.weights)),
 ]
 
 
@@ -182,21 +195,72 @@ def test_bad_scalar_refused_or_finite(s, count, call):
         assert _finite(out), f"{v!r} gave a value that is not finite: {out!r}"
 
 
-# (parameter, a valid array for it, call with the array v in its place)
+HVE = HypothesisViolationError
+
+# (parameter, a valid array for it, call with the array v in its place, the
+# class that refuses a spoiled v)
 ARRAY_ROWS = [
-    ("cluster-values", lambda s: s.spec.eigenvalues.tolist(), lambda s, v: cluster(v, 1e-6)),
+    ("cluster-values", lambda s: s.spec.eigenvalues.tolist(), lambda s, v: cluster(v, 1e-6), HVE),
     ("default_cluster_tol-values", lambda s: s.spec.eigenvalues.tolist(),
-     lambda s, v: default_cluster_tol(v)),
+     lambda s, v: default_cluster_tol(v), HVE),
     ("nearest_eigenvalue-values", lambda s: s.spec.eigenvalues.tolist(),
-     lambda s, v: nearest_eigenvalue(v, 4.0)),
+     lambda s, v: nearest_eigenvalue(v, 4.0), HVE),
     ("eig_vectors-values", lambda s: s.spec.eigenvalues.tolist(),
-     lambda s, v: eig_vectors(s.p5.poly, 4.0, values=v)),
+     lambda s, v: eig_vectors(s.p5.poly, 4.0, values=v), HVE),
     ("cond_multiple-right_vectors", lambda s: s.x[:, None].tolist(),
-     lambda s, v: cond_multiple(s.p5.poly, s.p5.weights, 4.0, v, s.y.conj()[None])),
+     lambda s, v: cond_multiple(s.p5.poly, s.p5.weights, 4.0, v, s.y.conj()[None]), HVE),
     ("cond_multiple-left_vectors", lambda s: s.y.conj()[None].tolist(),
-     lambda s, v: cond_multiple(s.p5.poly, s.p5.weights, 4.0, s.x[:, None], v)),
-    ("adjugate_norm-M", lambda s: s.p5.poly.eval(4.0).tolist(), lambda s, v: adjugate_norm(v)),
+     lambda s, v: cond_multiple(s.p5.poly, s.p5.weights, 4.0, s.x[:, None], v), HVE),
+    ("adjugate_norm-M", lambda s: s.p5.poly.eval(4.0).tolist(), lambda s, v: adjugate_norm(v), HVE),
+    # a NaN or infinite entry of x or y gave a NaN condition number or bound
+    ("cond_simple-x", lambda s: s.x.tolist(),
+     lambda s, v: cond_simple(s.p5.poly, s.p5.weights, s.lam, v, s.y), HVE),
+    ("cond_simple-y", lambda s: s.y.tolist(),
+     lambda s, v: cond_simple(s.p5.poly, s.p5.weights, s.lam, s.x, v), HVE),
+    ("cond_via_companion-x", lambda s: s.x.tolist(),
+     lambda s, v: cond_via_companion(s.p5.poly, s.p5.weights, s.lam, v, s.y), HVE),
+    ("cond_via_companion-y", lambda s: s.y.tolist(),
+     lambda s, v: cond_via_companion(s.p5.poly, s.p5.weights, s.lam, s.x, v), HVE),
+    ("companion_vectors-x", lambda s: s.x.tolist(),
+     lambda s, v: companion_vectors(s.p5.poly, s.lam, v, s.y), HVE),
+    ("companion_vectors-y", lambda s: s.y.tolist(),
+     lambda s, v: companion_vectors(s.p5.poly, s.lam, s.x, v), HVE),
+    ("dist_mult_bound-x", lambda s: s.x.tolist(),
+     lambda s, v: dist_mult_bound(s.p5.poly, s.p5.weights, s.lam, v, s.y), HVE),
+    ("dist_mult_bound-y", lambda s: s.y.tolist(),
+     lambda s, v: dist_mult_bound(s.p5.poly, s.p5.weights, s.lam, s.x, v), HVE),
+    ("dist_mult_bound_adj-x", lambda s: s.x.tolist(),
+     lambda s, v: dist_mult_bound_adj(s.p5.poly, s.p5.weights, s.i, s.spec, v, s.y), HVE),
+    ("dist_mult_bound_adj-y", lambda s: s.y.tolist(),
+     lambda s, v: dist_mult_bound_adj(s.p5.poly, s.p5.weights, s.i, s.spec, s.x, v), HVE),
+    ("defect_perturbation-x", lambda s: s.x.tolist(),
+     lambda s, v: defect_perturbation(s.p5.poly, s.p5.weights, s.lam, v, s.y), HVE),
+    ("defect_perturbation-y", lambda s: s.y.tolist(),
+     lambda s, v: defect_perturbation(s.p5.poly, s.p5.weights, s.lam, s.x, v), HVE),
+    ("cond_companion-right", lambda s: companion_vectors(s.p5.poly, s.lam, s.x, s.y)[0].tolist(),
+     lambda s, v: cond_companion(v, companion_vectors(s.p5.poly, s.lam, s.x, s.y)[1]), HVE),
+    ("cond_companion-left", lambda s: companion_vectors(s.p5.poly, s.lam, s.x, s.y)[1].tolist(),
+     lambda s, v: cond_companion(companion_vectors(s.p5.poly, s.lam, s.x, s.y)[0], v), HVE),
+    # LinAlgError leaked on a NaN, and an infinite entry gave NaN singular values
+    ("singular_values-M", lambda s: s.p5.poly.eval(4.0).tolist(), lambda s, v: singular_values(v),
+     HVE),
+    ("spectral_norm-M", lambda s: s.p5.poly.eval(4.0).tolist(), lambda s, v: spectral_norm(v), HVE),
+    ("MatrixPolynomial-coeffs[0]", lambda s: s.p5.poly.coeffs[0].tolist(),
+     lambda s, v: MatrixPolynomial([v, *s.p5.poly.coeffs[1:]]), InvalidPolynomialError),
+    ("PerturbedPolynomial-deltas[1]", lambda s: np.zeros((2, 2)).tolist(),
+     lambda s, v: PerturbedPolynomial(s.p5.poly, [np.zeros((2, 2)), v, np.zeros((2, 2))], 0.0,
+                                      s.p5.weights), InvalidPolynomialError),
+    ("JordanTriple-X", lambda s: s.p6.triple.X.tolist(),
+     lambda s, v: JordanTriple(v, s.p6.triple.blocks, s.p6.triple.Y), InvalidTripleError),
+    ("JordanTriple-Y", lambda s: s.p6.triple.Y.tolist(),
+     lambda s, v: JordanTriple(s.p6.triple.X, s.p6.triple.blocks, v), InvalidTripleError),
+    # an object array keeps a bool a bool; a list would be read as one r
+    ("WeightSet.eval-r", lambda s: [0.5, 1.0, 2.0],
+     lambda s, v: s.p5.weights.eval(np.array(v, dtype=object)), HVE),
+    ("PseudoGrid.gfun-z", lambda s: [3.9 + 0.1j, 4.1 - 0.2j], lambda s, v: _grid(s).gfun(v), HVE),
 ]
+# readers of a stack or of any shape, which take one more dimension as input
+ANY_SHAPE = {"singular_values-M", "WeightSet.eval-r", "PseudoGrid.gfun-z"}
 
 
 def _spoiled(valid) -> list:
@@ -210,15 +274,53 @@ def _spoiled(valid) -> list:
     return out + [[valid]]
 
 
-@pytest.mark.parametrize("valid, call", [row[1:] for row in ARRAY_ROWS],
-                         ids=[row[0] for row in ARRAY_ROWS])
-def test_bad_array_entry_refused(s, valid, call):
+@pytest.mark.parametrize("name, valid, call, error", ARRAY_ROWS, ids=[row[0] for row in ARRAY_ROWS])
+def test_bad_array_entry_refused(s, name, valid, call, error):
     # a str leaked ValueError, a nested list IndexError or TypeError, NaN in
     # a matrix LinAlgError, and a bool was read as 1
     call(s, valid(s))
-    for v in _spoiled(valid(s)):
-        with pytest.raises(HypothesisViolationError):
+    *entries, deeper = _spoiled(valid(s))
+    for v in entries if name in ANY_SHAPE else entries + [deeper]:
+        with pytest.raises(error):
             call(s, v)
+    if name in ANY_SHAPE:
+        call(s, deeper)
+
+
+# the names of the public API's array parameters, and the records that keep
+# what the library built for them without checking it (grid_eval's PseudoGrid,
+# parse_problem's MultipleEigenvalueData)
+ARRAY_PARAMETERS = {"x", "y", "right", "left", "right_vectors", "left_vectors", "values", "M",
+                    "coeffs", "deltas", "X", "Y"}
+RECORDS = {"PseudoGrid", "MultipleEigenvalueData"}
+
+
+def test_every_array_parameter_has_a_row():
+    ids = [row[0] for row in ROWS + ARRAY_ROWS]
+    missing = []
+    for name in polycond.__all__:
+        obj = getattr(polycond, name)
+        if name in RECORDS or isinstance(obj, type) and issubclass(obj, BaseException):
+            continue
+        targets = [(name, obj)]
+        if isinstance(obj, type):
+            targets += [(f"{name}.{a}", getattr(obj, a)) for a in vars(obj) if not a.startswith("_")]
+        for qual, f in targets:
+            if not callable(f):
+                continue
+            for p in inspect.signature(f).parameters:
+                key = f"{qual}-{p}"
+                if p in ARRAY_PARAMETERS and not any(i == key or i.startswith(key + "[") for i in ids):
+                    missing.append(key)
+    assert missing == []
+
+
+def test_perturbed_polynomial_refuses_weights_it_cannot_use(p5, p6):
+    # each was stored as given
+    zero = np.zeros((3, 2, 2))
+    for weights in ("w", [1.0, 1.0, 1.0], p6.weights):
+        with pytest.raises(InvalidWeightsError):
+            PerturbedPolynomial(p5.poly, zero, 0.0, weights)
 
 
 def test_count_numpy_cannot_allocate_refused_by_name(s):

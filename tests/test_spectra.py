@@ -396,6 +396,14 @@ class TestTripleValidationReference:
         assert validate_jordan_triple(p3.poly, p3.triple, 3 * np.exp(0.3j * np.arange(20))) <= 1e-8
         assert len(calls) == 2
 
+    def test_second_svd_takes_one_matrix_per_sample(self, p3, monkeypatch):
+        # ||P(z)^-1|| = 1/s_min(P(z)) comes from the first SVD; the second
+        # took P(z)^-1 as well, 40 matrices for 20 samples
+        svd, counts = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *r, **k: counts.append(len(a)) or svd(a, *r, **k))
+        validate_jordan_triple(p3.poly, p3.triple, 3 * np.exp(0.3j * np.arange(20)))
+        assert counts == [20, 20]
+
     def test_block_size_bitwise_irrelevant(self, p3, rng, monkeypatch):
         vals = eigenvalues(p3.poly)
         z = 3 * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
