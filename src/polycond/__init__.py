@@ -13,10 +13,10 @@ _HOMES = {
     "core": ("MatrixPolynomial", "WeightSet", "singular_values", "spectral_norm"),
     "linearization": ("companion", "ef_factors", "linearization_residual"),
     "spectra": ("EigenvalueCluster", "JordanBlock", "JordanTriple", "Spectrum", "cluster",
-                "companion_vectors", "default_cluster_tol", "eig_vectors", "eigenvalues",
-                "nearest_eigenvalue", "spectrum", "validate_jordan_triple"),
-    "condition": ("adjugate_norm", "cond_companion", "cond_eigvector_free", "cond_multiple",
-                  "cond_simple", "cond_via_companion", "min_gap_bound"),
+                "companion_vectors", "eig_vectors", "eigenvalues", "nearest_eigenvalue",
+                "spectrum", "validate_jordan_triple"),
+    "condition": ("adjugate_norm", "cond_eigvector_free", "cond_multiple", "cond_simple",
+                  "cond_via_companion", "min_gap_bound"),
     "bounds": ("BoundReport", "ComparatorReport", "bauer_fike_bound", "bound_comparator",
                "dist_mult_bound", "dist_mult_bound_adj", "elsner_bound"),
     "perturb": ("AdmissibilityReport", "PerturbedPolynomial", "defect_perturbation",

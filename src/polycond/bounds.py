@@ -22,7 +22,7 @@ import numpy as np
 
 from .condition import _derivative_frame, _eigenpair, cond_eigvector_free
 from .core import MatrixPolynomial, WeightSet, _finite_point, _require_real, spectral_norm
-from .errors import DegenerateProblemError
+from .errors import DegenerateProblemError, HypothesisViolationError
 from .spectra import JordanTriple, _check_triple_shape, _require_simple
 
 __all__ = [
@@ -140,7 +140,11 @@ def elsner_bound(poly: MatrixPolynomial, weights: WeightSet, eps: float,
     if mn == 0:
         raise DegenerateProblemError("a degree-0 polynomial has no eigenvalues to bound")
     w = weights.eval(abs(mu))
-    norm_p = spectral_norm(poly.eval(mu))
+    try:
+        norm_p = spectral_norm(poly.eval(mu))
+    except HypothesisViolationError:    # P(mu) overflowed: its SVD refuses the matrix
+        raise HypothesisViolationError(
+            f"P(mu) is not finite at mu = {mu}: its entries overflow") from None
     logdet = poly.log_abs_det_leading
     if eps * w == 0.0 or (norm_p == 0.0 and poly.n > 1):
         value = 0.0

@@ -24,11 +24,11 @@ from dataclasses import asdict, is_dataclass
 import numpy as np
 
 from . import __version__
-from .core import MatrixPolynomial, WeightSet, _blocks, singular_values
+from .core import MatrixPolynomial, WeightSet, _blocks, _empty, singular_values
 from .errors import HypothesisViolationError, PolycondError
 from .io import ProblemFile, _problem_doc, parse_problem
-from .spectra import (_require_simple, default_cluster_tol, eig_vectors, eigenvalues,
-                      nearest_eigenvalue, spectrum, validate_jordan_triple)
+from .spectra import (_require_simple, eig_vectors, eigenvalues, nearest_eigenvalue, spectrum,
+                      validate_jordan_triple)
 
 RESIDUAL_TOL = 1e-8
 _NON_FINITE = "the result holds NaN or Infinity, which JSON cannot carry"
@@ -93,11 +93,10 @@ def _snap(ctx: _Context, args):
 
 
 def cmd_eig(ctx: _Context, args) -> dict:
-    tol = args.cluster_tol
-    sp = spectrum(ctx.poly, cluster_tol=tol)
+    sp = spectrum(ctx.poly, cluster_tol=args.cluster_tol)
     return {
         "eigenvalues": sp.eigenvalues,
-        "cluster_tol": tol if tol is not None else default_cluster_tol(sp.eigenvalues),
+        "cluster_tol": sp.cluster_tol,
         "clusters": [
             {"center": c.center, "indices": c.indices,
              "size": c.size} for c in sp.clusters
@@ -268,19 +267,23 @@ def cmd_perturb(ctx: _Context, args) -> dict:
     return out
 
 
-def _sample_points(poly: MatrixPolynomial, count: int, seed: int) -> np.ndarray:
+def _sample_points(poly: MatrixPolynomial, count: int, seed: int, name: str) -> np.ndarray:
+    """count seeded complex points on the scale of the spectrum; a count NumPy cannot
+    allocate is refused as the flag name (core._empty) before the eigensolve."""
     from .perturb import perturbation_rng
 
+    re, im = _empty(count, name, count), _empty(count, name, count)
     rng = perturbation_rng(seed, stream=0)
-    scale = 1.0 + float(np.max(np.abs(eigenvalues(poly))))
-    return scale * (rng.standard_normal(count) + 1j * rng.standard_normal(count))
+    rng.standard_normal(out=re)
+    rng.standard_normal(out=im)
+    return (1.0 + float(np.max(np.abs(eigenvalues(poly))))) * (re + 1j * im)
 
 
 def cmd_verify(ctx: _Context, args) -> dict:
     if args.check == "linearization":
         from .linearization import linearization_residual
 
-        pts = _sample_points(ctx.poly, args.points, args.seed)
+        pts = _sample_points(ctx.poly, args.points, args.seed, "points")
         s = ctx.poly.leading_singular_values
         residual = linearization_residual(ctx.poly, pts)
         norms = np.concatenate([singular_values(ctx.poly.eval(pts[b]))[:, 0]
@@ -295,7 +298,7 @@ def cmd_verify(ctx: _Context, args) -> dict:
     if triple is None:
         raise HypothesisViolationError(
             "verify triple needs a Jordan triple in the problem file")
-    pts = _sample_points(ctx.poly, args.samples, args.seed)
+    pts = _sample_points(ctx.poly, args.samples, args.seed, "samples")
     residual = validate_jordan_triple(ctx.poly, triple, samples=pts)
     return {"samples": args.samples, "seed": args.seed,
             "max_relative_residual": residual,

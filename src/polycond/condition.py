@@ -12,6 +12,8 @@ numerical diagnostic and is pinned down by the test suite.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import (MatrixPolynomial, WeightSet, _finite_point, _finite_points, _singular, _vector,
@@ -22,11 +24,10 @@ from .errors import (
     HypothesisViolationError,
     NotAnEigenvalueError,
 )
-from .spectra import Spectrum, _require_simple, _svds_at, companion_vectors
+from .spectra import Spectrum, _lift, _require_simple, _svds_at
 
 __all__ = [
     "cond_simple",
-    "cond_companion",
     "cond_via_companion",
     "cond_multiple",
     "adjugate_norm",
@@ -105,31 +106,24 @@ def cond_simple(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
     return w * float(np.linalg.norm(x)) * float(np.linalg.norm(y)) / abs(delta)
 
 
-def cond_companion(right: np.ndarray, left: np.ndarray) -> float:
-    """Condition number of the eigenvalue in the companion matrix, from its
-    right and left eigenvectors: ||right|| ||left|| / |left* right|."""
-    right, left = _finite_points(right, "right"), _finite_points(left, "left")
-    if right.ndim != 1 or left.shape != right.shape:
-        raise HypothesisViolationError(
-            f"right and left must be vectors of one length, got shapes {right.shape} and {left.shape}")
+def cond_via_companion(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
+                       x: np.ndarray, y: np.ndarray) -> float:
+    """cond_simple recovered through the companion matrix: w(|lam|) / (||right|| ||left||)
+    times the companion condition number ||right|| ||left|| / |left* right| of the
+    eigenvectors that companion_vectors synthesizes from (x, y)."""
+    weights.require_match(poly)
+    lam, x, y = _finite_point(lam, "lam"), _vector(x, poly.n, "x"), _vector(y, poly.n, "y")
+    right, left = _lift(poly, lam, x, y)
     n_right, n_left = float(np.linalg.norm(right)), float(np.linalg.norm(left))
+    if not math.isfinite(n_right * n_left):
+        raise HypothesisViolationError(
+            f"the companion eigenvectors overflow at lam = {lam}: ||right|| ||left|| is not finite")
     coupling = abs(complex(left.conj() @ right))
     if coupling <= DEFECT_RTOL * n_right * n_left:
         raise DefectiveEigenvalueError(
             f"|left* right| = {coupling:.3e} is numerically zero relative to "
             f"||right|| ||left|| = {n_right * n_left:.3e}: defective eigenvalue")
-    return n_right * n_left / coupling
-
-
-def cond_via_companion(poly: MatrixPolynomial, weights: WeightSet, lam: complex,
-                       x: np.ndarray, y: np.ndarray) -> float:
-    """cond_simple recovered through the companion matrix:
-    w(|lam|) / (||right|| ||left||) times the companion condition number."""
-    weights.require_match(poly)
-    lam = _finite_point(lam, "lam")
-    right, left = companion_vectors(poly, lam, x, y)
-    k = cond_companion(right, left)
-    return weights.eval(abs(lam)) / (float(np.linalg.norm(right)) * float(np.linalg.norm(left))) * k
+    return weights.eval(abs(lam)) / (n_right * n_left) * (n_right * n_left / coupling)
 
 
 def cond_multiple(poly: MatrixPolynomial, weights: WeightSet, lam: complex,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MatrixPolynomial, WeightSet, _is_int, _require_real
+from .core import MatrixPolynomial, WeightSet, _finite_point, _finite_points, _is_int, _require_real
 from .errors import HypothesisViolationError, ProblemFormatError
 from .spectra import JordanBlock, JordanTriple
 
@@ -44,11 +44,24 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class MultipleEigenvalueData:
     """Eigenvector matrices spanning the largest Jordan blocks of one
-    (typically multiple) eigenvalue."""
+    (typically multiple) eigenvalue: right_vectors n x kappa, left_vectors
+    kappa x n, read with the eigenvalue by core's validators
+    (HypothesisViolationError)."""
 
     eigenvalue: complex
     right_vectors: np.ndarray
     left_vectors: np.ndarray
+
+    def __post_init__(self):
+        right = _finite_points(self.right_vectors, "right_vectors")
+        left = _finite_points(self.left_vectors, "left_vectors")
+        if right.ndim != 2 or left.shape != right.shape[::-1]:
+            raise HypothesisViolationError(
+                "right_vectors and left_vectors must be n x kappa and kappa x n matrices, "
+                f"got shapes {right.shape} and {left.shape}")
+        object.__setattr__(self, "eigenvalue", _finite_point(self.eigenvalue, "eigenvalue"))
+        object.__setattr__(self, "right_vectors", right)
+        object.__setattr__(self, "left_vectors", left)
 
 
 @dataclass(frozen=True, eq=False)

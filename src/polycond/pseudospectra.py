@@ -53,6 +53,8 @@ class PseudoGrid:
     symmetric, values == values[::-1].  gfun re-evaluates g off-grid at an
     array of points (saddle resolution) and returns the array of values.
     Instances compare by identity (compare the values with np.array_equal).
+    values must be a finite real float array of shape (ny, nx), checked as
+    given, without a copy (HypothesisViolationError).
     """
 
     re_min: float
@@ -65,6 +67,17 @@ class PseudoGrid:
     weights: WeightSet
     poly_hash: str
     gfun: object = field(repr=False, compare=False, default=None)
+
+    def __post_init__(self):
+        v = self.values
+        shape = (self.ny, self.nx)
+        if not (isinstance(v, np.ndarray) and v.dtype.kind == "f" and v.shape == shape):
+            got = (f"a {v.dtype} array of shape {v.shape}" if isinstance(v, np.ndarray)
+                   else type(v).__name__)
+            raise HypothesisViolationError(
+                f"values must be a real float array of shape (ny, nx) = {shape}, got {got}")
+        if not np.isfinite(v).all():
+            raise HypothesisViolationError("values must be finite (no NaN/Inf)")
 
     @property
     def re_axis(self) -> np.ndarray:

@@ -75,11 +75,13 @@ class EigenvalueCluster:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """All nm eigenvalues with their multiplicity clusters; eigenvectors are
-    not stored, eig_vectors computes them on demand."""
+    """All nm eigenvalues with their multiplicity clusters at the clustering
+    tolerance cluster_tol; eigenvectors are not stored, eig_vectors computes
+    them on demand."""
 
     eigenvalues: np.ndarray
     clusters: tuple[EigenvalueCluster, ...]
+    cluster_tol: float
 
     def cluster_of(self, i: int) -> EigenvalueCluster:
         """The cluster of eigenvalue index i; NotAnEigenvalueError unless i is
@@ -92,9 +94,6 @@ class Spectrum:
                 f"eigenvalue index {i} is out of range for a spectrum of nm = {nm} "
                 f"eigenvalues (indices 0..{nm - 1})")
         return next(c for c in self.clusters if i in c.indices)
-
-    def is_simple(self, i: int) -> bool:
-        return self.cluster_of(i).is_simple
 
 
 def _require_simple(spec: Spectrum, i: int) -> complex:
@@ -189,18 +188,13 @@ def cluster(values, tol: float) -> tuple[EigenvalueCluster, ...]:
     return tuple(clusters[i] for i in _canonical_order(np.array([c.center for c in clusters])))
 
 
-def default_cluster_tol(values) -> float:
-    """1e-6 times max(1, spectral radius), the scale-aware default."""
-    v = _values(values)
-    radius = float(np.max(np.abs(v))) if len(v) else 0.0
-    return 1e-6 * max(1.0, radius)
-
-
 def spectrum(poly: MatrixPolynomial, cluster_tol: float | None = None) -> Spectrum:
-    """Eigenvalues and multiplicity clusters."""
+    """Eigenvalues and multiplicity clusters; cluster_tol defaults to the
+    scale-aware 1e-6 times max(1, spectral radius)."""
     vals = eigenvalues(poly)
-    tol = default_cluster_tol(vals) if cluster_tol is None else cluster_tol
-    return Spectrum(eigenvalues=vals, clusters=cluster(vals, tol))
+    tol = (1e-6 * max(1.0, float(np.max(np.abs(vals), initial=0.0))) if cluster_tol is None
+           else _require_real(cluster_tol, "clustering tolerance", positive=True))
+    return Spectrum(eigenvalues=vals, clusters=cluster(vals, tol), cluster_tol=tol)
 
 
 def nearest_eigenvalue(values, lam: complex, tol: float | None = None) -> int:
@@ -274,7 +268,11 @@ def companion_vectors(poly: MatrixPolynomial, lam: complex, x: np.ndarray,
     eigenpair (x, y) of P: right = [x; lam x; ...; lam^{m-1} x], left with
     blocks E_r(lam)* y; they satisfy left* right = y* P'(lam) x.  x and y are nonzero
     vectors of n entries (core._vector); the result depends on their values, not layout."""
-    lam, x, y = _finite_point(lam, "lam"), _vector(x, poly.n, "x"), _vector(y, poly.n, "y")
+    return _lift(poly, _finite_point(lam, "lam"), _vector(x, poly.n, "x"), _vector(y, poly.n, "y"))
+
+
+def _lift(poly: MatrixPolynomial, lam: complex, x: np.ndarray, y: np.ndarray):
+    """companion_vectors of a checked lam, x and y."""
     return (np.concatenate([lam ** r * x for r in range(poly.m)]),
             np.concatenate([E.conj().T @ y for E in poly.e_blocks(lam)]))
 

@@ -236,6 +236,26 @@ def simple_eigenpairs(poly: MatrixPolynomial, sp):
             yield (i, lam) + eig_vectors(poly, lam, values=sp.eigenvalues)
 
 
+def kappa_by_perturbation(poly: MatrixPolynomial, weights: WeightSet, lam: complex, x, y,
+                          eps: float) -> float:
+    """kappa(P, lam) from its definition, the limit of sup |d lam| / eps over
+    admissible perturbations of size eps.  To first order the rank-one
+    perturbation Delta_j = eps w_j (conj(lam)/|lam|)^j y x* of unit x, y attains
+    the sup (Tisseur, LAA 309, 2000, Thm. 5); at lam = 0 all of Delta is in
+    Delta_0.  The eigenvalue of P + Delta nearest lam moves by
+    r(eps) eps with r(eps) = kappa + O(eps): one eigensolve at eps and one at
+    eps/2, then the Richardson step 2 r(eps/2) - r(eps)."""
+    x, y = np.asarray(x) / np.linalg.norm(x), np.asarray(y) / np.linalg.norm(y)
+    phase = np.conj(lam) / abs(lam) if lam != 0 else 0.0
+    directions = [w * phase ** j * np.outer(y, x.conj()) for j, w in enumerate(weights.weights)]
+
+    def r(e):
+        vals = eigenvalues(MatrixPolynomial([A + e * D for A, D in zip(poly.coeffs, directions)]))
+        return float(np.min(np.abs(vals - lam))) / e
+
+    return 2 * r(eps / 2) - r(eps)
+
+
 def snap_vectors(poly: MatrixPolynomial, target: complex):
     """Nearest computed eigenvalue to target, with its right/left vectors."""
     from polycond import eig_vectors, nearest_eigenvalue, spectrum

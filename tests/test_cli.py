@@ -541,11 +541,12 @@ class TestNonFinite:
         assert err["message"].startswith("the result holds NaN or Infinity, which JSON cannot carry")
 
     def test_overflowing_matrix_refused_by_its_svd(self, capsys):
-        # inf * 0 in P(1e300) gave a NaN bound; its SVD now refuses the matrix
+        # inf * 0 in P(1e300) gave a NaN bound; its SVD refuses the matrix, and
+        # the refusal names P(mu), not an M the caller never passed
         with np.errstate(over="ignore", invalid="ignore"):   # P(1e300) overflows on purpose
             err = run_err(capsys, "bounds", "elsner", P6, "--eps", "1e308", "--mu", "1e300", "0")
         assert err["type"] == "HypothesisViolationError"
-        assert err["message"].startswith("M must be a matrix or stack of finite numbers")
+        assert err["message"] == "P(mu) is not finite at mu = (1e+300+0j): its entries overflow"
 
     @pytest.mark.parametrize("argv", [
         ("bounds", "elsner", P6, "--eps", "1e308", "--mu", "1e300", "0"),
@@ -610,6 +611,15 @@ class TestVerify:
         err = run_err(capsys, "verify", "triple", P5)
         assert err["type"] == "HypothesisViolationError"
 
+    @pytest.mark.parametrize("check, path, flag", [("linearization", P3, "--points"),
+                                                   ("triple", P6, "--samples")])
+    def test_count_numpy_cannot_allocate_refused_by_name(self, capsys, check, path, flag):
+        # NumPy's "array is too big" ValueError leaked as the error type; 2**62
+        # floats are refused by arithmetic before anything is allocated
+        err = run_err(capsys, "verify", check, path, flag, str(2 ** 62))
+        assert err == {"type": "HypothesisViolationError",
+                       "message": f"{flag[2:]} is too large to allocate, got {2 ** 62}"}
+
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_linearization_matches_per_point_loop(self, capsys, name):
         path = str(FIXTURES / f"{name}.json")
@@ -618,7 +628,7 @@ class TestVerify:
         s = poly.leading_singular_values
         worst = worst_thresh = 0.0
         ok = True
-        for z in _sample_points(poly, 20, 3):
+        for z in _sample_points(poly, 20, 3, "points"):
             r = linearization_residual(poly, complex(z))
             thresh = 1e-8 * (1.0 + spectral_norm(poly.eval(complex(z)))) * float(s[0] / s[-1])
             ok = ok and r <= thresh
@@ -887,7 +897,8 @@ def test_module_run_of_eig_loads_no_other_layer():
 def test_public_names_resolve_lazily():
     import polycond
 
-    assert len(set(polycond.__all__)) == len(polycond.__all__) == 66
+    assert len(set(polycond.__all__)) == len(polycond.__all__) == 64
+    assert not {"cond_companion", "default_cluster_tol"} & {*polycond.__all__, *dir(polycond)}
     for name in polycond.__all__[1:]:
         obj = getattr(polycond, name)
         # the object its home module defines, not a re-export

@@ -28,7 +28,6 @@ from polycond import (
     cluster,
     companion_vectors,
     cond_via_companion,
-    default_cluster_tol,
     eig_vectors,
     eigenvalues,
     nearest_eigenvalue,
@@ -131,8 +130,14 @@ class TestCluster:
             spectrum(p6.poly, cluster_tol=tol)
 
     def test_default_tol_scales_with_radius(self):
-        assert default_cluster_tol([0.5]) == pytest.approx(1e-6)
-        assert default_cluster_tol([100.0]) == pytest.approx(1e-4)
+        # the spectrum keeps the tolerance it clustered with
+        for root, tol in ((0.5, 1e-6), (100.0, 1e-4)):
+            assert spectrum(MatrixPolynomial([[[-root]], [[1.0]]])).cluster_tol == pytest.approx(tol)
+
+    def test_given_tol_kept_as_a_float(self, p6):
+        for tol in (1e-3, 1, np.float32(0.5)):
+            sp = spectrum(p6.poly, cluster_tol=tol)
+            assert type(sp.cluster_tol) is float and sp.cluster_tol == float(tol)
 
 
 class TestNearestEigenvalue:
@@ -451,7 +456,7 @@ class TestEigenproblemCond:
 class TestSpectrumObject:
     def test_simple_flags_and_vectors(self, p5):
         sp = spectrum(p5.poly)
-        assert all(sp.is_simple(i) for i in range(4))
+        assert all(sp.cluster_of(i).is_simple for i in range(4))
 
     def test_multiple_eigenvalue_carries_no_vectors(self, p3):
         sp = spectrum(p3.poly, cluster_tol=1e-4)
